@@ -20,7 +20,7 @@ from .errors import (
     RareWeakError,
     SolverError,
 )
-from .numerics import RngStream, chisq_sf, gauss_vec, normal_sf, sym_sqrt
+from .numerics import RngStream, chisq_sf, normal_sf, sym_sqrt
 from .models import ArwParams, MixtureParams, PrecisionModel, gen_arw, to_regression
 
 __all__ = [
@@ -28,6 +28,6 @@ __all__ = [
     "RareWeakError", "DomainError", "FactorizationError",
     "NotPositiveDefiniteError", "CapacityError", "DegeneracyError",
     "GenerationError", "SolverError", "ConfigError",
-    "RngStream", "normal_sf", "chisq_sf", "gauss_vec", "sym_sqrt",
+    "RngStream", "normal_sf", "chisq_sf", "sym_sqrt",
     "ArwParams", "MixtureParams", "PrecisionModel", "gen_arw", "to_regression",
 ]

@@ -7,7 +7,6 @@ simulated threshold) and graph-guided feature ranking with ROC evaluation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -72,8 +71,7 @@ class BandwidthEstimate:
 
 def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
                        null_table: CriticalValueTable,
-                       alpha0: float = HCPLUS_ALPHA0, side: str = "upper",
-                       studentize: bool = True) -> BandwidthEstimate:
+                       alpha0: float = HCPLUS_ALPHA0) -> BandwidthEstimate:
     """HC bandwidth estimate from n rows of p-dimensional data.
 
     For each off-diagonal k = 1..b0 the entries of sqrt(n) * S_n^(k) get
@@ -81,12 +79,12 @@ def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
     score clears the simulated threshold at level alpha / b0 (Bonferroni
     over the b0 scans), or 0 when none does.
 
-    By default each entry is studentized by the sample variances (the raw
-    product statistic at moderate n has fatter-than-normal tails, which
-    inflates every scan's HC score and ruins the uniform calibration of the
-    threshold) and P-values are upper-tail, matching searched-for couplings
-    that are positive point masses. side="two" and studentize=False recover
-    the plain readings.
+    Each entry is studentized by the sample variances: the raw product
+    statistic at moderate n has fatter-than-normal tails, which inflates
+    every scan's HC score and ruins the uniform calibration of the
+    threshold. P-values are upper-tail, matching searched-for couplings that
+    are positive point masses. null_table must be an HC+ table simulated at
+    this p and alpha0.
     """
     x = np.asarray(samples, dtype=float)
     n, p = x.shape
@@ -96,20 +94,14 @@ def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
         raise DomainError("b0 must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    if side not in ("upper", "two"):
-        raise DomainError(f"unknown side {side!r}")
-    if null_table.variant != "hcplus":
-        raise DomainError("bandwidth estimation needs an 'hcplus' null table")
+    null_table.check(p, "hcplus", alpha0)
     threshold = null_table.value(alpha / b0)
     scores = np.empty(b0)
     sqrt_n = math.sqrt(n)
-    diag = sample_cov_diagonal(x) if studentize else None
+    diag = sample_cov_diagonal(x)
     for k, xi in enumerate(sample_cov_offdiagonals(x, b0), start=1):
-        z = sqrt_n * xi
-        if studentize:
-            z = z / np.sqrt(diag[: p - k] * diag[k:])
-        pv = normal_sf(z) if side == "upper" else 2.0 * normal_sf(np.abs(z))
-        scores[k - 1] = hc_plus_statistic(pv, alpha0=alpha0).statistic
+        z = sqrt_n * xi / np.sqrt(diag[: p - k] * diag[k:])
+        scores[k - 1] = hc_plus_statistic(normal_sf(z), alpha0=alpha0).statistic
     qualifying = np.flatnonzero(scores >= threshold)
     b_hat = int(qualifying[-1]) + 1 if qualifying.size else 0
     return BandwidthEstimate(b_hat=b_hat, scores=scores, threshold=threshold,
@@ -206,13 +198,6 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float
-
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fpr", "tpr"])
-            for f, t in zip(self.fpr, self.tpr):
-                writer.writerow([format(float(f), ".17g"), format(float(t), ".17g")])
 
 
 def roc_curve(scores, truth) -> RocCurve:

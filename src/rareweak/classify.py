@@ -8,13 +8,13 @@ rule. Includes Monte Carlo misclassification estimation.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .detect import _hc_objective
 from .errors import DomainError
 from .models import PrecisionModel, class_rows, gen_class_sample, ClassSample
 from .numerics import RngStream, normal_sf
@@ -52,17 +52,14 @@ class HctThreshold:
 
 
 def hct_threshold(zvec: FeatureZVector, omega: PrecisionModel,
-                  alpha0: float = DEFAULT_ALPHA0,
-                  use_raw_z: bool = False) -> HctThreshold:
+                  alpha0: float = DEFAULT_ALPHA0) -> HctThreshold:
     """Higher Criticism threshold for feature selection.
 
     Two-sided P-values of the innovated transform Omega Z are sorted and the
     score sqrt(p) (i/p - pi_(i)) / sqrt((i/p)(1 - i/p)) is maximized over
     i <= alpha0 * p (ties to the smallest i). The threshold is the i-th
     largest |Omega Z| at the maximizer; the denominator here uses i/p, not
-    the P-value, unlike the detection statistic. With use_raw_z the
-    threshold is read off |Z| instead while the ranking still comes from
-    Omega Z.
+    the P-value, unlike the detection statistic.
     """
     if not 0.0 < alpha0 <= 0.5:
         raise DomainError("alpha0 must lie in (0, 0.5]")
@@ -75,14 +72,10 @@ def hct_threshold(zvec: FeatureZVector, omega: PrecisionModel,
         raise DomainError(f"alpha0 * p < 1 (p={p}); input too small for HCT")
     wz = omega.matvec(z)
     pv = 2.0 * normal_sf(np.abs(wz))
-    order = np.argsort(pv, kind="stable")
-    srt = pv[order][:upper]
-    i = np.arange(1, upper + 1)
-    frac = i / p
-    scores = math.sqrt(p) * (frac - srt) / np.sqrt(frac * (1.0 - frac))
+    srt = np.sort(pv)[:upper]
+    scores = _hc_objective(srt, p, np.arange(1, upper + 1) / p)
     k = int(np.argmax(scores))
-    scale = np.abs(z) if use_raw_z else np.abs(wz)
-    threshold = float(np.sort(scale)[::-1][k])
+    threshold = float(np.sort(np.abs(wz))[::-1][k])
     return HctThreshold(threshold=threshold, argmax_index=k + 1)
 
 
@@ -101,22 +94,12 @@ class HctModel:
     def weights(self) -> np.ndarray:
         return self.omega.matvec(self.mu_hat.astype(float))
 
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(f"threshold={format(self.threshold, '.17g')},"
-                     f"argmax={self.argmax_index},"
-                     f"alpha0={format(self.alpha0, '.17g')}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["index", "mu_hat"])
-            for i, v in enumerate(self.mu_hat):
-                writer.writerow([i, int(v)])
-
 
 def train_hct(sample: ClassSample, omega: PrecisionModel,
-              alpha0: float = DEFAULT_ALPHA0, use_raw_z: bool = False) -> HctModel:
+              alpha0: float = DEFAULT_ALPHA0) -> HctModel:
     """Fit the HC-thresholded rule: mu_hat = clip(Omega Z) at the HCT."""
     zv = z_vector(sample)
-    sel = hct_threshold(zv, omega, alpha0=alpha0, use_raw_z=use_raw_z)
+    sel = hct_threshold(zv, omega, alpha0=alpha0)
     wz = omega.matvec(zv.z)
     if sel.threshold > 0.0:
         mu_hat = clip_threshold(wz, sel.threshold)

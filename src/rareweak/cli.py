@@ -577,18 +577,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path) -> dict:
+    """The JSON object in a config file; anything else is a ConfigError."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return raw
+
+
+def _env_threads():
+    value = os.environ.get("RAREWEAK_THREADS")
+    if not value:
+        return None
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"RAREWEAK_THREADS must be an integer, got {value!r}") from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    raw = None
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    threads = args.threads
-    if threads is None and os.environ.get("RAREWEAK_THREADS"):
-        threads = int(os.environ["RAREWEAK_THREADS"])
-    overrides = {"seed": args.seed, "scale": args.scale, "out": args.out,
-                 "threads": threads}
     try:
+        raw = _read_config(args.config) if args.config else None
+        threads = args.threads if args.threads is not None else _env_threads()
+        overrides = {"seed": args.seed, "scale": args.scale, "out": args.out,
+                     "threads": threads}
         cfg = resolve_config(args.experiment, raw, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

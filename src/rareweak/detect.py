@@ -9,7 +9,6 @@ Carlo size/power estimation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -24,7 +23,16 @@ PVALUE_CLAMP = 1e-15
 
 TRANSFORMS = ("none", "whitened", "innovated")
 SIDES = ("upper", "two")
-VARIANTS = ("ohc", "hcplus", "bhc", "whc", "ihc")
+
+# Each HC variant is a P-value pipeline: variant -> (transform, side).
+_VARIANT_PVALUES = {
+    "ohc": ("none", "upper"),
+    "hcplus": ("none", "upper"),
+    "bhc": ("none", "two"),
+    "whc": ("whitened", "two"),
+    "ihc": ("innovated", "two"),
+}
+VARIANTS = tuple(_VARIANT_PVALUES)
 
 
 @dataclass(frozen=True)
@@ -82,9 +90,38 @@ def _pvalue_array(pv) -> np.ndarray:
     return vals
 
 
-def _hc_objective(sorted_p: np.ndarray, p: int) -> np.ndarray:
+def _hc_objective(sorted_p: np.ndarray, p: int,
+                  denom: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(p) (i/p - pi_(i)) / sqrt(d (1 - d)) over the leading sorted P-values.
+
+    d is the P-value itself unless a denominator (HCT uses i/p) is given.
+    """
     i = np.arange(1, sorted_p.size + 1)
-    return math.sqrt(p) * (i / p - sorted_p) / np.sqrt(sorted_p * (1.0 - sorted_p))
+    d = sorted_p if denom is None else denom
+    return math.sqrt(p) * (i / p - sorted_p) / np.sqrt(d * (1.0 - d))
+
+
+def _hc(pv, frac: float, floor: bool, variant: str) -> DetectionResult:
+    """Maximize the HC objective over i <= frac * p, ties to the smallest i.
+
+    With floor, indices whose sorted P-value is at most 1/p are infeasible;
+    an empty feasible set gives statistic -inf and argmax index 0.
+    """
+    vals = _pvalue_array(pv)
+    p = vals.size
+    clamped = bool(np.any(vals <= 0.0) or np.any(vals >= 1.0))
+    head = np.sort(np.clip(vals, PVALUE_CLAMP, 1.0 - PVALUE_CLAMP))
+    head = head[: int(math.floor(frac * p))]
+    obj = _hc_objective(head, p)
+    if floor:
+        obj = np.where(head > 1.0 / p, obj, -math.inf)
+    if obj.size == 0 or obj.max() == -math.inf:
+        stat, index = -math.inf, 0
+    else:
+        k = int(np.argmax(obj))
+        stat, index = float(obj[k]), k + 1
+    return DetectionResult(statistic=stat, argmax_index=index, threshold=None,
+                           reject=False, variant=variant, clamped=clamped)
 
 
 def hc_statistic(pv, variant: str = "ohc") -> DetectionResult:
@@ -93,17 +130,7 @@ def hc_statistic(pv, variant: str = "ohc") -> DetectionResult:
     Ties take the smallest index. No threshold is attached; the result's
     reject flag is False until a test wraps it.
     """
-    vals = _pvalue_array(pv)
-    p = vals.size
-    clamped = bool(np.any(vals <= 0.0) or np.any(vals >= 1.0))
-    vals = np.clip(vals, PVALUE_CLAMP, 1.0 - PVALUE_CLAMP)
-    srt = np.sort(vals)
-    upper = p // 2
-    obj = _hc_objective(srt[:upper], p)
-    k = int(np.argmax(obj))
-    return DetectionResult(statistic=float(obj[k]), argmax_index=k + 1,
-                           threshold=None, reject=False, variant=variant,
-                           clamped=clamped)
+    return _hc(pv, 0.5, False, variant)
 
 
 def hc_plus_statistic(pv, alpha0: float = 0.5) -> DetectionResult:
@@ -114,24 +141,7 @@ def hc_plus_statistic(pv, alpha0: float = 0.5) -> DetectionResult:
     """
     if not 0.0 < alpha0 <= 0.5:
         raise DomainError("alpha0 must lie in (0, 0.5]")
-    vals = _pvalue_array(pv)
-    p = vals.size
-    clamped = bool(np.any(vals <= 0.0) or np.any(vals >= 1.0))
-    vals = np.clip(vals, PVALUE_CLAMP, 1.0 - PVALUE_CLAMP)
-    srt = np.sort(vals)
-    upper = int(math.floor(alpha0 * p))
-    head = srt[:upper]
-    obj = _hc_objective(head, p)
-    feasible = head > 1.0 / p
-    if not np.any(feasible):
-        return DetectionResult(statistic=-math.inf, argmax_index=0,
-                               threshold=None, reject=False, variant="hcplus",
-                               clamped=clamped)
-    obj = np.where(feasible, obj, -math.inf)
-    k = int(np.argmax(obj))
-    return DetectionResult(statistic=float(obj[k]), argmax_index=k + 1,
-                           threshold=None, reject=False, variant="hcplus",
-                           clamped=clamped)
+    return _hc(pv, alpha0, True, "hcplus")
 
 
 # ---------------------------------------------------------------------------
@@ -167,32 +177,19 @@ class CriticalValueTable:
                 return q
         raise DomainError(f"alpha {alpha} not in simulated grid {self.alphas}")
 
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p", "alpha", "variant", "quantile", "num_reps", "seed"])
-            for a, q in zip(self.alphas, self.quantiles):
-                writer.writerow([self.p, format(a, ".17g"), self.variant,
-                                 format(q, ".17g"), self.num_null_reps, self.seed])
+    def check(self, p: int, functional: str, alpha0: float = 0.5):
+        """Raise DomainError unless the table fits data of dimension p.
 
-    @classmethod
-    def load_csv(cls, path) -> "CriticalValueTable":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["p", "alpha", "variant", "quantile", "num_reps", "seed"]:
-                raise DomainError(f"unexpected critical value header {header!r}")
-            rows = list(reader)
-        if not rows:
-            raise DomainError("empty critical value table")
-        p = int(rows[0][0])
-        variant = rows[0][2]
-        reps = int(rows[0][4])
-        seed = int(rows[0][5])
-        alphas = tuple(float(r[1]) for r in rows)
-        quantiles = tuple(float(r[3]) for r in rows)
-        return cls(p=p, variant=variant, alphas=alphas, quantiles=quantiles,
-                   num_null_reps=reps, seed=seed)
+        The table must have been simulated for this functional, at this p,
+        and, for the HC+ functional, at this alpha0.
+        """
+        if self.variant != functional:
+            raise DomainError(
+                f"need a table for the {functional!r} functional, got {self.variant!r}")
+        if self.p != p:
+            raise DomainError(f"table dimension {self.p} != data dimension {p}")
+        if functional == "hcplus" and self.alpha0 != alpha0:
+            raise DomainError(f"table alpha0 {self.alpha0} != alpha0 {alpha0}")
 
 
 def critical_value(p: int, alphas, variant: str = "ohc",
@@ -239,13 +236,9 @@ def ihc_test(y: np.ndarray, omega: PrecisionModel, alpha: float,
     statistic on uniforms at the same dimension.
     """
     y = np.asarray(y, dtype=float)
-    if table.variant != "ohc":
-        raise DomainError("ihc_test needs a table for the orthodox statistic")
-    if table.p != y.shape[0]:
-        raise DomainError(f"table dimension {table.p} != data dimension {y.shape[0]}")
-    pv = pvalues(y, omega, transform="innovated", side="two")
-    res = hc_statistic(pv, variant="ihc")
-    threshold = omega.row_nonzero_max() * table.value(alpha)
+    table.check(y.shape[0], "ohc")
+    res = _variant_statistic(y, omega, "ihc")
+    threshold = variant_threshold(omega, "ihc", alpha, table)
     return replace(res, threshold=threshold, reject=bool(res.statistic >= threshold))
 
 
@@ -266,23 +259,11 @@ def lr_statistic(y: np.ndarray, epsilon: float, tau: float) -> float:
 
 
 def _variant_statistic(y: np.ndarray, omega: PrecisionModel, variant: str,
-                       alpha0: float = 0.5) -> float:
-    if variant == "ohc":
-        pv = pvalues(y, omega, "none", "upper")
-        return hc_statistic(pv, variant="ohc").statistic
+                       alpha0: float = 0.5) -> DetectionResult:
+    pv = pvalues(y, omega, *_VARIANT_PVALUES[variant])
     if variant == "hcplus":
-        pv = pvalues(y, omega, "none", "upper")
-        return hc_plus_statistic(pv, alpha0=alpha0).statistic
-    if variant == "bhc":
-        pv = pvalues(y, omega, "none", "two")
-        return hc_statistic(pv, variant="bhc").statistic
-    if variant == "whc":
-        pv = pvalues(y, omega, "whitened", "two")
-        return hc_statistic(pv, variant="whc").statistic
-    if variant == "ihc":
-        pv = pvalues(y, omega, "innovated", "two")
-        return hc_statistic(pv, variant="ihc").statistic
-    raise DomainError(f"unknown variant {variant!r}")
+        return hc_plus_statistic(pv, alpha0=alpha0)
+    return hc_statistic(pv, variant=variant)
 
 
 def variant_threshold(omega: PrecisionModel, variant: str, alpha: float,
@@ -317,11 +298,12 @@ def power_estimate(params, omega: PrecisionModel, variant: str,
         raise DomainError("reps must be at least 50")
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
+    functional = "hcplus" if variant == "hcplus" else "ohc"
     if table is None:
-        functional = "hcplus" if variant == "hcplus" else "ohc"
         table = critical_value(params.p, [alpha], variant=functional,
                                num_null_reps=max(1000, reps),
                                rng=rng.child(0), alpha0=alpha0)
+    table.check(params.p, functional, alpha0)
     threshold = variant_threshold(omega, variant, alpha, table)
     null_rejects = 0
     alt_rejects = 0
@@ -329,10 +311,10 @@ def power_estimate(params, omega: PrecisionModel, variant: str,
     for k in range(reps):
         rep = lane.child(k)
         y0 = omega.sample_noise(rep.child(0))
-        if _variant_statistic(y0, omega, variant, alpha0) >= threshold:
+        if _variant_statistic(y0, omega, variant, alpha0).statistic >= threshold:
             null_rejects += 1
         inst = gen_arw(params, omega, rep.child(1))
-        if _variant_statistic(inst.y, omega, variant, alpha0) >= threshold:
+        if _variant_statistic(inst.y, omega, variant, alpha0).statistic >= threshold:
             alt_rejects += 1
     size = null_rejects / reps
     power = alt_rejects / reps

@@ -14,9 +14,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CapacityError, DomainError
-from .numerics import ZERO_TOL
 
 SUBGRAPH_CAP = 10_000_000
+
+# Entries at or below this magnitude are treated as structural zeros when a
+# sparsity pattern is read off a matrix.
+ZERO_TOL = 1e-12
 
 
 class DependencyGraph:

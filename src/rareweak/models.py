@@ -9,7 +9,6 @@ design used for feature-ranking studies.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,6 @@ from .errors import DomainError, FactorizationError, GenerationError
 from .numerics import (
     BandedSymmetric,
     RngStream,
-    ZERO_TOL,
     chol_banded,
     restricted_quadform,
 )
@@ -129,7 +127,7 @@ class PrecisionModel:
                 raise DomainError("precision matrix must be symmetric")
             if np.max(np.abs(np.diag(a) - 1.0)) > 1e-8:
                 raise DomainError("precision matrix must have unit diagonal")
-            a = np.where(np.abs(a) > ZERO_TOL, a, 0.0)
+            a = np.where(np.abs(a) > graphmod.ZERO_TOL, a, 0.0)
             self._omega = sp.csr_matrix(a)
         else:
             raise DomainError(f"unknown precision kind {kind!r}")
@@ -310,15 +308,12 @@ def gen_arw(params, omega: PrecisionModel, rng: RngStream) -> ArwInstance:
 class RegressionInstance:
     """Regression form W = X beta + z with Gram matrix G = X'X.
 
-    Projections only need (gram, xtw); the explicit design and response are
-    kept when available so both encodings can be exercised. For a precision
-    model Omega, X = Omega^{1/2}, W = X Y, G = Omega, and X'W = Omega Y.
+    Projections only need (gram, xtw). For a precision model Omega,
+    X = Omega^{1/2}, W = X Y, G = Omega, and X'W = Omega Y.
     """
 
     gram: object  # dense ndarray or sparse matrix
     xtw: np.ndarray
-    x: object = None
-    w: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -335,11 +330,10 @@ class RegressionInstance:
             return np.asarray(self.gram.diagonal())
         return np.diag(self.gram)
 
-    def quadform(self, idx, bvec: np.ndarray | None = None) -> float:
-        """||P^I (response)||^2 over the columns in idx, via the Gram system."""
+    def quadform(self, idx) -> float:
+        """||P^I W||^2 over the columns in idx, via the Gram system."""
         idx = np.asarray(sorted(set(int(i) for i in idx)), dtype=int)
-        b = self.xtw if bvec is None else bvec
-        return restricted_quadform(self.gram_sub(idx), b[idx], index_set=idx)
+        return restricted_quadform(self.gram_sub(idx), self.xtw[idx], index_set=idx)
 
 
 def to_regression(inst: ArwInstance) -> RegressionInstance:
@@ -351,14 +345,10 @@ def regression_from_y(y: np.ndarray, omega: PrecisionModel) -> RegressionInstanc
     y = np.asarray(y, dtype=float)
     if y.shape != (omega.p,):
         raise DomainError("y length must match omega dimension")
-    x = omega.sqrt_matrix()
-    w = x @ y
     gram = omega.omega
     if omega.p <= DENSE_GRAM_LIMIT:
         gram = gram.toarray()
-        x = x.toarray()
-    xtw = omega.matvec(y)
-    return RegressionInstance(gram=gram, xtw=xtw, x=x, w=w)
+    return RegressionInstance(gram=gram, xtw=omega.matvec(y))
 
 
 def regression_from_design(x: np.ndarray, w: np.ndarray) -> RegressionInstance:
@@ -366,7 +356,7 @@ def regression_from_design(x: np.ndarray, w: np.ndarray) -> RegressionInstance:
     w = np.asarray(w, dtype=float)
     if x.shape[0] != w.shape[0]:
         raise DomainError("design and response dimensions differ")
-    return RegressionInstance(gram=x.T @ x, xtw=x.T @ w, x=x, w=w)
+    return RegressionInstance(gram=x.T @ x, xtw=x.T @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +462,7 @@ def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream,
     return samples, sigma
 
 
-def banded_true_bandwidth(sigma: BandedSymmetric, tol: float = ZERO_TOL) -> int:
+def banded_true_bandwidth(sigma: BandedSymmetric, tol: float = graphmod.ZERO_TOL) -> int:
     """Largest k whose off-diagonal holds any entry above tol, else 0."""
     b = 0
     for k in range(1, sigma.bandwidth + 1):
@@ -511,55 +501,3 @@ def block_sigma_dense(p: int, h0: float) -> np.ndarray:
     sigma[i, i + 1] = h0
     sigma[i + 1, i] = h0
     return sigma
-
-
-def gen_paired_design(n: int, p: int, epsilon: float, h0: float, tau: float,
-                      rng: RngStream):
-    """n rows iid N(beta, (1/n) Sigma) with Sigma blockwise 2x2 and paired beta.
-
-    Returns (rows, beta). Draw order: beta, then the noise block.
-    """
-    n, p = int(n), int(p)
-    if p % 2 != 0:
-        raise DomainError("paired design requires even p")
-    if not -1.0 < h0 < 1.0:
-        raise DomainError("|h0| < 1 required")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    beta = draw_paired_beta(p, epsilon, tau, rng)
-    g = rng.standard_normal((n, p))
-    a = 0.5 * (math.sqrt(1.0 + h0) + math.sqrt(1.0 - h0))
-    b = 0.5 * (math.sqrt(1.0 + h0) - math.sqrt(1.0 - h0))
-    noise = np.empty_like(g)
-    noise[:, 0::2] = a * g[:, 0::2] + b * g[:, 1::2]
-    noise[:, 1::2] = b * g[:, 0::2] + a * g[:, 1::2]
-    rows = beta[None, :] + noise / math.sqrt(n)
-    return rows, beta
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_vector_csv(path, values, value_col: str = "value"):
-    values = np.asarray(values)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", value_col])
-        for i, v in enumerate(values):
-            writer.writerow([i, format(float(v), ".17g")])
-
-
-def load_vector_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != 2 or header[0] != "index":
-            raise DomainError(f"unexpected vector CSV header {header!r}")
-        vals = [float(row[1]) for row in reader]
-    return np.asarray(vals)
-
-
-def save_instance_csv(inst: ArwInstance, beta_path, y_path):
-    save_vector_csv(beta_path, inst.beta)
-    save_vector_csv(y_path, inst.y)

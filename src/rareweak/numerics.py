@@ -9,7 +9,6 @@ least-squares projections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf
@@ -22,12 +21,9 @@ from .errors import (
     FactorizationError,
     NotPositiveDefiniteError,
 )
+from .graph import ZERO_TOL, connected_components, graph_from_matrix
 
 _SQRT2 = math.sqrt(2.0)
-
-# Entries at or below this magnitude are treated as structural zeros when a
-# sparsity pattern is read off a matrix.
-ZERO_TOL = 1e-12
 
 # Linear-independence tolerance on restricted Gram matrices: the smallest
 # eigenvalue must exceed GRAM_RCOND times the largest.
@@ -37,9 +33,6 @@ GRAM_RCOND = 1e-10
 # result is representable in double precision.
 SPECIAL_FN_RTOL = 1e-10
 
-# Residual tolerance for factorizations (max-norm of reconstruction error).
-FACTOR_RESIDUAL_TOL = 1e-8
-
 # Default cap on the size of a single connected component in sym_sqrt.
 SYM_SQRT_COMPONENT_CAP = 2000
 
@@ -47,14 +40,6 @@ SYM_SQRT_COMPONENT_CAP = 2000
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpecialFnResult:
-    """A tail probability together with a conservative absolute error bound."""
-
-    value: float
-    abs_error_bound: float
-
 
 def normal_sf(x):
     """Standard normal survival function P(N(0,1) >= x).
@@ -70,12 +55,6 @@ def normal_sf(x):
     if arr.ndim == 0:
         return float(out)
     return out
-
-
-def normal_sf_checked(x) -> SpecialFnResult:
-    value = normal_sf(float(x))
-    bound = SPECIAL_FN_RTOL * value + 1e-307
-    return SpecialFnResult(value=value, abs_error_bound=bound)
 
 
 def chisq_sf(df, x):
@@ -94,12 +73,6 @@ def chisq_sf(df, x):
     if arr.ndim == 0:
         return float(out)
     return out
-
-
-def chisq_sf_checked(df, x) -> SpecialFnResult:
-    value = chisq_sf(df, float(x))
-    bound = 1e-9 * value + 1e-307
-    return SpecialFnResult(value=value, abs_error_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +123,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(root_seed={self.root_seed}, path={self.path})"
-
-
-def gauss_vec(rng: RngStream, n: int) -> np.ndarray:
-    """Draw n iid standard normals from the stream (n = 0 gives an empty vector)."""
-    n = int(n)
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    return rng.standard_normal(n)
 
 
 # ---------------------------------------------------------------------------
@@ -277,31 +242,6 @@ def chol_banded(sigma, bandwidth: int | None = None) -> BandedCholesky:
 # symmetric square root, blockwise over the sparsity graph
 # ---------------------------------------------------------------------------
 
-def _sparsity_components(a: np.ndarray, tol: float = ZERO_TOL):
-    """Connected components of the nonzero pattern of a symmetric matrix."""
-    p = a.shape[0]
-    mask = np.abs(a) > tol
-    np.fill_diagonal(mask, False)
-    seen = np.zeros(p, dtype=bool)
-    comps = []
-    for start in range(p):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            neighbors = np.flatnonzero(mask[i])
-            for j in neighbors:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(np.array(sorted(comp)))
-    return comps
-
-
 def _component_sqrt(block: np.ndarray) -> np.ndarray:
     """Symmetric PD square root of a small dense block via eigendecomposition."""
     w, v = np.linalg.eigh(block)
@@ -327,10 +267,10 @@ def sym_sqrt(omega: np.ndarray, component_cap: int = SYM_SQRT_COMPONENT_CAP) -> 
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise DomainError("matrix must be symmetric")
     out = np.zeros_like(a)
-    for comp in _sparsity_components(a):
-        if comp.size > component_cap:
+    for comp in connected_components(graph_from_matrix(a)):
+        if len(comp) > component_cap:
             raise CapacityError(
-                f"sparsity component of size {comp.size} exceeds cap {component_cap}"
+                f"sparsity component of size {len(comp)} exceeds cap {component_cap}"
             )
         block = a[np.ix_(comp, comp)]
         out[np.ix_(comp, comp)] = _component_sqrt(block)
@@ -346,6 +286,25 @@ def _as_index_array(index_set) -> np.ndarray:
     return idx
 
 
+def check_gram(g: np.ndarray, index_set=None) -> None:
+    """Raise DegeneracyError when a restricted Gram matrix is rank deficient.
+
+    A single column is degenerate when its squared norm is at most
+    GRAM_RCOND; a larger system when its smallest eigenvalue is at most
+    GRAM_RCOND times the largest (or times 1, whichever is bigger).
+    """
+    if g.shape[0] == 1:
+        if g[0, 0] <= GRAM_RCOND:
+            raise DegeneracyError("degenerate single column", index_set=index_set)
+        return
+    w = np.linalg.eigvalsh(g)
+    if w[0] <= GRAM_RCOND * max(w[-1], 1.0):
+        raise DegeneracyError(
+            f"restricted Gram is rank deficient (eig range {w[0]:.3e}..{w[-1]:.3e})",
+            index_set=index_set,
+        )
+
+
 def restricted_quadform(gram_sub: np.ndarray, b_sub: np.ndarray, index_set=None) -> float:
     """b' G^{-1} b for a small restricted Gram G and correlation vector b.
 
@@ -355,18 +314,9 @@ def restricted_quadform(gram_sub: np.ndarray, b_sub: np.ndarray, index_set=None)
     """
     g = np.atleast_2d(np.asarray(gram_sub, dtype=float))
     b = np.atleast_1d(np.asarray(b_sub, dtype=float))
-    m = g.shape[0]
-    if m == 1:
-        g00 = g[0, 0]
-        if g00 <= GRAM_RCOND:
-            raise DegeneracyError("degenerate single column", index_set=index_set)
-        return float(b[0] * b[0] / g00)
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= GRAM_RCOND * max(w[-1], 1.0):
-        raise DegeneracyError(
-            f"restricted Gram is rank deficient (eig range {w[0]:.3e}..{w[-1]:.3e})",
-            index_set=index_set,
-        )
+    check_gram(g, index_set)
+    if g.shape[0] == 1:
+        return float(b[0] * b[0] / g[0, 0])
     return float(b @ np.linalg.solve(g, b))
 
 

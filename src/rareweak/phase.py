@@ -9,7 +9,6 @@ classification boundary for training size p^theta.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -171,11 +170,3 @@ def boundary_grid(varthetas, theta: float = 0.2, h0: float | None = None):
             cls = math.nan
         rows.append((float(v), rho_detect(v), exact, cls))
     return rows
-
-
-def save_boundary_grid_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vartheta", "rho_detect", "rho_exact", "rho_classify_theta"])
-        for row in rows:
-            writer.writerow([format(x, ".17g") for x in row])

@@ -8,7 +8,6 @@ as the marginal baseline, and Hamming-distance evaluation.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import warnings
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, DegeneracyError, DomainError
 from .graph import DependencyGraph, connected_components, enum_connected_subgraphs
 from .models import PrecisionModel, RegressionInstance, regression_from_y
-from .numerics import GRAM_RCOND
+from .numerics import check_gram
 
 DEFAULT_SCREEN_Q = 0.9
 CLEAN_COMPONENT_CAP = 15
@@ -35,26 +34,12 @@ class SelectionResult:
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.beta_hat)
 
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "beta_hat"])
-            for i, v in enumerate(self.beta_hat):
-                writer.writerow([i, format(float(v), ".17g")])
-
 
 @dataclass
 class HammingReport:
     counts: np.ndarray
     mean: float
     se: float
-
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rep", "hamming"])
-            for k, c in enumerate(self.counts):
-                writer.writerow([k, int(c)])
 
 
 def hamming_report(counts) -> HammingReport:
@@ -139,21 +124,8 @@ def default_gs_tuning(p, vartheta: float, r: float, m0: int = 1,
                     v=math.sqrt(2.0 * r * math.log(p)))
 
 
-def _response_vector(instance: RegressionInstance, project: str) -> np.ndarray:
-    # "response" projects the regression response W (correlations X'W);
-    # "raw" projects the original observation Y, whose correlations X'Y
-    # equal W itself when X is the symmetric square root.
-    if project == "response":
-        return instance.xtw
-    if project == "raw":
-        if instance.w is None:
-            raise DomainError("raw projection needs the response stored on the instance")
-        return np.asarray(instance.w)
-    raise DomainError(f"unknown projection mode {project!r}")
-
-
 def gs_screen(instance: RegressionInstance, graph: DependencyGraph,
-              tuning: GsTuning, project: str = "response") -> np.ndarray:
+              tuning: GsTuning) -> np.ndarray:
     """Screen step: sweep connected subgraphs in size-then-lex order.
 
     A subgraph joins the retained set when its projection energy gain over
@@ -163,15 +135,14 @@ def gs_screen(instance: RegressionInstance, graph: DependencyGraph,
     p = instance.p
     if graph.num_nodes != p:
         raise DomainError("graph size must match instance dimension")
-    bvec = _response_vector(instance, project)
     subsets = enum_connected_subgraphs(graph, tuning.m0)
     gate = 2.0 * tuning.q * math.log(p)
     retained: set[int] = set()
     for sub in subsets:
         try:
-            t1 = instance.quadform(sub, bvec)
+            t1 = instance.quadform(sub)
             inter = [j for j in sub if j in retained]
-            t2 = instance.quadform(inter, bvec) if inter else 0.0
+            t2 = instance.quadform(inter) if inter else 0.0
         except DegeneracyError as exc:
             warnings.warn(f"screen skipped degenerate subgraph {sub}: {exc}")
             continue
@@ -180,8 +151,7 @@ def gs_screen(instance: RegressionInstance, graph: DependencyGraph,
     return np.array(sorted(retained), dtype=int)
 
 
-def _clean_component(instance: RegressionInstance, comp, tuning: GsTuning,
-                     bvec: np.ndarray):
+def _clean_component(instance: RegressionInstance, comp, tuning: GsTuning):
     """Exhaustive penalized least squares over one retained component.
 
     Every support subset is solved, entries inside (0, v) are clipped up to
@@ -189,9 +159,9 @@ def _clean_component(instance: RegressionInstance, comp, tuning: GsTuning,
     ||P(W - X beta)||^2 + u^2 ||beta||_0 picks the winner.
     """
     comp = list(comp)
-    base = instance.quadform(comp, bvec)
+    base = instance.quadform(comp)
     g_full = instance.gram_sub(comp)
-    b_full = bvec[np.asarray(comp, dtype=int)]
+    b_full = instance.xtw[np.asarray(comp, dtype=int)]
     best_obj = base  # empty support
     best = {}
     u2 = tuning.u ** 2
@@ -202,17 +172,10 @@ def _clean_component(instance: RegressionInstance, comp, tuning: GsTuning,
             g = g_full[np.ix_(pos, pos)]
             b = b_full[pos]
             try:
-                if size == 1:
-                    if g[0, 0] <= GRAM_RCOND:
-                        raise DegeneracyError("degenerate column", index_set=pos)
-                    coef = np.array([b[0] / g[0, 0]])
-                else:
-                    w = np.linalg.eigvalsh(g)
-                    if w[0] <= GRAM_RCOND * max(w[-1], 1.0):
-                        raise DegeneracyError("degenerate support", index_set=pos)
-                    coef = np.linalg.solve(g, b)
+                check_gram(g, pos)
             except DegeneracyError:
                 continue
+            coef = np.array([b[0] / g[0, 0]]) if size == 1 else np.linalg.solve(g, b)
             small = (coef != 0.0) & (np.abs(coef) < tuning.v)
             coef = np.where(small, np.sign(coef) * tuning.v, coef)
             nnz = int(np.count_nonzero(coef))
@@ -225,10 +188,8 @@ def _clean_component(instance: RegressionInstance, comp, tuning: GsTuning,
 
 
 def gs_clean(instance: RegressionInstance, graph: DependencyGraph, retained,
-             tuning: GsTuning, component_cap: int = CLEAN_COMPONENT_CAP,
-             project: str = "response") -> SelectionResult:
+             tuning: GsTuning, component_cap: int = CLEAN_COMPONENT_CAP) -> SelectionResult:
     """Clean step: solve each retained component exactly; zeros elsewhere."""
-    bvec = _response_vector(instance, project)
     beta = np.zeros(instance.p)
     for comp in connected_components(graph, restrict_to=retained):
         if len(comp) > component_cap:
@@ -236,7 +197,7 @@ def gs_clean(instance: RegressionInstance, graph: DependencyGraph, retained,
                 f"retained component {comp[:4]}... has size {len(comp)} "
                 f"above cap {component_cap}"
             )
-        for j, v in _clean_component(instance, comp, tuning, bvec).items():
+        for j, v in _clean_component(instance, comp, tuning).items():
             beta[j] = v
     return SelectionResult(beta_hat=beta, method="GS",
                            tuning={"m0": tuning.m0, "q": tuning.q,
@@ -245,15 +206,13 @@ def gs_clean(instance: RegressionInstance, graph: DependencyGraph, retained,
 
 def gs_estimate(y: np.ndarray, omega: PrecisionModel, vartheta: float, r: float,
                 m0: int = 1, q: float = DEFAULT_SCREEN_Q,
-                component_cap: int = CLEAN_COMPONENT_CAP,
-                project: str = "response") -> SelectionResult:
+                component_cap: int = CLEAN_COMPONENT_CAP) -> SelectionResult:
     """Full screen + clean pipeline with the standard exponent-based tuning."""
     instance = regression_from_y(y, omega)
     g = omega.graph()
     tuning = default_gs_tuning(omega.p, vartheta, r, m0=m0, q=q)
-    retained = gs_screen(instance, g, tuning, project=project)
-    return gs_clean(instance, g, retained, tuning, component_cap=component_cap,
-                    project=project)
+    retained = gs_screen(instance, g, tuning)
+    return gs_clean(instance, g, retained, tuning, component_cap=component_cap)
 
 
 def univariate_screen(instance: RegressionInstance, t: float) -> SelectionResult:

@@ -77,6 +77,15 @@ class TestEstimateBandwidth:
         with pytest.raises(DomainError):
             apps.estimate_bandwidth(np.zeros((5, 400)), 3, 0.05, ohc_table)
 
+    def test_mismatched_table_rejected(self):
+        # the table is checked against the sample's column count and alpha0
+        with pytest.raises(DomainError):
+            apps.estimate_bandwidth(RngStream(7, 0).standard_normal((50, 300)),
+                                    5, 0.05, self.table)
+        with pytest.raises(DomainError):
+            apps.estimate_bandwidth(RngStream(7, 1).standard_normal((50, 400)),
+                                    5, 0.05, self.table, alpha0=0.2)
+
 
 def _instance_from_design(x, w):
     return mo.regression_from_design(x, w)
@@ -188,8 +197,3 @@ class TestRoc:
         with pytest.raises(DomainError):
             apps.roc_curve(np.array([0.1, 0.2]), np.array([False, False]))
 
-    def test_csv_export(self, tmp_path):
-        roc = apps.roc_curve(np.array([0.1, 0.9, 0.2, 0.8]), np.array([0, 2]))
-        path = tmp_path / "roc.csv"
-        roc.save_csv(path)
-        assert path.read_text().splitlines()[0] == "fpr,tpr"

@@ -187,18 +187,6 @@ class TestTrainAndClassify:
         with pytest.raises(DomainError):
             cl.classify_batch(model, np.zeros((2, 9)))
 
-    def test_model_csv(self, tmp_path):
-        om = mo.PrecisionModel.identity(4)
-        mu_hat = np.array([1, 0, -1, 0], dtype=np.int8)
-        model = cl.HctModel(mu_hat=mu_hat, threshold=2.25, argmax_index=2,
-                            alpha0=0.1, omega=om, degenerate=False)
-        path = tmp_path / "model.csv"
-        model.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("threshold=2.25")
-        assert lines[1] == "index,mu_hat"
-        assert lines[2] == "0,1"
-
 
 class TestClassificationError:
     def test_separable_regime_small_error(self):

@@ -194,6 +194,24 @@ class TestMain:
         assert cli.main(["phase", "--config", str(config_path),
                          "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("text", ["{\"reps\": ", "[1, 2]", "\"phase\""])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, text):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(text)
+        assert cli.main(["phase", "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_missing_config_exit_code(self, tmp_path, capsys):
+        assert cli.main(["phase", "--config", str(tmp_path / "absent.json"),
+                         "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_bad_env_threads_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RAREWEAK_THREADS", "abc")
+        assert cli.main(["phase", "--out", str(tmp_path)]) == 2
+        assert "RAREWEAK_THREADS" in capsys.readouterr().err
+
     def test_written_files_byte_identical(self, tmp_path):
         config_path = tmp_path / "r.json"
         config_path.write_text(json.dumps(TINY["ranking"]))

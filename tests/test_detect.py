@@ -140,15 +140,6 @@ class TestCriticalValues:
                                   num_null_reps=reps, rng=RngStream(5, 0))
         assert abs(table.value(0.05) - q1) <= 3 * se
 
-    def test_csv_round_trip(self, tmp_path):
-        table = de.critical_value(200, [0.1, 0.05], variant="hcplus",
-                                  num_null_reps=200, rng=RngStream(6, 0))
-        path = tmp_path / "table.csv"
-        table.save_csv(path)
-        back = de.CriticalValueTable.load_csv(path)
-        assert back.p == table.p and back.variant == "hcplus"
-        assert back.value(0.1) == table.value(0.1)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             de.critical_value(100, [0.05], num_null_reps=50, rng=RngStream(7, 0))
@@ -258,10 +249,22 @@ class TestPowerEstimate:
 
     def test_variants_coincide_under_identity(self):
         y = RngStream(14, 0).standard_normal(self.p)
-        b = de._variant_statistic(y, self.om, "bhc")
-        w = de._variant_statistic(y, self.om, "whc")
-        i = de._variant_statistic(y, self.om, "ihc")
+        b = de._variant_statistic(y, self.om, "bhc").statistic
+        w = de._variant_statistic(y, self.om, "whc").statistic
+        i = de._variant_statistic(y, self.om, "ihc").statistic
         assert b == w == i
+
+    def test_mismatched_table_rejected(self):
+        params = mo.ArwParams(p=self.p, vartheta=0.6, r=1.0)
+        small = de.critical_value(500, [0.05], num_null_reps=200, rng=RngStream(16, 0))
+        plus = de.critical_value(self.p, [0.05], variant="hcplus", num_null_reps=200,
+                                 rng=RngStream(16, 1), alpha0=0.2)
+        for variant, table, alpha0 in (("ohc", small, 0.5), ("ohc", plus, 0.2),
+                                       ("hcplus", self.table, 0.5),
+                                       ("hcplus", plus, 0.5)):
+            with pytest.raises(DomainError):
+                de.power_estimate(params, self.om, variant, 0.05, 50,
+                                  RngStream(16, 2), table=table, alpha0=alpha0)
 
     def test_reps_validation(self):
         params = mo.ArwParams(p=self.p, vartheta=0.6, r=1.0)

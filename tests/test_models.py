@@ -6,7 +6,7 @@ from scipy import stats
 
 from rareweak.errors import DomainError, GenerationError
 from rareweak import models as mo
-from rareweak.numerics import RngStream
+from rareweak.numerics import RngStream, project_norm_sq, sym_sqrt
 
 
 class TestParams:
@@ -82,6 +82,11 @@ class TestPrecisionModel:
         s = om.sqrt_matrix().toarray()
         assert np.max(np.abs(s @ s - om.dense())) <= 1e-8
 
+    @pytest.mark.parametrize("h0", [0.0, 0.5, -0.8, 0.95])
+    def test_sqrt_matrix_agrees_with_sym_sqrt(self, h0):
+        om = mo.PrecisionModel.block2(12, h0)
+        assert np.array_equal(sym_sqrt(om.dense()), om.sqrt_matrix().toarray())
+
     def test_sample_noise_covariance(self):
         om = mo.PrecisionModel.block2(4, 0.5)
         draws = om.sample_noise(RngStream(3, 0), size=10**4)
@@ -140,32 +145,29 @@ class TestRegressionForm:
         params = mo.ArwParams(p=30, vartheta=0.5, r=1.0)
         inst = mo.gen_arw(params, mo.PrecisionModel.identity(30), RngStream(9, 0))
         reg = mo.to_regression(inst)
-        assert np.array_equal(reg.w, inst.y)
         assert np.array_equal(reg.xtw, inst.y)
-        assert np.allclose(reg.x, np.eye(30))
+        assert np.allclose(inst.omega.sqrt_matrix().toarray(), np.eye(30))
 
     def test_block_design_diagonal(self):
         om = mo.PrecisionModel.block2(6, 0.5)
-        inst = mo.gen_arw(mo.ArwParams(p=6, vartheta=0.5, r=1.0), om, RngStream(10, 0))
-        reg = mo.to_regression(inst)
-        x = np.asarray(reg.x)
+        x = om.sqrt_matrix().toarray()
         assert np.allclose(np.diag(x), 0.965926, atol=1e-6)
 
     def test_gram_is_omega(self):
         om = mo.PrecisionModel.block2(8, -0.6)
         inst = mo.gen_arw(mo.ArwParams(p=8, vartheta=0.5, r=1.0), om, RngStream(11, 0))
         reg = mo.to_regression(inst)
-        x = np.asarray(reg.x)
+        x = om.sqrt_matrix().toarray()
         assert np.max(np.abs(x.T @ x - om.dense())) <= 1e-8
+        assert np.max(np.abs(reg.gram - om.dense())) <= 1e-15
 
     def test_quadform_matches_projection(self):
         om = mo.PrecisionModel.block2(8, 0.4)
         inst = mo.gen_arw(mo.ArwParams(p=8, vartheta=0.5, r=2.0), om, RngStream(12, 0))
         reg = mo.to_regression(inst)
-        from rareweak.numerics import project_norm_sq
-
+        x = om.sqrt_matrix().toarray()
         for idx in ([2], [0, 1], [0, 1, 4]):
-            direct = project_norm_sq(np.asarray(reg.x), reg.w, idx)
+            direct = project_norm_sq(x, x @ inst.y, idx)
             assert abs(reg.quadform(idx) - direct) <= 1e-8
 
 
@@ -247,48 +249,43 @@ class TestBandedSample:
 
 class TestPairedDesign:
     def test_zero_epsilon(self):
-        rows, beta = mo.gen_paired_design(20, 10, 0.0, 0.5, 3.0, RngStream(24, 0))
+        beta = mo.draw_paired_beta(10, 0.0, 3.0, RngStream(24, 0))
         assert np.all(beta == 0)
-        assert rows.shape == (20, 10)
+        assert beta.shape == (10,)
 
     def test_expected_pair_count(self):
         counts = []
         for k in range(40):
-            _, beta = mo.gen_paired_design(5, 1000, 0.05, 0.5, 1.0,
-                                           RngStream(25, 0).child(k))
+            beta = mo.draw_paired_beta(1000, 0.05, 1.0, RngStream(25, 0).child(k))
             counts.append(np.count_nonzero(beta[0::2]))
         # nonzero pairs arrive at rate (p/2) * epsilon = 25
         assert abs(np.mean(counts) - 25.0) <= 3 * math.sqrt(25.0 / 40)
 
-    def test_column_means_concentrate(self):
-        n = 400
-        rows, beta = mo.gen_paired_design(n, 50, 0.1, 0.0, 1.0, RngStream(26, 0))
-        assert np.max(np.abs(rows.mean(axis=0) - beta)) <= 4.0 / math.sqrt(n)
-
     def test_pair_patterns(self):
-        _, beta = mo.gen_paired_design(5, 2000, 0.2, 0.3, 2.0, RngStream(27, 0))
+        beta = mo.draw_paired_beta(2000, 0.2, 2.0, RngStream(27, 0))
         odd, even = beta[0::2], beta[1::2]
         # the second pair slot is nonzero only when the first is
         assert np.all(odd[even != 0] != 0)
 
     def test_noise_pair_correlation(self):
+        # the ranking experiment draws its noise as sym_sqrt(Sigma) @ g
         h0 = -0.8
         n, p = 2000, 4
-        rows, beta = mo.gen_paired_design(n, p, 0.0, h0, 1.0, RngStream(28, 0))
-        scaled = rows * math.sqrt(n)
-        emp = scaled.T @ scaled / n
+        g = RngStream(28, 0).standard_normal((n, p))
+        noise = g @ sym_sqrt(mo.block_sigma_dense(p, h0))
+        emp = noise.T @ noise / n
         assert abs(emp[0, 1] - h0) <= 0.1
         assert abs(emp[0, 0] - 1.0) <= 0.1
         assert abs(emp[1, 2]) <= 0.1
 
     def test_odd_p_rejected(self):
         with pytest.raises(DomainError):
-            mo.gen_paired_design(10, 5, 0.1, 0.2, 1.0, RngStream(29, 0))
+            mo.draw_paired_beta(5, 0.1, 1.0, RngStream(29, 0))
 
     def test_deterministic(self):
-        a_rows, a_beta = mo.gen_paired_design(8, 20, 0.1, 0.4, 2.0, RngStream(35, 0))
-        b_rows, b_beta = mo.gen_paired_design(8, 20, 0.1, 0.4, 2.0, RngStream(35, 0))
-        assert np.array_equal(a_rows, b_rows) and np.array_equal(a_beta, b_beta)
+        a = mo.draw_paired_beta(20, 0.1, 2.0, RngStream(35, 0))
+        b = mo.draw_paired_beta(20, 0.1, 2.0, RngStream(35, 0))
+        assert np.array_equal(a, b)
 
 
 class TestGeneratorDeterminism:
@@ -300,16 +297,3 @@ class TestGeneratorDeterminism:
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.mu, b.mu)
 
-
-class TestSerialization(object):
-    def test_instance_round_trip(self, tmp_path):
-        params = mo.ArwParams(p=20, vartheta=0.5, r=1.0)
-        inst = mo.gen_arw(params, mo.PrecisionModel.identity(20), RngStream(30, 0))
-        beta_path = tmp_path / "beta.csv"
-        y_path = tmp_path / "y.csv"
-        mo.save_instance_csv(inst, beta_path, y_path)
-        assert beta_path.read_text().splitlines()[0] == "index,value"
-        beta = mo.load_vector_csv(beta_path)
-        y = mo.load_vector_csv(y_path)
-        assert np.array_equal(beta, inst.beta)
-        assert np.max(np.abs(y - inst.y)) <= 1e-15

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rareweak.errors import DomainError, SolverError
-from rareweak import phase as ph
+from rareweak import cli, phase as ph
 
 
 class TestRhoDetect:
@@ -162,10 +162,12 @@ class TestGridExport:
         assert exact == pytest.approx(ph.rho_exact_identity(0.5))
         assert cls == pytest.approx(ph.rho_classify(0.5, 0.2))
         assert math.isnan(rows[2][3])  # 0.9 >= 1 - theta
-        path = tmp_path / "grid.csv"
-        ph.save_boundary_grid_csv(rows, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "vartheta,rho_detect,rho_exact,rho_classify_theta"
+        cfg = cli.resolve_config("phase", {"vartheta_grid": [0.3, 0.5, 0.9]})
+        path = tmp_path / "phase.csv"
+        cli.run_phase(cfg).write_csv(path)
+        body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        assert body[0] == "vartheta,rho_detect,rho_exact,rho_classify_theta"
+        assert len(body) == 1 + len(rows)
 
     def test_block_boundary_column(self):
         rows = ph.boundary_grid([0.6], theta=0.2, h0=0.5)

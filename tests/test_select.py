@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rareweak.errors import CapacityError, DomainError
-from rareweak import models as mo
+from rareweak import cli, models as mo
 from rareweak import select as se
 from rareweak.numerics import RngStream, normal_sf
 
@@ -251,17 +251,12 @@ class TestUnivariateScreen:
 
 
 class TestReports:
-    def test_selection_csv(self, tmp_path):
-        res = se.hard_threshold(np.array([3.0, 0.0, -2.5]), 1.0)
-        path = tmp_path / "sel.csv"
-        res.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,beta_hat"
-        assert lines[1].startswith("0,3")
-
     def test_hamming_report_csv(self, tmp_path):
         rep = se.hamming_report([2, 0, 1, 3])
         assert rep.mean == pytest.approx(1.5)
-        path = tmp_path / "ham.csv"
-        rep.save_csv(path)
-        assert path.read_text().splitlines()[0] == "rep,hamming"
+        # reports reach disk as rows of the recover experiment's CSV
+        cfg = cli.resolve_config("recover", {"p_grid": [64], "reps": 2})
+        path = tmp_path / "recover.csv"
+        cli.run_recover(cfg).write_csv(path)
+        body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        assert body[0] == "p,method,mean_hamming,se"
