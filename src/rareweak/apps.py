@@ -11,13 +11,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .detect import CriticalValueTable, hc_plus_statistic
 from .errors import DegeneracyError, DomainError
 from .graph import enum_connected_subgraphs, graph_from_matrix
 from .models import RegressionInstance
-from .numerics import GRAM_RCOND, chisq_sf, normal_sf
+from .numerics import chisq_sf, gram_rank_deficient, normal_sf
 
 RANKING_DEFAULT_M0 = 2
 HCPLUS_ALPHA0 = 0.5
@@ -156,10 +155,11 @@ def rank_features_gs(instance: RegressionInstance, gram, delta: float = 0.0,
         ii = np.asarray([s[0] for s in pairs], dtype=int)
         jj = np.asarray([s[1] for s in pairs], dtype=int)
         diag = instance.gram_diag()
-        gij = _pair_entries(instance.gram, ii, jj)
+        gij = np.asarray(instance.gram[ii, jj]).ravel()  # sparse gives a matrix
         gii, gjj = diag[ii], diag[jj]
         det = gii * gjj - gij * gij
-        ok = det > GRAM_RCOND * np.maximum(gii * gjj, 1.0)
+        pair_grams = np.stack([gii, gij, gij, gjj], axis=-1).reshape(-1, 2, 2)
+        ok = ~gram_rank_deficient(np.linalg.eigvalsh(pair_grams))
         quad = np.full(ii.shape, np.nan)
         bi, bj = b[ii], b[jj]
         quad[ok] = (gjj[ok] * bi[ok] ** 2 - 2 * gij[ok] * bi[ok] * bj[ok]
@@ -181,12 +181,6 @@ def rank_features_gs(instance: RegressionInstance, gram, delta: float = 0.0,
             scores[j] = min(scores[j], pv)
 
     return RankingResult(scores=scores, method="GS")
-
-
-def _pair_entries(gram, ii, jj):
-    if sp.issparse(gram):
-        return np.asarray(gram[ii, jj]).ravel()
-    return np.asarray(gram)[ii, jj]
 
 
 # ---------------------------------------------------------------------------

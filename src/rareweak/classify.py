@@ -61,6 +61,11 @@ def hct_threshold(zvec: FeatureZVector, omega: PrecisionModel,
     largest |Omega Z| at the maximizer; the denominator here uses i/p, not
     the P-value, unlike the detection statistic.
     """
+    return _hct_with_innovated(zvec, omega, alpha0)[0]
+
+
+def _hct_with_innovated(zvec: FeatureZVector, omega: PrecisionModel, alpha0: float):
+    """hct_threshold's result together with the innovated transform Omega Z."""
     if not 0.0 < alpha0 <= 0.5:
         raise DomainError("alpha0 must lie in (0, 0.5]")
     z = np.asarray(zvec.z, dtype=float)
@@ -76,12 +81,12 @@ def hct_threshold(zvec: FeatureZVector, omega: PrecisionModel,
     scores = _hc_objective(srt, p, np.arange(1, upper + 1) / p)
     k = int(np.argmax(scores))
     threshold = float(np.sort(np.abs(wz))[::-1][k])
-    return HctThreshold(threshold=threshold, argmax_index=k + 1)
+    return HctThreshold(threshold=threshold, argmax_index=k + 1), wz
 
 
 @dataclass
 class HctModel:
-    """Trained rule: clipped contrast estimate and its linear weights."""
+    """Trained rule: the clipped contrast estimate mu_hat (weights Omega mu_hat)."""
 
     mu_hat: np.ndarray
     threshold: float
@@ -90,17 +95,12 @@ class HctModel:
     omega: PrecisionModel
     degenerate: bool
 
-    @property
-    def weights(self) -> np.ndarray:
-        return self.omega.matvec(self.mu_hat.astype(float))
-
 
 def train_hct(sample: ClassSample, omega: PrecisionModel,
               alpha0: float = DEFAULT_ALPHA0) -> HctModel:
     """Fit the HC-thresholded rule: mu_hat = clip(Omega Z) at the HCT."""
     zv = z_vector(sample)
-    sel = hct_threshold(zv, omega, alpha0=alpha0)
-    wz = omega.matvec(zv.z)
+    sel, wz = _hct_with_innovated(zv, omega, alpha0)
     if sel.threshold > 0.0:
         mu_hat = clip_threshold(wz, sel.threshold)
     else:

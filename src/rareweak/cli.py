@@ -76,10 +76,6 @@ class ResultTable:
             f"# config={blob}",
         ]
 
-    def error_rates(self):
-        """Summary rows (rep = -1) of experiments that emit them."""
-        return [row for row in self.rows if len(row) > 2 and row[2] == -1]
-
     def body_lines(self):
         lines = [",".join(self.columns)]
         for row in self.rows:
@@ -547,12 +543,6 @@ _RUNNERS = {
     "classify": run_classify,
     "phase": run_phase,
 }
-
-
-def run_experiment(experiment: str, config: dict | None = None,
-                   overrides: dict | None = None) -> ResultTable:
-    cfg = resolve_config(experiment, config, overrides)
-    return _RUNNERS[experiment](cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,6 @@ class DependencyGraph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.adjacency[i]
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 

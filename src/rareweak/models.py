@@ -25,7 +25,7 @@ from .numerics import (
 )
 
 # Densify the Gram matrix of a regression instance up to this dimension;
-# beyond it subset extraction falls back to sparse slicing.
+# beyond it subset extraction reads the sparse rows directly.
 DENSE_GRAM_LIMIT = 2048
 
 
@@ -97,7 +97,9 @@ class PrecisionModel:
     (diagonal 1, within-pair coupling h0), and an arbitrary user matrix.
     Derived objects (square root, inverse diagonal, noise factor) are
     computed per connected component of the sparsity graph and cached, so
-    instances should be treated as immutable.
+    instances should be treated as immutable. Factoring reads Omega from
+    sparse storage and stacks components by size, one eigh call per size,
+    so memory is O(nnz(Omega)) plus the component blocks, never O(p^2).
     """
 
     def __init__(self, kind: str, p: int, h0: float | None = None, matrix=None):
@@ -132,7 +134,6 @@ class PrecisionModel:
         else:
             raise DomainError(f"unknown precision kind {kind!r}")
         self._graph = None
-        self._components = None
         self._sqrt = None
         self._sigma_sqrt = None
         self._sigma_diag = None
@@ -171,19 +172,13 @@ class PrecisionModel:
     def row_nonzero_max(self) -> int:
         return graphmod.row_nonzero_max(self.graph())
 
-    def _component_list(self):
-        if self._components is None:
-            self._components = [
-                np.asarray(c, dtype=int)
-                for c in graphmod.connected_components(self.graph())
-            ]
-        return self._components
-
     def _component_factors(self):
         """Per-component eigendecompositions, assembled into sparse maps.
 
         Builds Omega^{1/2} and Sigma^{1/2} = Omega^{-1/2} together, plus the
-        diagonal of Sigma, reusing one eigh per component.
+        diagonal of Sigma. The COO entries of Omega are scattered into one
+        (k, s, s) stack per component size s, and each stack takes one eigh
+        call; Omega itself is never densified.
         """
         if self._sqrt is not None:
             return
@@ -193,42 +188,53 @@ class PrecisionModel:
             self._sigma_sqrt = eye
             self._sigma_diag = np.ones(self.p)
             return
-        dense_omega = None
-        rows, cols, sqrt_vals, isqrt_vals = [], [], [], []
-        sigma_diag = np.zeros(self.p)
-        for comp in self._component_list():
-            if comp.size == 1:
-                i = int(comp[0])
-                rows.append(np.array([i]))
-                cols.append(np.array([i]))
-                sqrt_vals.append(np.array([1.0]))
-                isqrt_vals.append(np.array([1.0]))
-                sigma_diag[i] = 1.0
+        comps = [np.asarray(c, dtype=int)
+                 for c in graphmod.connected_components(self.graph())]
+        sizes = np.array([c.size for c in comps])
+        starts = np.cumsum(sizes) - sizes
+        nodes = np.concatenate(comps)
+        # the factors hold each component's full s x s block, row-major, in
+        # component order; base is where each block starts in that layout
+        area = sizes * sizes
+        base = np.cumsum(area) - area
+        label = np.empty(self.p, dtype=int)
+        label[nodes] = np.repeat(np.arange(len(comps)), sizes)
+        pos = np.empty(self.p, dtype=int)
+        pos[nodes] = np.arange(self.p) - np.repeat(starts, sizes)
+        coo = self._omega.tocoo()
+        # entries across components are stored zeros (below graph.ZERO_TOL)
+        inside = label[coo.row] == label[coo.col]
+        r, c = coo.row[inside], coo.col[inside]
+        omega_vals = np.zeros(area.sum())
+        omega_vals[base[label[r]] + pos[r] * sizes[label[r]] + pos[c]] = coo.data[inside]
+        rows = np.repeat(nodes, np.repeat(sizes, sizes))
+        offset = np.arange(area.sum()) - np.repeat(base, area)
+        cols = nodes[np.repeat(starts, area) + offset % np.repeat(sizes, area)]
+        sqrt_vals, isqrt_vals = np.ones(area.sum()), np.ones(area.sum())  # singletons: 1
+        sigma_diag = np.ones(self.p)
+        lowest = np.full(len(comps), np.inf)
+        for s in np.unique(sizes[sizes > 1]):
+            cid = np.flatnonzero(sizes == s)
+            flat = base[cid][:, None] + np.arange(s * s)
+            w, v = np.linalg.eigh(omega_vals[flat].reshape(-1, s, s))
+            lowest[cid] = w[:, 0]
+            if w[:, 0].min() <= 1e-12:
                 continue
-            if dense_omega is None:
-                dense_omega = self._omega.toarray()
-            block = dense_omega[np.ix_(comp, comp)]
-            w, v = np.linalg.eigh(block)
-            if w[0] <= 1e-12:
-                raise FactorizationError(
-                    f"precision matrix is not positive definite on component "
-                    f"starting at {comp[0]} (min eigenvalue {w[0]:.3e})"
-                )
-            s = (v * np.sqrt(w)) @ v.T
-            si = (v / np.sqrt(w)) @ v.T
-            sigma_diag[comp] = np.sum(v * v / w, axis=1)
-            grid_r, grid_c = np.meshgrid(comp, comp, indexing="ij")
-            rows.append(grid_r.ravel())
-            cols.append(grid_c.ravel())
-            sqrt_vals.append(s.ravel())
-            isqrt_vals.append(si.ravel())
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
+            root = np.sqrt(w)[:, None, :]
+            vt = v.transpose(0, 2, 1)
+            sqrt_vals[flat] = ((v * root) @ vt).reshape(cid.size, -1)
+            isqrt_vals[flat] = ((v / root) @ vt).reshape(cid.size, -1)
+            members = nodes[starts[cid][:, None] + np.arange(s)]
+            sigma_diag[members] = np.sum(v * v / w[:, None, :], axis=2)
+        bad = np.flatnonzero(lowest <= 1e-12)  # components are ordered by first index
+        if bad.size:
+            raise FactorizationError(
+                f"precision matrix is not positive definite on component "
+                f"starting at {comps[bad[0]][0]} (min eigenvalue {lowest[bad[0]]:.3e})"
+            )
         shape = (self.p, self.p)
-        self._sqrt = sp.csr_matrix((np.concatenate(sqrt_vals), (rows, cols)), shape=shape)
-        self._sigma_sqrt = sp.csr_matrix(
-            (np.concatenate(isqrt_vals), (rows, cols)), shape=shape
-        )
+        self._sqrt = sp.csr_matrix((sqrt_vals, (rows, cols)), shape=shape)
+        self._sigma_sqrt = sp.csr_matrix((isqrt_vals, (rows, cols)), shape=shape)
         self._sigma_diag = sigma_diag
 
     # -- linear maps --------------------------------------------------------
@@ -320,10 +326,25 @@ class RegressionInstance:
         return self.xtw.shape[0]
 
     def gram_sub(self, idx) -> np.ndarray:
+        """The dense block gram[idx][:, idx]; idx need not be sorted."""
         idx = np.asarray(idx, dtype=int)
-        if sp.issparse(self.gram):
-            return self.gram[idx][:, idx].toarray()
-        return self.gram[np.ix_(idx, idx)]
+        if not sp.issparse(self.gram):
+            return self.gram[np.ix_(idx, idx)]
+        g = self.gram.tocsr()
+        # the CSR entries of each requested row, in row order
+        first = g.indptr[idx]
+        counts = g.indptr[idx + 1] - first
+        entry = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+        cols = g.indices[entry]
+        # each entry lands at every position of idx that holds its column
+        order = np.argsort(idx, kind="stable")
+        lo = np.searchsorted(idx[order], cols, side="left")
+        hits = np.searchsorted(idx[order], cols, side="right") - lo
+        dst_row = np.repeat(np.repeat(np.arange(idx.size), counts), hits)
+        dst_col = order[np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits - lo, hits)]
+        out = np.zeros((idx.size, idx.size))
+        out[dst_row, dst_col] = g.data[np.repeat(entry, hits)]
+        return out
 
     def gram_diag(self) -> np.ndarray:
         if sp.issparse(self.gram):

@@ -298,11 +298,17 @@ def check_gram(g: np.ndarray, index_set=None) -> None:
             raise DegeneracyError("degenerate single column", index_set=index_set)
         return
     w = np.linalg.eigvalsh(g)
-    if w[0] <= GRAM_RCOND * max(w[-1], 1.0):
+    if gram_rank_deficient(w):
         raise DegeneracyError(
             f"restricted Gram is rank deficient (eig range {w[0]:.3e}..{w[-1]:.3e})",
             index_set=index_set,
         )
+
+
+def gram_rank_deficient(w: np.ndarray):
+    """check_gram's rule for two or more columns, on the ascending eigenvalues
+    (last axis) of one Gram matrix or a stack, as np.linalg.eigvalsh gives them."""
+    return w[..., 0] <= GRAM_RCOND * np.maximum(w[..., -1], 1.0)
 
 
 def restricted_quadform(gram_sub: np.ndarray, b_sub: np.ndarray, index_set=None) -> float:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rareweak.errors import DomainError
+from rareweak.errors import DegeneracyError, DomainError
 from rareweak import apps, detect
 from rareweak import models as mo
-from rareweak.numerics import RngStream, sym_sqrt
+from rareweak.numerics import RngStream, check_gram, chisq_sf, sym_sqrt
 
 
 class TestOffdiagonals:
@@ -129,6 +129,16 @@ class TestRankingGs:
         diag = inst.gram_diag()
         singles = chisq_sf(1, np.asarray(inst.xtw) ** 2 / diag)
         assert np.all(gs.scores <= singles + 1e-12)
+
+    def test_near_singular_pair_screened_like_larger_subgraphs(self):
+        # eigenvalues 1e-10 and 2 - 1e-10: rank deficient under check_gram, so
+        # the pair adds no P-value and each feature keeps its singleton score
+        gram = np.array([[1.0, 1.0 - 1e-10], [1.0 - 1e-10, 1.0]])
+        with pytest.raises(DegeneracyError):
+            check_gram(gram)
+        inst = mo.RegressionInstance(gram=gram, xtw=np.array([1.0, -1.0]))
+        gs = apps.rank_features_gs(inst, gram, delta=0.0, m0=2)
+        assert np.array_equal(gs.scores, chisq_sf(1, np.ones(2)))
 
     def test_cancellation_case_gs_beats_us(self):
         p, h0, tau, eps = 400, -0.8, 4.0, 0.05

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import stats
 
-from rareweak.errors import DomainError, GenerationError
+from rareweak.errors import DomainError, FactorizationError, GenerationError
 from rareweak import models as mo
+from rareweak.graph import connected_components
 from rareweak.numerics import RngStream, project_norm_sq, sym_sqrt
 
 
@@ -86,6 +88,54 @@ class TestPrecisionModel:
     def test_sqrt_matrix_agrees_with_sym_sqrt(self, h0):
         om = mo.PrecisionModel.block2(12, h0)
         assert np.array_equal(sym_sqrt(om.dense()), om.sqrt_matrix().toarray())
+
+    def test_factoring_never_densifies(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("dense copy of a sparse matrix")
+
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+            monkeypatch.setattr(cls, "toarray", refuse)
+        om = mo.PrecisionModel.block2(10**5, 0.5)
+        assert np.allclose(om.sigma_diag(), 1.0 / 0.75)
+        assert om.sample_noise(RngStream(1, 0)).shape == (10**5,)
+
+    @pytest.mark.parametrize("case", ["custom", "block2_h0_zero"])
+    def test_stacked_factors_match_component_loop(self, case):
+        if case == "custom":
+            # components {0, 5, 9}, {1, 7}, {2, 3, 6, 8} and the singleton {4}
+            a = np.eye(10)
+            for i, j, v in ((0, 5, 0.3), (5, 9, -0.2), (1, 7, 0.6), (2, 6, 0.25),
+                            (6, 3, -0.35), (3, 8, 0.15), (2, 8, 0.1)):
+                a[i, j] = a[j, i] = v
+            om = mo.PrecisionModel.custom(a)
+        else:
+            om = mo.PrecisionModel.block2(10, 0.0)
+        dense = om.dense()
+        sqrt_ref, isqrt_ref = np.zeros_like(dense), np.zeros_like(dense)
+        diag_ref = np.ones(om.p)
+        for comp in map(np.asarray, connected_components(om.graph())):
+            if comp.size == 1:
+                sqrt_ref[comp, comp] = isqrt_ref[comp, comp] = 1.0
+                continue
+            w, v = np.linalg.eigh(dense[np.ix_(comp, comp)])
+            sqrt_ref[np.ix_(comp, comp)] = (v * np.sqrt(w)) @ v.T
+            isqrt_ref[np.ix_(comp, comp)] = (v / np.sqrt(w)) @ v.T
+            diag_ref[comp] = np.sum(v * v / w, axis=1)
+        g = RngStream(2, 0).standard_normal(om.p)
+        assert np.array_equal(om.sqrt_matrix().toarray(), sqrt_ref)
+        assert np.array_equal(om.sigma_diag(), diag_ref)
+        noise_ref = sp.csr_matrix(isqrt_ref) @ g
+        assert np.array_equal(om.sample_noise(RngStream(2, 0)), noise_ref)
+
+    def test_non_pd_component_named_by_first_index(self):
+        # a non-PD pair {6, 8} and a non-PD chain {2, 4, 9}; the chain starts first
+        a = np.eye(10)
+        a[6, 8] = a[8, 6] = 1.5
+        for i, j in ((2, 4), (4, 9)):
+            a[i, j] = a[j, i] = 0.8
+        om = mo.PrecisionModel.custom(a)
+        with pytest.raises(FactorizationError, match="component starting at 2 "):
+            om.sigma_diag()
 
     def test_sample_noise_covariance(self):
         om = mo.PrecisionModel.block2(4, 0.5)
@@ -169,6 +219,17 @@ class TestRegressionForm:
         for idx in ([2], [0, 1], [0, 1, 4]):
             direct = project_norm_sq(x, x @ inst.y, idx)
             assert abs(reg.quadform(idx) - direct) <= 1e-8
+
+
+    @pytest.mark.parametrize("h0", [0.4, 0.0])
+    @pytest.mark.parametrize("idx", [[0, 1], [1, 0], [3, 4], [5], [4, 3, 2],
+                                     [9, 2, 3, 8], [7, 6, 7]])
+    def test_sparse_gram_sub_matches_dense(self, idx, h0):
+        p = mo.DENSE_GRAM_LIMIT + 2
+        om = mo.PrecisionModel.block2(p, h0)
+        reg = mo.regression_from_y(RngStream(13, 0).standard_normal(p), om)
+        assert sp.issparse(reg.gram)
+        assert np.array_equal(reg.gram_sub(idx), om.dense()[np.ix_(idx, idx)])
 
 
 class TestClassSample:
