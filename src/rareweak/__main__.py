@@ -1,0 +1,3 @@
+"""``python -m rareweak``: the command-line entry point."""
+from .cli import main
+raise SystemExit(main())

@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .detect import CriticalValueTable, hc_plus_statistic
 from .errors import DegeneracyError, DomainError
-from .graph import enum_connected_subgraphs, graph_from_matrix
+from .graph import SUBGRAPH_CAP, enum_connected_subgraphs, graph_from_matrix
 from .models import RegressionInstance
 from .numerics import chisq_sf, gram_rank_deficient, normal_sf
 
@@ -127,51 +128,78 @@ def rank_features_us(instance: RegressionInstance) -> RankingResult:
     return RankingResult(scores=scores, method="US")
 
 
-def rank_features_gs(instance: RegressionInstance, gram, delta: float = 0.0,
-                     m0: int = RANKING_DEFAULT_M0, cap: int = 10_000_000) -> RankingResult:
+@dataclass(frozen=True)
+class GsPlan:
+    """The part of graph-guided ranking that depends on the Gram matrix alone.
+
+    Built once per design by gs_plan and shared by every response ranked
+    under it: the subgraphs of the neighborhood graph, split by size, with
+    the Gram entries of the singletons and pairs and the pairs' degeneracy.
+    """
+
+    p: int
+    singles: np.ndarray      # singleton nodes
+    single_diag: np.ndarray  # their Gram diagonal
+    ii: np.ndarray           # pair (ii[k], jj[k]), ii[k] < jj[k]
+    jj: np.ndarray
+    gii: np.ndarray
+    gjj: np.ndarray
+    gij: np.ndarray
+    det: np.ndarray          # gii * gjj - gij ** 2
+    pair_ok: np.ndarray      # False where the pair Gram is rank deficient
+    larger: tuple            # subgraphs of three or more nodes, sorted tuples
+
+
+def gs_plan(gram, delta: float = 0.0, m0: int = RANKING_DEFAULT_M0,
+            cap: int = SUBGRAPH_CAP) -> GsPlan:
+    """Enumerate the ranking subgraphs of a Gram matrix (dense or sparse).
+
+    The neighborhood graph keeps edges where |gram(i, j)| >= delta, and
+    every connected subgraph of size <= m0 is enumerated. Pairs are
+    degenerate under check_gram's eigenvalue rule.
+    """
+    if not sp.issparse(gram):
+        gram = np.asarray(gram, dtype=float)
+    subsets = enum_connected_subgraphs(graph_from_matrix(gram, delta), m0, cap=cap)
+    diag = np.asarray(gram.diagonal())
+    singles = np.asarray([s[0] for s in subsets if len(s) == 1], dtype=int)
+    pairs = np.asarray([s for s in subsets if len(s) == 2], dtype=int).reshape(-1, 2)
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    # sparse indexing gives a matrix, or a sparse matrix when there are no pairs
+    gij = np.asarray(gram[ii, jj]).ravel() if ii.size else np.zeros(0)
+    gii, gjj = diag[ii], diag[jj]
+    pair_grams = np.stack([gii, gij, gij, gjj], axis=-1).reshape(-1, 2, 2)
+    return GsPlan(p=gram.shape[0], singles=singles, single_diag=diag[singles],
+                  ii=ii, jj=jj, gii=gii, gjj=gjj, gij=gij,
+                  det=gii * gjj - gij * gij,
+                  pair_ok=~gram_rank_deficient(np.linalg.eigvalsh(pair_grams)),
+                  larger=tuple(s for s in subsets if len(s) > 2))
+
+
+def rank_features_gs(instance: RegressionInstance, plan: GsPlan) -> RankingResult:
     """Graph-guided ranking via chi-square P-values of subgraph projections.
 
-    The neighborhood graph keeps edges where |gram(i, j)| >= delta; every
-    connected subgraph of size <= m0 gets the P-value
-    P(chi2_{|I|} > ||P^I W||^2), and feature j scores the minimum over
-    subgraphs containing j (its singleton always participates).
+    Every subgraph I of the plan gets the P-value P(chi2_{|I|} > ||P^I W||^2),
+    and feature j scores the minimum over subgraphs containing j (its
+    singleton always participates). Degenerate subgraphs are skipped. The
+    plan must come from gs_plan on the instance's Gram matrix.
     """
-    g = graph_from_matrix(gram, delta)
-    if g.num_nodes != instance.p:
-        raise DomainError("gram dimension must match instance")
-    subsets = enum_connected_subgraphs(g, m0, cap=cap)
+    if plan.p != instance.p:
+        raise DomainError(f"plan is for p={plan.p}, instance has p={instance.p}")
     b = np.asarray(instance.xtw, dtype=float)
     scores = np.ones(instance.p)
+    np.minimum.at(scores, plan.singles,
+                  chisq_sf(1, b[plan.singles] ** 2 / plan.single_diag))
 
-    singles = [s[0] for s in subsets if len(s) == 1]
-    if singles:
-        idx = np.asarray(singles, dtype=int)
-        diag = instance.gram_diag()[idx]
-        pv = chisq_sf(1, b[idx] ** 2 / diag)
-        np.minimum.at(scores, idx, pv)
+    ok = plan.pair_ok
+    bi, bj = b[plan.ii[ok]], b[plan.jj[ok]]
+    quad = (plan.gjj[ok] * bi ** 2 - 2 * plan.gij[ok] * bi * bj
+            + plan.gii[ok] * bj ** 2) / plan.det[ok]
+    pv = chisq_sf(2, quad)
+    np.minimum.at(scores, plan.ii[ok], pv)
+    np.minimum.at(scores, plan.jj[ok], pv)
 
-    pairs = [s for s in subsets if len(s) == 2]
-    if pairs:
-        ii = np.asarray([s[0] for s in pairs], dtype=int)
-        jj = np.asarray([s[1] for s in pairs], dtype=int)
-        diag = instance.gram_diag()
-        gij = np.asarray(instance.gram[ii, jj]).ravel()  # sparse gives a matrix
-        gii, gjj = diag[ii], diag[jj]
-        det = gii * gjj - gij * gij
-        pair_grams = np.stack([gii, gij, gij, gjj], axis=-1).reshape(-1, 2, 2)
-        ok = ~gram_rank_deficient(np.linalg.eigvalsh(pair_grams))
-        quad = np.full(ii.shape, np.nan)
-        bi, bj = b[ii], b[jj]
-        quad[ok] = (gjj[ok] * bi[ok] ** 2 - 2 * gij[ok] * bi[ok] * bj[ok]
-                    + gii[ok] * bj[ok] ** 2) / det[ok]
-        pv = np.ones_like(quad)
-        pv[ok] = chisq_sf(2, quad[ok])
-        np.minimum.at(scores, ii, pv)
-        np.minimum.at(scores, jj, pv)
-
-    for sub in subsets:
-        if len(sub) <= 2:
-            continue
+    for sub in plan.larger:
         try:
             quad = instance.quadform(sub)
         except DegeneracyError:

@@ -296,6 +296,21 @@ def _validate_phase(cfg):
         _require(-1 < cfg["h0"] < 1, "|h0| < 1 required")
 
 
+def _check_scalar_type(key, value, default):
+    """A user value must have the type of its preset default: int fields take
+    an int but not a bool, float fields an int or a float, str fields a str.
+    Lists, objects and null defaults are left to the validators."""
+    if isinstance(default, str):
+        ok, what = isinstance(value, str), "a string"
+    elif isinstance(default, int) and not isinstance(default, bool):
+        ok, what = isinstance(value, int), "an integer"
+    elif isinstance(default, float):
+        ok, what = isinstance(value, (int, float)), "a number"
+    else:
+        return
+    _require(ok and not isinstance(value, bool), f"{key} must be {what}, got {value!r}")
+
+
 def resolve_config(experiment: str, raw: dict | None, overrides: dict | None = None) -> dict:
     """Merge preset defaults, the user config, and CLI overrides; validate.
 
@@ -321,6 +336,8 @@ def resolve_config(experiment: str, raw: dict | None, overrides: dict | None = N
         raise ConfigError(
             f"config is for {raw['experiment']!r}, not {experiment!r}"
         )
+    for key, value in raw.items():
+        _check_scalar_type(key, value, cfg[key])
     cfg.update(raw)
     for key in ("seed", "threads", "out", "scale"):
         if key in overrides:
@@ -329,7 +346,10 @@ def resolve_config(experiment: str, raw: dict | None, overrides: dict | None = N
     cfg["threads"] = int(cfg["threads"])
     _require(cfg["seed"] >= 0, "seed must be non-negative")
     _require(cfg["threads"] >= 1, "threads must be >= 1")
-    _VALIDATORS[experiment](cfg)
+    try:
+        _VALIDATORS[experiment](cfg)
+    except (TypeError, ValueError) as exc:  # e.g. a string inside a list
+        raise ConfigError(f"malformed {experiment} config: {exc}") from exc
     return cfg
 
 
@@ -454,9 +474,16 @@ def run_bandwidth(cfg: dict) -> ResultTable:
 
 
 def _ranking_case_operators(p: int, h0: float):
+    """Sigma of one ranking case, and the 2x2 diagonal blocks of Sigma and
+    Sigma^{1/2} as (p, 2) rows: row i holds the entries in columns cols[i].
+
+    Both matrices vanish outside those blocks, so the product with v is
+    (rows * v[cols]).sum(axis=1), at O(p) cost.
+    """
     sigma = block_sigma_dense(p, h0)
-    sigma_sqrt = sym_sqrt(sigma)
-    return sigma, sigma_sqrt
+    rows = np.arange(p)[:, None]
+    cols = (rows & ~1) + np.arange(2)
+    return sigma, cols, sigma[rows, cols], sym_sqrt(sigma)[rows, cols]
 
 
 def run_ranking(cfg: dict) -> ResultTable:
@@ -471,23 +498,25 @@ def run_ranking(cfg: dict) -> ResultTable:
     p = int(cfg["p"])
     eps = float(cfg["epsilon"])
     reps = int(cfg["reps"])
+    work_rng = RngStream(root, _WORK_LANE)
     rows = []
     for ci, (h0, tau) in enumerate(cfg["cases"]):
-        sigma, sigma_sqrt = _ranking_case_operators(p, float(h0))
+        sigma, cols, sigma_rows, sqrt_rows = _ranking_case_operators(p, float(h0))
+        plan = apps.gs_plan(sigma, float(cfg["delta"]), int(cfg["m0"]))
+        case_rng = work_rng.child(ci)
 
-        def one(k, h0=h0, tau=tau, ci=ci, sigma=sigma, sigma_sqrt=sigma_sqrt):
-            rng = RngStream(root, _WORK_LANE).child(ci).child(k)
+        def one(k, tau=tau, sigma=sigma, cols=cols, sigma_rows=sigma_rows,
+                sqrt_rows=sqrt_rows, plan=plan, case_rng=case_rng):
+            rng = case_rng.child(k)
             beta = draw_paired_beta(p, eps, float(tau), rng)
             truth = beta != 0.0
             if not truth.any() or truth.all():
                 return math.nan, math.nan
-            xtw = sigma @ beta + sigma_sqrt @ rng.standard_normal(p)
+            z = rng.standard_normal(p)
+            xtw = (sigma_rows * beta[cols]).sum(axis=1) + (sqrt_rows * z[cols]).sum(axis=1)
             instance = RegressionInstance(gram=sigma, xtw=xtw)
             auc_us = apps.roc_curve(apps.rank_features_us(instance), truth).auc
-            gs_scores = apps.rank_features_gs(instance, sigma,
-                                              delta=float(cfg["delta"]),
-                                              m0=int(cfg["m0"]))
-            auc_gs = apps.roc_curve(gs_scores, truth).auc
+            auc_gs = apps.roc_curve(apps.rank_features_gs(instance, plan), truth).auc
             return auc_us, auc_gs
 
         results = _parallel_map(one, reps, cfg["threads"])

@@ -10,6 +10,7 @@ design used for feature-ranking studies.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +135,8 @@ class PrecisionModel:
         else:
             raise DomainError(f"unknown precision kind {kind!r}")
         self._graph = None
-        self._sqrt = None
+        self._factor_lock = threading.Lock()
+        self._sqrt = None  # set last: marks the factors below as ready
         self._sigma_sqrt = None
         self._sigma_diag = None
 
@@ -173,21 +175,29 @@ class PrecisionModel:
         return graphmod.row_nonzero_max(self.graph())
 
     def _component_factors(self):
-        """Per-component eigendecompositions, assembled into sparse maps.
+        """Factor once per instance, also when threads share the model.
 
-        Builds Omega^{1/2} and Sigma^{1/2} = Omega^{-1/2} together, plus the
-        diagonal of Sigma. The COO entries of Omega are scattered into one
-        (k, s, s) stack per component size s, and each stack takes one eigh
-        call; Omega itself is never densified.
+        Concurrent first callers wait on a lock; self._sqrt is published
+        after the other factors, so a caller that sees it sees them all.
         """
         if self._sqrt is not None:
             return
+        with self._factor_lock:
+            if self._sqrt is None:
+                sqrt, self._sigma_sqrt, self._sigma_diag = self._factor()
+                self._sqrt = sqrt
+
+    def _factor(self):
+        """Omega^{1/2}, Sigma^{1/2} = Omega^{-1/2} and the diagonal of Sigma.
+
+        Per-component eigendecompositions, assembled into sparse maps: the
+        COO entries of Omega are scattered into one (k, s, s) stack per
+        component size s, and each stack takes one eigh call; Omega itself
+        is never densified.
+        """
         if self.kind == "identity":
             eye = sp.identity(self.p, format="csr")
-            self._sqrt = eye
-            self._sigma_sqrt = eye
-            self._sigma_diag = np.ones(self.p)
-            return
+            return eye, eye, np.ones(self.p)
         comps = [np.asarray(c, dtype=int)
                  for c in graphmod.connected_components(self.graph())]
         sizes = np.array([c.size for c in comps])
@@ -233,9 +243,8 @@ class PrecisionModel:
                 f"starting at {comps[bad[0]][0]} (min eigenvalue {lowest[bad[0]]:.3e})"
             )
         shape = (self.p, self.p)
-        self._sqrt = sp.csr_matrix((sqrt_vals, (rows, cols)), shape=shape)
-        self._sigma_sqrt = sp.csr_matrix((isqrt_vals, (rows, cols)), shape=shape)
-        self._sigma_diag = sigma_diag
+        return (sp.csr_matrix((sqrt_vals, (rows, cols)), shape=shape),
+                sp.csr_matrix((isqrt_vals, (rows, cols)), shape=shape), sigma_diag)
 
     # -- linear maps --------------------------------------------------------
 

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from rareweak.errors import DegeneracyError, DomainError
 from rareweak import apps, detect
 from rareweak import models as mo
-from rareweak.numerics import RngStream, check_gram, chisq_sf, sym_sqrt
+from rareweak.graph import enum_connected_subgraphs, graph_from_matrix
+from rareweak.numerics import (RngStream, check_gram, chisq_sf, gram_rank_deficient,
+                               sym_sqrt)
 
 
 class TestOffdiagonals:
@@ -115,7 +118,7 @@ class TestRankingGs:
         w = RngStream(7, 0).standard_normal(12)
         inst = _instance_from_design(np.eye(12), w)
         us = apps.rank_features_us(inst)
-        gs = apps.rank_features_gs(inst, np.eye(12), delta=0.0, m0=1)
+        gs = apps.rank_features_gs(inst, apps.gs_plan(np.eye(12), delta=0.0, m0=1))
         assert np.array_equal(np.argsort(us.scores), np.argsort(gs.scores))
 
     def test_gs_score_never_above_singleton(self):
@@ -123,7 +126,7 @@ class TestRankingGs:
         x = sym_sqrt(sigma)
         w = x @ (np.array([3.0, 3.0] + [0.0] * 8)) + RngStream(8, 0).standard_normal(10)
         inst = _instance_from_design(x, w)
-        gs = apps.rank_features_gs(inst, sigma, delta=0.3, m0=2)
+        gs = apps.rank_features_gs(inst, apps.gs_plan(sigma, delta=0.3, m0=2))
         from rareweak.numerics import chisq_sf
 
         diag = inst.gram_diag()
@@ -137,13 +140,14 @@ class TestRankingGs:
         with pytest.raises(DegeneracyError):
             check_gram(gram)
         inst = mo.RegressionInstance(gram=gram, xtw=np.array([1.0, -1.0]))
-        gs = apps.rank_features_gs(inst, gram, delta=0.0, m0=2)
+        gs = apps.rank_features_gs(inst, apps.gs_plan(gram, delta=0.0, m0=2))
         assert np.array_equal(gs.scores, chisq_sf(1, np.ones(2)))
 
     def test_cancellation_case_gs_beats_us(self):
         p, h0, tau, eps = 400, -0.8, 4.0, 0.05
         sigma = mo.block_sigma_dense(p, h0)
         ssqrt = sym_sqrt(sigma)
+        plan = apps.gs_plan(sigma, delta=0.5, m0=2)
         gaps = []
         for k in range(30):
             rng = RngStream(9, 0).child(k)
@@ -154,10 +158,69 @@ class TestRankingGs:
             inst = mo.RegressionInstance(gram=sigma, xtw=xtw)
             truth = beta != 0
             auc_us = apps.roc_curve(apps.rank_features_us(inst), truth).auc
-            auc_gs = apps.roc_curve(
-                apps.rank_features_gs(inst, sigma, delta=0.5, m0=2), truth).auc
+            auc_gs = apps.roc_curve(apps.rank_features_gs(inst, plan), truth).auc
             gaps.append(auc_gs - auc_us)
         assert np.mean(gaps) > 0.05
+
+
+def _gs_reference(inst, gram, delta, m0):
+    """rank_features_gs one subgraph at a time, straight from its definition."""
+    dense = gram.toarray() if sp.issparse(gram) else gram
+    b = inst.xtw
+    scores = np.ones(inst.p)
+    for sub in enum_connected_subgraphs(graph_from_matrix(gram, delta), m0):
+        if len(sub) == 1:
+            quad = b[sub[0]] ** 2 / dense[sub[0], sub[0]]
+        elif len(sub) == 2:
+            i, j = sub
+            if gram_rank_deficient(np.linalg.eigvalsh(dense[np.ix_(sub, sub)])):
+                continue
+            gii, gjj, gij = dense[i, i], dense[j, j], dense[i, j]
+            quad = ((gjj * b[i] ** 2 - 2 * gij * b[i] * b[j] + gii * b[j] ** 2)
+                    / (gii * gjj - gij * gij))
+        else:
+            try:
+                quad = inst.quadform(sub)
+            except DegeneracyError:
+                continue
+        pv = chisq_sf(len(sub), quad)
+        for j in sub:
+            scores[j] = min(scores[j], pv)
+    return scores
+
+
+class TestGsPlan:
+    @staticmethod
+    def _gram(sparse):
+        # a near-singular pair {0, 1}, a chain 2-3-...-9 (connected triples)
+        # with a weak link to cut at delta = 0.2, and a singleton 10; the
+        # chain and the singleton have distinct diagonal entries
+        gram = np.diag(np.r_[1.0, 1.0, 1.0 + 0.15 * (np.arange(2, 11) % 4)])
+        gram[0, 1] = gram[1, 0] = 1.0 - 1e-10
+        for i, v in zip(range(2, 9), (0.3, -0.4, 0.1, 0.45, -0.25, 0.35, 0.3)):
+            gram[i, i + 1] = gram[i + 1, i] = v
+        return sp.csr_matrix(gram) if sparse else gram
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("m0", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_matches_per_subgraph_reference(self, sparse, m0, delta):
+        gram = self._gram(sparse)
+        xtw = RngStream(11, 0).standard_normal(11) + np.arange(11) % 3
+        inst = mo.RegressionInstance(gram=gram, xtw=xtw)
+        got = apps.rank_features_gs(inst, apps.gs_plan(gram, delta=delta, m0=m0))
+        assert np.array_equal(got.scores, _gs_reference(inst, gram, delta, m0))
+
+    def test_plan_sizes(self):
+        plan = apps.gs_plan(self._gram(False), delta=0.0, m0=3)
+        assert plan.p == 11 and np.array_equal(plan.singles, np.arange(11))
+        assert plan.ii.size == 8 and not plan.pair_ok[0] and plan.pair_ok[1:].all()
+        assert all(len(sub) == 3 for sub in plan.larger) and len(plan.larger) == 6
+
+    def test_plan_for_other_p_rejected(self):
+        inst = mo.RegressionInstance(gram=np.eye(8), xtw=np.ones(8))
+        with pytest.raises(DomainError):
+            apps.rank_features_gs(inst, apps.gs_plan(np.eye(6)))
 
 
 class TestRoc:

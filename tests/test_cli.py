@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from rareweak.errors import ConfigError
-from rareweak import cli, phase
+from rareweak import apps, cli, phase
 
 
 TINY = {
@@ -56,6 +60,27 @@ class TestConfigResolution:
             cli.resolve_config("classify", {"theta": 0.0})
         with pytest.raises(ConfigError):
             cli.resolve_config("recover", {"methods": ["lasso"]})
+
+    @pytest.mark.parametrize("raw", [{"p": "2000"}, {"reps": 50.5}, {"reps": True},
+                                     {"cases": [["-0.8", 4.0]]}],
+                             ids=["str_int", "float_int", "bool_int", "str_in_list"])
+    def test_wrongly_typed_value_exit_code(self, tmp_path, capsys, raw):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(raw))
+        assert cli.main(["ranking", "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "ranking.csv").exists()
+
+    @pytest.mark.parametrize("experiment,raw,digest", [
+        ("ranking", {"delta": 1, "reps": 3}, "81418f97c460"),
+        ("detect", {"alpha": 0.1, "p": 500, "omega": {"kind": "block2", "h0": 0.5}},
+         "20c05564475a"),
+        ("phase", {"theta": 0, "h0": 0.5}, "617fa12e77aa"),
+    ])
+    def test_valid_config_hash_pinned(self, experiment, raw, digest):
+        # an int is a valid float value, kept as written in the hashed config
+        assert cli.config_hash(cli.resolve_config(experiment, raw)) == digest
 
     def test_hash_is_stable_and_sensitive(self):
         a = cli.resolve_config("phase", None)
@@ -151,6 +176,27 @@ class TestRunners:
         assert power["ihc"] >= power["bhc"] - joint
 
 
+    def test_ranking_plans_once_per_case(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("graph_from_matrix", "enum_connected_subgraphs"):
+            monkeypatch.setattr(apps, name, counting(name, getattr(apps, name)))
+        raw = dict(TINY["ranking"], reps=4, cases=[[-0.8, 4.0], [0.8, 1.5]])
+        bodies = []
+        for threads in (1, 2):
+            calls.clear()
+            cfg = cli.resolve_config("ranking", raw, {"threads": threads})
+            bodies.append(cli.run_ranking(cfg).body_lines())
+            assert sorted(calls) == ["enum_connected_subgraphs"] * 2 + ["graph_from_matrix"] * 2
+        assert bodies[0] == bodies[1]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("experiment", sorted(TINY))
     def test_rerun_identical(self, experiment):
@@ -221,3 +267,13 @@ class TestMain:
             assert cli.main(["ranking", "--config", str(config_path),
                              "--out", str(out)]) == 0
         assert (out1 / "ranking.csv").read_bytes() == (out2 / "ranking.csv").read_bytes()
+
+
+def test_python_m_entry_point():
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "rareweak", "ranking", "--help"],
+                            capture_output=True, text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert "--threads" in result.stdout

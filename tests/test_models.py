@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -136,6 +140,64 @@ class TestPrecisionModel:
         om = mo.PrecisionModel.custom(a)
         with pytest.raises(FactorizationError, match="component starting at 2 "):
             om.sigma_diag()
+
+    def test_reader_never_sees_half_published_factors(self):
+        # the reader starts once the "factored" mark is set, and the factoring
+        # thread pauses right after setting it until the reader is done
+        done = threading.Event()
+
+        class Paused(mo.PrecisionModel):
+            def __setattr__(self, name, value):
+                super().__setattr__(name, value)
+                if name == "_sqrt" and value is not None:
+                    done.wait(timeout=30)
+
+        om = Paused.block2(1000, 0.5)
+        errors = []
+
+        def reader():
+            try:
+                while om._sqrt is None:
+                    time.sleep(1e-4)
+                om.sample_noise(RngStream(4, 0))
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                done.set()
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        om.sigma_diag()
+        thread.join(timeout=30)
+        assert not thread.is_alive() and errors == []
+
+    def test_concurrent_first_calls_factor_once(self, monkeypatch):
+        calls = []
+        components = mo.graphmod.connected_components
+
+        def slow_components(*args, **kwargs):
+            calls.append(1)
+            time.sleep(0.05)  # both threads arrive while the first one factors
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(mo.graphmod, "connected_components", slow_components)
+        om = mo.PrecisionModel.block2(1000, 0.5)
+        workers = 8
+        barrier = threading.Barrier(workers, timeout=30)
+
+        def first_call(_):
+            barrier.wait()
+            return om.sigma_diag()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(first_call, range(workers), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1 and all(r is results[0] for r in results)
+        assert np.array_equal(results[0], mo.PrecisionModel.block2(1000, 0.5).sigma_diag())
 
     def test_sample_noise_covariance(self):
         om = mo.PrecisionModel.block2(4, 0.5)
