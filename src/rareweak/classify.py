@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import _hc_objective
+from .detect import _check_alpha0, _hc_objective
 from .errors import DomainError
 from .models import PrecisionModel, class_rows, gen_class_sample, ClassSample
 from .numerics import RngStream, normal_sf
@@ -66,8 +66,7 @@ def hct_threshold(zvec: FeatureZVector, omega: PrecisionModel,
 
 def _hct_with_innovated(zvec: FeatureZVector, omega: PrecisionModel, alpha0: float):
     """hct_threshold's result together with the innovated transform Omega Z."""
-    if not 0.0 < alpha0 <= 0.5:
-        raise DomainError("alpha0 must lie in (0, 0.5]")
+    _check_alpha0(alpha0)
     z = np.asarray(zvec.z, dtype=float)
     p = z.shape[0]
     if omega.p != p:

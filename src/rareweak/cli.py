@@ -168,6 +168,10 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _is_number(x, kinds=(int, float)):
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _check_omega_spec(spec):
     _require(isinstance(spec, dict) and "kind" in spec,
              "omega must be an object with a 'kind'")
@@ -175,8 +179,8 @@ def _check_omega_spec(spec):
     _require(kind in ("identity", "block2"),
              f"omega kind must be 'identity' or 'block2', got {kind!r}")
     if kind == "block2":
-        _require("h0" in spec and -1.0 < float(spec["h0"]) < 1.0,
-                 "block2 omega needs |h0| < 1")
+        _require("h0" in spec and _is_number(spec["h0"]) and -1.0 < spec["h0"] < 1.0,
+                 "block2 omega needs a number h0 with |h0| < 1")
         _require(set(spec) <= {"kind", "h0"}, f"unknown omega keys in {spec}")
     else:
         _require(set(spec) <= {"kind"}, f"unknown omega keys in {spec}")
@@ -191,8 +195,9 @@ def _build_omega(spec, p) -> PrecisionModel:
 def _check_pairs(val, name):
     _require(isinstance(val, list), f"{name} must be a list")
     for item in val:
-        _require(isinstance(item, list) and len(item) == 2,
-                 f"{name} entries must be [a, b] pairs")
+        _require(isinstance(item, list) and len(item) == 2
+                 and all(_is_number(x) for x in item),
+                 f"{name} entries must be [a, b] pairs of numbers, got {item!r}")
 
 
 _VALIDATORS = {}
@@ -228,7 +233,8 @@ def _validate_recover(cfg):
     _require(isinstance(cfg["p_grid"], list) and cfg["p_grid"],
              "p_grid must be a nonempty list")
     for p in cfg["p_grid"]:
-        _require(int(p) >= 8, "p_grid entries must be >= 8")
+        _require(_is_number(p, int) and p >= 8,
+                 f"p_grid entries must be integers >= 8, got {p!r}")
     _require(cfg["reps"] >= 1, "reps must be >= 1")
     _require(isinstance(cfg["methods"], list) and cfg["methods"],
              "methods must be a nonempty list")
@@ -285,6 +291,9 @@ def _validate_phase(cfg):
     if isinstance(grid, dict):
         _require(set(grid) == {"start", "stop", "num"},
                  "vartheta_grid object needs start/stop/num")
+        _require(_is_number(grid["start"]) and _is_number(grid["stop"])
+                 and _is_number(grid["num"], int),
+                 "vartheta_grid start/stop must be numbers and num an integer")
         _require(0 < grid["start"] <= grid["stop"] < 1 and grid["num"] >= 1,
                  "vartheta_grid out of range")
     else:
@@ -293,7 +302,8 @@ def _validate_phase(cfg):
             _require(0 < v < 1, f"vartheta {v} out of range")
     _require(0 <= cfg["theta"] < 1, "theta must lie in [0, 1)")
     if cfg["h0"] is not None:
-        _require(-1 < cfg["h0"] < 1, "|h0| < 1 required")
+        _require(_is_number(cfg["h0"]) and -1 < cfg["h0"] < 1,
+                 "h0 must be null or a number with |h0| < 1")
 
 
 def _check_scalar_type(key, value, default):
@@ -302,13 +312,13 @@ def _check_scalar_type(key, value, default):
     Lists, objects and null defaults are left to the validators."""
     if isinstance(default, str):
         ok, what = isinstance(value, str), "a string"
-    elif isinstance(default, int) and not isinstance(default, bool):
-        ok, what = isinstance(value, int), "an integer"
+    elif _is_number(default, int):
+        ok, what = _is_number(value, int), "an integer"
     elif isinstance(default, float):
-        ok, what = isinstance(value, (int, float)), "a number"
+        ok, what = _is_number(value), "a number"
     else:
         return
-    _require(ok and not isinstance(value, bool), f"{key} must be {what}, got {value!r}")
+    _require(ok, f"{key} must be {what}, got {value!r}")
 
 
 def resolve_config(experiment: str, raw: dict | None, overrides: dict | None = None) -> dict:

@@ -21,6 +21,10 @@ from .numerics import RngStream, normal_sf
 # P-values equal to 0 or 1 are clamped here to keep the HC denominator finite.
 PVALUE_CLAMP = 1e-15
 
+# Null tables are simulated in blocks of about this many uniforms, as many
+# whole rows as fit (at least one), sized to stay in cache.
+NULL_BLOCK_VALUES = 2**15
+
 TRANSFORMS = ("none", "whitened", "innovated")
 SIDES = ("upper", "two")
 
@@ -85,43 +89,62 @@ def _pvalue_array(pv) -> np.ndarray:
     vals = pv.values if isinstance(pv, PValueVector) else np.asarray(pv, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
         raise DomainError("need a vector of at least two P-values")
-    if np.any(vals < 0) or np.any(vals > 1):
-        raise DomainError("P-values must lie in [0, 1]")
     return vals
 
 
 def _hc_objective(sorted_p: np.ndarray, p: int,
                   denom: np.ndarray | None = None) -> np.ndarray:
-    """sqrt(p) (i/p - pi_(i)) / sqrt(d (1 - d)) over the leading sorted P-values.
+    """sqrt(p) (i/p - pi_(i)) / sqrt(d (1 - d)) along the last axis of the
+    leading sorted P-values.
 
     d is the P-value itself unless a denominator (HCT uses i/p) is given.
     """
-    i = np.arange(1, sorted_p.size + 1)
+    i = np.arange(1, sorted_p.shape[-1] + 1)
     d = sorted_p if denom is None else denom
-    return math.sqrt(p) * (i / p - sorted_p) / np.sqrt(d * (1.0 - d))
+    obj = i / p - sorted_p
+    obj *= math.sqrt(p)
+    den = 1.0 - d
+    den *= d
+    obj /= np.sqrt(den, out=den)
+    return obj
 
 
-def _hc(pv, frac: float, floor: bool, variant: str) -> DetectionResult:
-    """Maximize the HC objective over i <= frac * p, ties to the smallest i.
+def _hc(rows: np.ndarray, frac: float, floor: bool):
+    """Maximize the HC objective of each row over i <= frac * p, ties to the
+    smallest i.
 
-    With floor, indices whose sorted P-value is at most 1/p are infeasible;
-    an empty feasible set gives statistic -inf and argmax index 0.
+    rows is an (m, p) block of P-value rows. With floor, indices whose sorted
+    P-value is at most 1/p are infeasible; an empty feasible set gives
+    statistic -inf and argmax index 0. Returns per-row statistics, argmax
+    indices and clamped flags (some P-value equal to 0 or 1).
     """
-    vals = _pvalue_array(pv)
-    p = vals.size
-    clamped = bool(np.any(vals <= 0.0) or np.any(vals >= 1.0))
-    head = np.sort(np.clip(vals, PVALUE_CLAMP, 1.0 - PVALUE_CLAMP))
-    head = head[: int(math.floor(frac * p))]
+    m, p = rows.shape
+    srt = np.sort(rows, axis=1)
+    lo, hi = srt[:, 0], srt[:, -1]
+    # NaN sorts last, so a row holding one fails the upper check
+    if not (np.all(lo >= 0.0) and np.all(hi <= 1.0)):
+        raise DomainError("P-values must lie in [0, 1]")
+    clamped = (lo <= 0.0) | (hi >= 1.0)
+    # clipping is monotone, so clipping the sorted head equals sorting the clipped row
+    head = srt[:, : int(math.floor(frac * p))]
+    if head.shape[1] == 0:
+        return np.full(m, -math.inf), np.zeros(m, dtype=int), clamped
+    np.clip(head, PVALUE_CLAMP, 1.0 - PVALUE_CLAMP, out=head)
     obj = _hc_objective(head, p)
     if floor:
-        obj = np.where(head > 1.0 / p, obj, -math.inf)
-    if obj.size == 0 or obj.max() == -math.inf:
-        stat, index = -math.inf, 0
-    else:
-        k = int(np.argmax(obj))
-        stat, index = float(obj[k]), k + 1
-    return DetectionResult(statistic=stat, argmax_index=index, threshold=None,
-                           reject=False, variant=variant, clamped=clamped)
+        obj[head <= 1.0 / p] = -math.inf
+    index = np.argmax(obj, axis=1)
+    stat = obj[np.arange(m), index]
+    index += 1
+    index[stat == -math.inf] = 0
+    return stat, index, clamped
+
+
+def _hc_result(pv, frac: float, floor: bool, variant: str) -> DetectionResult:
+    stat, index, clamped = _hc(_pvalue_array(pv)[None, :], frac, floor)
+    return DetectionResult(statistic=float(stat[0]), argmax_index=int(index[0]),
+                           threshold=None, reject=False, variant=variant,
+                           clamped=bool(clamped[0]))
 
 
 def hc_statistic(pv, variant: str = "ohc") -> DetectionResult:
@@ -130,7 +153,7 @@ def hc_statistic(pv, variant: str = "ohc") -> DetectionResult:
     Ties take the smallest index. No threshold is attached; the result's
     reject flag is False until a test wraps it.
     """
-    return _hc(pv, 0.5, False, variant)
+    return _hc_result(pv, 0.5, False, variant)
 
 
 def hc_plus_statistic(pv, alpha0: float = 0.5) -> DetectionResult:
@@ -139,9 +162,13 @@ def hc_plus_statistic(pv, alpha0: float = 0.5) -> DetectionResult:
     The feasible set may be empty, in which case the statistic is -inf and
     the test never rejects.
     """
+    _check_alpha0(alpha0)
+    return _hc_result(pv, alpha0, True, "hcplus")
+
+
+def _check_alpha0(alpha0: float):
     if not 0.0 < alpha0 <= 0.5:
         raise DomainError("alpha0 must lie in (0, 0.5]")
-    return _hc(pv, alpha0, True, "hcplus")
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +237,17 @@ def critical_value(p: int, alphas, variant: str = "ohc",
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise DomainError(f"alpha {a} outside (0, 1)")
+    if p < 2:
+        raise DomainError("p must be at least 2")
+    if variant == "hcplus":
+        _check_alpha0(alpha0)
+    frac, floor = (0.5, False) if variant == "ohc" else (alpha0, True)
+    # Row blocks hold the values of consecutive uniform(p) draws, in order.
+    height = max(1, NULL_BLOCK_VALUES // p)
     stats = np.empty(num_null_reps)
-    for k in range(num_null_reps):
-        u = rng.uniform(p)
-        if variant == "ohc":
-            stats[k] = hc_statistic(u).statistic
-        else:
-            stats[k] = hc_plus_statistic(u, alpha0=alpha0).statistic
+    for k in range(0, num_null_reps, height):
+        block = rng.uniform((min(height, num_null_reps - k), p))
+        stats[k: k + block.shape[0]] = _hc(block, frac, floor)[0]
     quantiles = tuple(float(np.quantile(stats, 1.0 - a)) for a in alphas)
     return CriticalValueTable(p=int(p), variant=variant, alphas=tuple(alphas),
                               quantiles=quantiles, num_null_reps=num_null_reps,

@@ -205,9 +205,9 @@ class BandedCholesky:
     def right_apply(self, z: np.ndarray) -> np.ndarray:
         """Z @ L.T for a 2-d array Z whose rows are independent draws."""
         z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
+        out = z * self.bands[0]
         p = self.p
-        for d in range(self.bandwidth + 1):
+        for d in range(1, self.bandwidth + 1):
             out[:, d:] += z[:, : p - d] * self.bands[d, : p - d]
         return out
 

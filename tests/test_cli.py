@@ -72,8 +72,35 @@ class TestConfigResolution:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "ranking.csv").exists()
 
+    @pytest.mark.parametrize("experiment,raw", [
+        ("recover", {"p_grid": [512.7]}),
+        ("recover", {"p_grid": [512, 1024.0]}),
+        ("detect", {"grid": [[0.5, True]]}),
+        ("bandwidth", {"cases": [[0.01, True]]}),
+        ("ranking", {"cases": [[False, 4.0]]}),
+        ("detect", {"omega": {"kind": "block2", "h0": "0.5"}}),
+        ("phase", {"vartheta_grid": {"start": 0.1, "stop": 0.5, "num": 2.5}}),
+        ("phase", {"vartheta_grid": {"start": 0.1, "stop": 0.5, "num": True}}),
+        ("phase", {"h0": False}),
+    ], ids=["float_p", "integral_float_p", "bool_grid", "bool_case", "bool_h0",
+            "str_omega_h0", "float_num", "bool_num", "bool_phase_h0"])
+    def test_wrongly_typed_list_entry_exit_code(self, tmp_path, capsys,
+                                                experiment, raw):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(raw))
+        assert cli.main([experiment, "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}.csv").exists()
+
     @pytest.mark.parametrize("experiment,raw,digest", [
+        ("recover", {"p_grid": [512, 1024], "reps": 2}, "3a73491bf50f"),
+        ("classify", {"grid": [[0.3, 1], [0.5, 0.02]]}, "e955253f61a7"),
+        ("bandwidth", {"cases": [[0, 0.25], [0.01, 1]]}, "664e85d849ea"),
         ("ranking", {"delta": 1, "reps": 3}, "81418f97c460"),
+        ("phase", {"vartheta_grid": {"start": 0.1, "stop": 0.5, "num": 5}},
+         "b8cc963429fd"),
+        ("detect", {"omega": {"kind": "block2", "h0": 0}}, "d9547df07f20"),
         ("detect", {"alpha": 0.1, "p": 500, "omega": {"kind": "block2", "h0": 0.5}},
          "20c05564475a"),
         ("phase", {"theta": 0, "h0": 0.5}, "617fa12e77aa"),

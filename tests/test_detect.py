@@ -84,6 +84,15 @@ class TestHcStatistic:
         assert res.clamped
         assert math.isfinite(res.statistic)
 
+    @pytest.mark.parametrize("bad", [[0.1, math.nan, 0.3, 0.5], [math.nan, 0.2],
+                                     [0.1, -0.01, 0.5], [0.1, 1.5, 0.5]],
+                             ids=["nan", "nan_first", "negative", "above_one"])
+    def test_invalid_pvalues_rejected(self, bad):
+        with pytest.raises(DomainError):
+            de.hc_statistic(np.array(bad))
+        with pytest.raises(DomainError):
+            de.hc_plus_statistic(np.array(bad), alpha0=0.5)
+
     def test_ties_take_smallest_index(self):
         # symmetric spacing gives equal objective at i = 1, 2
         pv = np.array([0.1, 0.35, 0.8, 0.9])
@@ -113,6 +122,102 @@ class TestHcPlus:
     def test_alpha0_validation(self):
         with pytest.raises(DomainError):
             de.hc_plus_statistic(np.array([0.1, 0.2]), alpha0=0.7)
+
+
+def _reference_hc(vals, frac, floor):
+    """The HC objective maximized one vector at a time, written out plainly."""
+    p = vals.size
+    head = np.sort(np.clip(vals, de.PVALUE_CLAMP, 1.0 - de.PVALUE_CLAMP))
+    head = head[: int(math.floor(frac * p))]
+    i = np.arange(1, head.size + 1)
+    obj = math.sqrt(p) * (i / p - head) / np.sqrt(head * (1.0 - head))
+    if floor:
+        obj = np.where(head > 1.0 / p, obj, -math.inf)
+    if obj.size == 0 or obj.max() == -math.inf:
+        return -math.inf, 0
+    k = int(np.argmax(obj))
+    return float(obj[k]), k + 1
+
+
+def _kernel_rows(p):
+    """P-value rows exercising ties, the 1/p floor, exact 0 and 1, and clamping."""
+    rng = RngStream(20, p)
+    rows = [rng.uniform(p) for _ in range(4)]
+    rows.append(np.round(rng.uniform(p), 1))               # many ties
+    rows.append(np.full(p, 0.5))                           # all tied
+    rows.append(rng.uniform(p) / p)                        # all at or below 1/p
+    with_ends = rng.uniform(p)
+    with_ends[[0, p - 1]] = [0.0, 1.0]                     # exact 0 and 1
+    rows.append(with_ends)
+    with_one = rng.uniform(p)
+    with_one[p // 2] = 1.0
+    rows.append(with_one)
+    rows.append(np.concatenate([np.zeros(p - 1), [1.0]]))  # clamped at both ends
+    return np.array(rows)
+
+
+class TestHcKernel:
+    @pytest.mark.parametrize("p", [2, 3, 4, 9, 50, 257])
+    @pytest.mark.parametrize("frac,floor", [(0.5, False), (0.5, True),
+                                            (0.2, True), (0.1, True)])
+    def test_block_matches_rows(self, p, frac, floor):
+        # (0.1, True) at p < 10 and (0.2, True) at p < 5 leave frac * p < 1
+        rows = _kernel_rows(p)
+        stat, index, clamped = de._hc(rows, frac, floor)
+        for k, row in enumerate(rows):
+            if floor:
+                one = de.hc_plus_statistic(row, alpha0=frac)
+            else:
+                one = de.hc_statistic(row)
+            assert (stat[k], index[k], clamped[k]) == (
+                one.statistic, one.argmax_index, one.clamped)
+            assert (one.statistic, one.argmax_index) == _reference_hc(row, frac, floor)
+            assert one.clamped == bool(np.any(row <= 0.0) or np.any(row >= 1.0))
+
+    def test_nan_row_in_block_rejected(self):
+        rows = _kernel_rows(10)
+        rows[3, 4] = math.nan
+        with pytest.raises(DomainError):
+            de._hc(rows, 0.5, False)
+
+    def test_block_draw_equals_sequential_draws(self):
+        for m, p in ((1, 7), (6, 5000), (13, 31)):
+            block = RngStream(21, m).uniform((m, p))
+            seq = RngStream(21, m)
+            assert np.array_equal(block, np.array([seq.uniform(p) for _ in range(m)]))
+
+    # Blocks hold 65 rows at p = 500 and 98 at p = 333, which divide neither
+    # reps count; p = 2**15 + 3 exceeds the block budget (one row per block).
+    @pytest.mark.parametrize("p,variant,alpha0,reps", [
+        (500, "ohc", 0.5, 201),
+        (500, "hcplus", 0.5, 201),
+        (333, "hcplus", 0.1, 150),
+        (2**15 + 3, "ohc", 0.5, 100),
+        (2**15 + 3, "hcplus", 0.1, 100),
+    ])
+    def test_table_matches_per_replicate_loop(self, p, variant, alpha0, reps):
+        alphas = np.linspace(0.01, 0.99, 99)
+        table = de.critical_value(p, alphas, variant, reps, RngStream(22, p), alpha0)
+        rng = RngStream(22, p)
+        frac, floor = (0.5, False) if variant == "ohc" else (alpha0, True)
+        stats = np.array([_reference_hc(rng.uniform(p), frac, floor)[0]
+                          for _ in range(reps)])
+        expected = tuple(float(np.quantile(stats, 1.0 - a)) for a in table.alphas)
+        assert table.quantiles == expected
+
+    @pytest.mark.parametrize("p,reps", [(500, 201), (5000, 300), (2**15 + 3, 100)])
+    def test_table_draws_one_block_per_call(self, p, reps):
+        calls = []
+
+        class Counting(RngStream):
+            def uniform(self, size=None):
+                calls.append(size)
+                return super().uniform(size)
+
+        de.critical_value(p, [0.05], "hcplus", reps, Counting(23, 0))
+        height = max(1, de.NULL_BLOCK_VALUES // p)
+        assert len(calls) <= math.ceil(reps / height)
+        assert sum(np.prod(size) for size in calls) == reps * p
 
 
 class TestCriticalValues:
@@ -145,6 +250,10 @@ class TestCriticalValues:
             de.critical_value(100, [0.05], num_null_reps=50, rng=RngStream(7, 0))
         with pytest.raises(DomainError):
             de.critical_value(100, [1.5], num_null_reps=200, rng=RngStream(7, 0))
+        with pytest.raises(DomainError):
+            de.critical_value(1, [0.05], num_null_reps=200, rng=RngStream(7, 0))
+        with pytest.raises(DomainError):
+            de.critical_value(100, [0.05], "hcplus", 200, RngStream(7, 0), alpha0=0.7)
         table = de.critical_value(100, [0.05], num_null_reps=200, rng=RngStream(7, 0))
         with pytest.raises(DomainError):
             table.value(0.2)

@@ -158,6 +158,18 @@ class TestCholBanded:
         z = rng.standard_normal((5, 20))
         assert np.allclose(fac.right_apply(z), z @ dense.T)
 
+    @pytest.mark.parametrize("bandwidth", [0, 1, 2, 3])
+    def test_right_apply_matches_zero_start_loop(self, bandwidth):
+        rng = nu.RngStream(19, bandwidth)
+        p = 30
+        sigma = _random_banded_pd(p, bandwidth, rng) + np.diag(rng.uniform(p))
+        fac = nu.chol_banded(sigma, bandwidth)
+        z = rng.standard_normal((7, p))
+        expected = np.zeros_like(z)
+        for d in range(bandwidth + 1):
+            expected[:, d:] += z[:, : p - d] * fac.bands[d, : p - d]
+        assert np.array_equal(fac.right_apply(z), expected)
+
     def test_non_pd_reports_pivot(self):
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(FactorizationError) as exc:
