@@ -94,16 +94,16 @@ class TestConfigResolution:
         assert not (tmp_path / f"{experiment}.csv").exists()
 
     @pytest.mark.parametrize("experiment,raw,digest", [
-        ("recover", {"p_grid": [512, 1024], "reps": 2}, "3a73491bf50f"),
-        ("classify", {"grid": [[0.3, 1], [0.5, 0.02]]}, "e955253f61a7"),
-        ("bandwidth", {"cases": [[0, 0.25], [0.01, 1]]}, "664e85d849ea"),
         ("ranking", {"delta": 1, "reps": 3}, "81418f97c460"),
-        ("phase", {"vartheta_grid": {"start": 0.1, "stop": 0.5, "num": 5}},
-         "b8cc963429fd"),
-        ("detect", {"omega": {"kind": "block2", "h0": 0}}, "d9547df07f20"),
         ("detect", {"alpha": 0.1, "p": 500, "omega": {"kind": "block2", "h0": 0.5}},
          "20c05564475a"),
         ("phase", {"theta": 0, "h0": 0.5}, "617fa12e77aa"),
+        ("recover", {"p_grid": [512, 1024], "reps": 2}, "3a73491bf50f"),
+        ("classify", {"grid": [[0.3, 1], [0.5, 0.02]]}, "e955253f61a7"),
+        ("bandwidth", {"cases": [[0, 0.25], [0.01, 1]]}, "664e85d849ea"),
+        ("phase", {"vartheta_grid": {"start": 0.1, "stop": 0.5, "num": 5}},
+         "b8cc963429fd"),
+        ("detect", {"omega": {"kind": "block2", "h0": 0}}, "d9547df07f20"),
     ])
     def test_valid_config_hash_pinned(self, experiment, raw, digest):
         # an int is a valid float value, kept as written in the hashed config
