@@ -29,7 +29,6 @@ from .models import (
     ArwParams,
     PrecisionModel,
     RegressionInstance,
-    block_sigma_dense,
     banded_true_bandwidth,
     draw_paired_beta,
     gen_arw,
@@ -484,16 +483,19 @@ def run_bandwidth(cfg: dict) -> ResultTable:
 
 
 def _ranking_case_operators(p: int, h0: float):
-    """Sigma of one ranking case, and the 2x2 diagonal blocks of Sigma and
-    Sigma^{1/2} as (p, 2) rows: row i holds the entries in columns cols[i].
+    """Sigma = I_{p/2} (x) B of one ranking case, B = [[1, h0], [h0, 1]], as a
+    sparse matrix, and the 2x2 diagonal blocks of Sigma and
+    Sigma^{1/2} = I_{p/2} (x) B^{1/2} as (p, 2) rows: row i holds the entries
+    in columns cols[i].
 
     Both matrices vanish outside those blocks, so the product with v is
     (rows * v[cols]).sum(axis=1), at O(p) cost.
     """
-    sigma = block_sigma_dense(p, h0)
+    block = np.array([[1.0, h0], [h0, 1.0]])
     rows = np.arange(p)[:, None]
     cols = (rows & ~1) + np.arange(2)
-    return sigma, cols, sigma[rows, cols], sym_sqrt(sigma)[rows, cols]
+    return (PrecisionModel.block2(p, h0).omega, cols, np.tile(block, (p // 2, 1)),
+            np.tile(sym_sqrt(block), (p // 2, 1)))
 
 
 def run_ranking(cfg: dict) -> ResultTable:

@@ -2,7 +2,8 @@
 
 Provides the sparse-signal mean model (signals of strength sqrt(2 r log p)
 planted at rate p^-vartheta), Gaussian observations under structured
-precision matrices, the regression reformulation used by screening, two-class
+precision matrices (factored by numerics.component_factors, never densified),
+the regression reformulation used by screening, two-class
 classification samples, banded-covariance samples, and the paired-signal
 design used for feature-ranking studies.
 """
@@ -22,6 +23,7 @@ from .numerics import (
     BandedSymmetric,
     RngStream,
     chol_banded,
+    component_factors,
     restricted_quadform,
 )
 
@@ -96,11 +98,11 @@ class PrecisionModel:
 
     Three kinds are supported: the identity, the two-by-two block model
     (diagonal 1, within-pair coupling h0), and an arbitrary user matrix.
-    Derived objects (square root, inverse diagonal, noise factor) are
-    computed per connected component of the sparsity graph and cached, so
-    instances should be treated as immutable. Factoring reads Omega from
-    sparse storage and stacks components by size, one eigh call per size,
-    so memory is O(nnz(Omega)) plus the component blocks, never O(p^2).
+    Derived objects (square root, inverse diagonal, noise factor) come from
+    numerics.component_factors, the blockwise factorization sym_sqrt also
+    uses, and are cached, so instances should be treated as immutable.
+    Omega stays in sparse storage, so memory is O(nnz(Omega)) plus the
+    component blocks, never O(p^2).
     """
 
     def __init__(self, kind: str, p: int, h0: float | None = None, matrix=None):
@@ -188,63 +190,12 @@ class PrecisionModel:
                 self._sqrt = sqrt
 
     def _factor(self):
-        """Omega^{1/2}, Sigma^{1/2} = Omega^{-1/2} and the diagonal of Sigma.
-
-        Per-component eigendecompositions, assembled into sparse maps: the
-        COO entries of Omega are scattered into one (k, s, s) stack per
-        component size s, and each stack takes one eigh call; Omega itself
-        is never densified.
-        """
+        """Omega^{1/2}, Sigma^{1/2} = Omega^{-1/2} and the diagonal of Sigma,
+        from numerics.component_factors over the components of Omega."""
         if self.kind == "identity":
             eye = sp.identity(self.p, format="csr")
             return eye, eye, np.ones(self.p)
-        comps = [np.asarray(c, dtype=int)
-                 for c in graphmod.connected_components(self.graph())]
-        sizes = np.array([c.size for c in comps])
-        starts = np.cumsum(sizes) - sizes
-        nodes = np.concatenate(comps)
-        # the factors hold each component's full s x s block, row-major, in
-        # component order; base is where each block starts in that layout
-        area = sizes * sizes
-        base = np.cumsum(area) - area
-        label = np.empty(self.p, dtype=int)
-        label[nodes] = np.repeat(np.arange(len(comps)), sizes)
-        pos = np.empty(self.p, dtype=int)
-        pos[nodes] = np.arange(self.p) - np.repeat(starts, sizes)
-        coo = self._omega.tocoo()
-        # entries across components are stored zeros (below graph.ZERO_TOL)
-        inside = label[coo.row] == label[coo.col]
-        r, c = coo.row[inside], coo.col[inside]
-        omega_vals = np.zeros(area.sum())
-        omega_vals[base[label[r]] + pos[r] * sizes[label[r]] + pos[c]] = coo.data[inside]
-        rows = np.repeat(nodes, np.repeat(sizes, sizes))
-        offset = np.arange(area.sum()) - np.repeat(base, area)
-        cols = nodes[np.repeat(starts, area) + offset % np.repeat(sizes, area)]
-        sqrt_vals, isqrt_vals = np.ones(area.sum()), np.ones(area.sum())  # singletons: 1
-        sigma_diag = np.ones(self.p)
-        lowest = np.full(len(comps), np.inf)
-        for s in np.unique(sizes[sizes > 1]):
-            cid = np.flatnonzero(sizes == s)
-            flat = base[cid][:, None] + np.arange(s * s)
-            w, v = np.linalg.eigh(omega_vals[flat].reshape(-1, s, s))
-            lowest[cid] = w[:, 0]
-            if w[:, 0].min() <= 1e-12:
-                continue
-            root = np.sqrt(w)[:, None, :]
-            vt = v.transpose(0, 2, 1)
-            sqrt_vals[flat] = ((v * root) @ vt).reshape(cid.size, -1)
-            isqrt_vals[flat] = ((v / root) @ vt).reshape(cid.size, -1)
-            members = nodes[starts[cid][:, None] + np.arange(s)]
-            sigma_diag[members] = np.sum(v * v / w[:, None, :], axis=2)
-        bad = np.flatnonzero(lowest <= 1e-12)  # components are ordered by first index
-        if bad.size:
-            raise FactorizationError(
-                f"precision matrix is not positive definite on component "
-                f"starting at {comps[bad[0]][0]} (min eigenvalue {lowest[bad[0]]:.3e})"
-            )
-        shape = (self.p, self.p)
-        return (sp.csr_matrix((sqrt_vals, (rows, cols)), shape=shape),
-                sp.csr_matrix((isqrt_vals, (rows, cols)), shape=shape), sigma_diag)
+        return component_factors(self._omega, graphmod.connected_components(self.graph()))
 
     # -- linear maps --------------------------------------------------------
 
@@ -381,14 +332,6 @@ def regression_from_y(y: np.ndarray, omega: PrecisionModel) -> RegressionInstanc
     return RegressionInstance(gram=gram, xtw=omega.matvec(y))
 
 
-def regression_from_design(x: np.ndarray, w: np.ndarray) -> RegressionInstance:
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape[0] != w.shape[0]:
-        raise DomainError("design and response dimensions differ")
-    return RegressionInstance(gram=x.T @ x, xtw=x.T @ w)
-
-
 # ---------------------------------------------------------------------------
 # classification samples
 # ---------------------------------------------------------------------------
@@ -519,15 +462,3 @@ def draw_paired_beta(p: int, epsilon: float, tau: float, rng: RngStream) -> np.n
     beta[1::2] = np.where(both, float(tau), 0.0)
     return beta
 
-
-def block_sigma_dense(p: int, h0: float) -> np.ndarray:
-    """Blockwise 2x2 covariance: unit diagonal, within-pair coupling h0."""
-    if p % 2 != 0:
-        raise DomainError("block covariance requires even p")
-    if not -1.0 < h0 < 1.0:
-        raise DomainError("|h0| < 1 required")
-    sigma = np.eye(p)
-    i = np.arange(0, p, 2)
-    sigma[i, i + 1] = h0
-    sigma[i + 1, i] = h0
-    return sigma

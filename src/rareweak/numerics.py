@@ -1,9 +1,9 @@
 """Deterministic numerical kernels used by every other module.
 
 Covers Gaussian and chi-square tail probabilities, seeded counter-based
-random streams, banded Cholesky factorization, symmetric positive-definite
-square roots computed blockwise over the sparsity graph, and restricted
-least-squares projections.
+random streams, banded Cholesky factorization, the blockwise factorization
+over the sparsity graph (one stacked eigh per component size) that sym_sqrt
+and models.PrecisionModel share, and restricted least-squares projections.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf
 from scipy.special import erfc, gammaincc
 
@@ -239,26 +240,79 @@ def chol_banded(sigma, bandwidth: int | None = None) -> BandedCholesky:
 
 
 # ---------------------------------------------------------------------------
-# symmetric square root, blockwise over the sparsity graph
+# blockwise factorization over the sparsity graph
 # ---------------------------------------------------------------------------
 
-def _component_sqrt(block: np.ndarray) -> np.ndarray:
-    """Symmetric PD square root of a small dense block via eigendecomposition."""
-    w, v = np.linalg.eigh(block)
-    if w[0] < -1e-10:
+def component_factors(a, comps):
+    """A^{1/2}, A^{-1/2} and the diagonal of A^{-1} for a symmetric A (sparse
+    or dense).
+
+    comps partitions the nodes into the connected components of A's sparsity
+    graph, as graph.connected_components gives them (sorted members, ordered
+    by smallest member); entries of A between components must be zeros
+    below ZERO_TOL and are dropped. The COO entries of A are scattered into
+    one (k, s, s) stack per component size s, each stack takes one eigh
+    call, and the roots come back as sparse maps holding each component's
+    full s x s block: for sparse A, memory is O(nnz(A)) plus the blocks.
+    Raises NotPositiveDefiniteError naming the first component (by smallest
+    member) whose smallest eigenvalue is at most 1e-12.
+    """
+    comps = [np.asarray(c, dtype=int) for c in comps]
+    p = a.shape[0]
+    sizes = np.array([c.size for c in comps])
+    starts = np.cumsum(sizes) - sizes
+    nodes = np.concatenate(comps)
+    # the factors hold each component's full s x s block, row-major, in
+    # component order; base is where each block starts in that layout
+    area = sizes * sizes
+    base = np.cumsum(area) - area
+    label = np.empty(p, dtype=int)
+    label[nodes] = np.repeat(np.arange(len(comps)), sizes)
+    pos = np.empty(p, dtype=int)
+    pos[nodes] = np.arange(p) - np.repeat(starts, sizes)
+    coo = sp.coo_matrix(a)
+    inside = label[coo.row] == label[coo.col]
+    r, c = coo.row[inside], coo.col[inside]
+    a_vals = np.zeros(area.sum())
+    a_vals[base[label[r]] + pos[r] * sizes[label[r]] + pos[c]] = coo.data[inside]
+    rows = np.repeat(nodes, np.repeat(sizes, sizes))
+    offset = np.arange(area.sum()) - np.repeat(base, area)
+    cols = nodes[np.repeat(starts, area) + offset % np.repeat(sizes, area)]
+    sqrt_vals, isqrt_vals = np.empty(area.sum()), np.empty(area.sum())
+    inv_diag = np.empty(p)
+    lowest = np.empty(len(comps))
+    for s in np.unique(sizes):
+        cid = np.flatnonzero(sizes == s)
+        flat = base[cid][:, None] + np.arange(s * s)
+        w, v = np.linalg.eigh(a_vals[flat].reshape(-1, s, s))
+        lowest[cid] = w[:, 0]
+        if w[:, 0].min() <= 1e-12:
+            continue
+        root = np.sqrt(w)[:, None, :]
+        vt = v.transpose(0, 2, 1)
+        sqrt_vals[flat] = ((v * root) @ vt).reshape(cid.size, -1)
+        isqrt_vals[flat] = ((v / root) @ vt).reshape(cid.size, -1)
+        members = nodes[starts[cid][:, None] + np.arange(s)]
+        inv_diag[members] = np.sum(v * v / w[:, None, :], axis=2)
+    bad = np.flatnonzero(lowest <= 1e-12)
+    if bad.size:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: eigenvalue {w[0]:.3e}"
+            f"matrix is not positive definite on component starting at "
+            f"{comps[bad[0]][0]} (min eigenvalue {lowest[bad[0]]:.3e})"
         )
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+    shape = (p, p)
+    return (sp.csr_matrix((sqrt_vals, (rows, cols)), shape=shape),
+            sp.csr_matrix((isqrt_vals, (rows, cols)), shape=shape), inv_diag)
 
 
 def sym_sqrt(omega: np.ndarray, component_cap: int = SYM_SQRT_COMPONENT_CAP) -> np.ndarray:
     """Unique symmetric positive-definite square root of a symmetric PD matrix.
 
-    The computation runs independently on each connected component of the
-    sparsity graph, which keeps the cost near linear for block or banded
-    matrices. Components larger than component_cap raise CapacityError.
+    A dense front end to component_factors: the root is computed per
+    connected component of the sparsity graph, which keeps the cost near
+    linear for block or banded matrices. Components larger than
+    component_cap raise CapacityError; a component whose smallest
+    eigenvalue is at most 1e-12 raises NotPositiveDefiniteError.
     """
     a = np.asarray(omega, dtype=float)
     p = a.shape[0]
@@ -266,15 +320,13 @@ def sym_sqrt(omega: np.ndarray, component_cap: int = SYM_SQRT_COMPONENT_CAP) -> 
         raise DomainError("matrix must be square")
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise DomainError("matrix must be symmetric")
-    out = np.zeros_like(a)
-    for comp in connected_components(graph_from_matrix(a)):
+    comps = connected_components(graph_from_matrix(a))
+    for comp in comps:
         if len(comp) > component_cap:
             raise CapacityError(
                 f"sparsity component of size {len(comp)} exceeds cap {component_cap}"
             )
-        block = a[np.ix_(comp, comp)]
-        out[np.ix_(comp, comp)] = _component_sqrt(block)
-    return out
+    return component_factors(a, comps)[0].toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +376,6 @@ def restricted_quadform(gram_sub: np.ndarray, b_sub: np.ndarray, index_set=None)
     if g.shape[0] == 1:
         return float(b[0] * b[0] / g[0, 0])
     return float(b @ np.linalg.solve(g, b))
-
-
-def project_norm_sq_gram(gram: np.ndarray, xtw: np.ndarray, index_set) -> float:
-    """||P^I W||^2 from the full Gram matrix G = X'X and the vector X'W."""
-    idx = _as_index_array(index_set)
-    if idx.size == 0:
-        raise DomainError("index_set must be nonempty")
-    gram = np.asarray(gram)
-    xtw = np.asarray(xtw, dtype=float)
-    g = gram[np.ix_(idx, idx)]
-    return restricted_quadform(g, xtw[idx], index_set=idx)
 
 
 def project_norm_sq(design: np.ndarray, response: np.ndarray, index_set) -> float:

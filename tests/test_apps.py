@@ -91,7 +91,7 @@ class TestEstimateBandwidth:
 
 
 def _instance_from_design(x, w):
-    return mo.regression_from_design(x, w)
+    return mo.RegressionInstance(gram=x.T @ x, xtw=x.T @ w)
 
 
 class TestRankingUs:
@@ -122,7 +122,7 @@ class TestRankingGs:
         assert np.array_equal(np.argsort(us.scores), np.argsort(gs.scores))
 
     def test_gs_score_never_above_singleton(self):
-        sigma = mo.block_sigma_dense(10, -0.6)
+        sigma = mo.PrecisionModel.block2(10, -0.6).dense()
         x = sym_sqrt(sigma)
         w = x @ (np.array([3.0, 3.0] + [0.0] * 8)) + RngStream(8, 0).standard_normal(10)
         inst = _instance_from_design(x, w)
@@ -145,7 +145,7 @@ class TestRankingGs:
 
     def test_cancellation_case_gs_beats_us(self):
         p, h0, tau, eps = 400, -0.8, 4.0, 0.05
-        sigma = mo.block_sigma_dense(p, h0)
+        sigma = mo.PrecisionModel.block2(p, h0).dense()
         ssqrt = sym_sqrt(sigma)
         plan = apps.gs_plan(sigma, delta=0.5, m0=2)
         gaps = []

@@ -4,11 +4,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rareweak.errors import ConfigError
 from rareweak import apps, cli, phase
+from rareweak.models import PrecisionModel
 
 
 TINY = {
@@ -223,6 +227,29 @@ class TestRunners:
             assert sorted(calls) == ["enum_connected_subgraphs"] * 2 + ["graph_from_matrix"] * 2
         assert bodies[0] == bodies[1]
 
+    @pytest.mark.parametrize("h0", [-0.95, -0.8, 0.0, 1e-13, 0.5, 0.8, 0.95])
+    def test_ranking_operators_are_block2_blocks(self, h0):
+        p = 40
+        sigma, cols, sigma_rows, sqrt_rows = cli._ranking_case_operators(p, h0)
+        model = PrecisionModel.block2(p, h0)
+        rows = np.arange(p)[:, None]
+        assert sp.issparse(sigma)
+        assert np.array_equal(sigma.toarray(), model.dense())
+        assert np.array_equal(sigma_rows, model.dense()[rows, cols])
+        assert np.array_equal(sqrt_rows, model.sqrt_matrix().toarray()[rows, cols])
+
+    def test_ranking_allocates_no_square_array(self):
+        # one dense p x p float array would be 128 MB here
+        p = 4000
+        cfg = cli.resolve_config("ranking", dict(TINY["ranking"], p=p, reps=2))
+        tracemalloc.start()
+        try:
+            cli.run_ranking(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8 // 4
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("experiment", sorted(TINY))
@@ -304,3 +331,15 @@ def test_python_m_entry_point():
                             env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0, result.stderr
     assert "--threads" in result.stdout
+
+
+def test_perfbench_spans_install():
+    # the bench's tracer rebinds traced names across modules and raises when
+    # a required binding (e.g. cli.sym_sqrt) is gone
+    root = pathlib.Path(cli.__file__).parents[2]
+    script = ("import sys; sys.path[:0] = sys.argv[1:]; import spans; "
+              "spans.install(spans.Tracer())")
+    result = subprocess.run([sys.executable, "-c", script, str(root / "src"),
+                             str(root / "perfbench")],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -395,7 +395,7 @@ class TestPairedDesign:
         h0 = -0.8
         n, p = 2000, 4
         g = RngStream(28, 0).standard_normal((n, p))
-        noise = g @ sym_sqrt(mo.block_sigma_dense(p, h0))
+        noise = g @ sym_sqrt(mo.PrecisionModel.block2(p, h0).dense())
         emp = noise.T @ noise / n
         assert abs(emp[0, 1] - h0) <= 0.1
         assert abs(emp[0, 0] - 1.0) <= 0.1

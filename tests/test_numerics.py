@@ -12,6 +12,8 @@ from rareweak.errors import (
     NotPositiveDefiniteError,
 )
 from rareweak import numerics as nu
+from rareweak.graph import connected_components, graph_from_matrix
+from rareweak.models import RegressionInstance
 
 # High-precision oracle values, computed once with mpmath (40 digits) from
 # series/continued-fraction expansions and quadrature of the chi-square
@@ -235,6 +237,28 @@ class TestSymSqrt:
         with pytest.raises(DomainError):
             nu.sym_sqrt(a)
 
+    def test_singular_psd_component_named(self):
+        # {1, 3} holds [[1, 1], [1, 1]] (eigenvalues 0 and 2); the rest is I
+        a = np.eye(5)
+        a[1, 3] = a[3, 1] = 1.0
+        with pytest.raises(NotPositiveDefiniteError, match="component starting at 1 "):
+            nu.sym_sqrt(a)
+
+    def test_matches_component_loop_on_general_input(self):
+        # components {0, 4, 7, 9}, {1, 6}, {2, 5, 10} and singletons {3}, {8};
+        # non-unit diagonal, strictly diagonally dominant, so PD
+        rng = np.random.Generator(np.random.Philox(11))
+        a = np.diag(rng.uniform(0.5, 3.0, 11))
+        for i, j in ((0, 4), (4, 7), (7, 9), (0, 9), (1, 6), (2, 5), (5, 10)):
+            a[i, j] = a[j, i] = rng.uniform(-0.2, 0.2)
+        comps = [np.asarray(c) for c in connected_components(graph_from_matrix(a))]
+        assert sorted(c.size for c in comps) == [1, 1, 2, 3, 4]
+        ref = np.zeros_like(a)
+        for comp in comps:
+            w, v = np.linalg.eigh(a[np.ix_(comp, comp)])
+            ref[np.ix_(comp, comp)] = (v * np.sqrt(w)) @ v.T
+        assert np.array_equal(nu.sym_sqrt(a), ref)
+
 
 class TestProjections:
     def test_orthonormal_singleton(self):
@@ -269,11 +293,10 @@ class TestProjections:
         rng = np.random.Generator(np.random.Philox(8))
         x = rng.standard_normal((10, 5))
         w = rng.standard_normal(10)
-        gram = x.T @ x
-        xtw = x.T @ w
+        inst = RegressionInstance(gram=x.T @ x, xtw=x.T @ w)
         for idx in ([0], [1, 4], [0, 2, 3]):
             a = nu.project_norm_sq(x, w, idx)
-            b = nu.project_norm_sq_gram(gram, xtw, idx)
+            b = inst.quadform(idx)
             assert abs(a - b) <= 1e-9
 
     def test_degenerate_carries_index_set(self):
