@@ -139,10 +139,10 @@ _PRESETS = {
                   "null_reps": 20000, "alpha0": 0.5},
     },
     "ranking": {
-        "desk": {"n": 500, "p": 400, "epsilon": 0.05,
+        "desk": {"p": 400, "epsilon": 0.05,
                  "cases": [[-0.8, 4.0], [0.8, 1.5]], "reps": 50,
                  "m0": 2, "delta": 0.5},
-        "paper": {"n": 500, "p": 1000, "epsilon": 0.05,
+        "paper": {"p": 1000, "epsilon": 0.05,
                   "cases": [[-0.8, 4.0], [0.8, 1.5]], "reps": 200,
                   "m0": 2, "delta": 0.5},
     },
@@ -261,7 +261,6 @@ def _validate_bandwidth(cfg):
 @_validator("ranking")
 def _validate_ranking(cfg):
     _require(cfg["p"] >= 4 and cfg["p"] % 2 == 0, "p must be even and >= 4")
-    _require(cfg["n"] >= 1, "n must be >= 1")
     _require(0 <= cfg["epsilon"] <= 1, "epsilon must lie in [0, 1]")
     _check_pairs(cfg["cases"], "cases")
     for h0, tau in cfg["cases"]:

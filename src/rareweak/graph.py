@@ -1,12 +1,15 @@
 """Dependency graphs over feature indices.
 
-Builds graphs from the large entries of a symmetric matrix and provides the
-combinatorial routines the screening and detection procedures need: bounded
-connected-subgraph enumeration, greedy coloring, and connected components.
+A DependencyGraph is a symmetric CSR pattern (indptr, indices, sorted within
+each row), built with array operations from an edge list or from the large
+entries of a symmetric matrix. On it sit the routines screening and detection
+need: bounded connected-subgraph enumeration, greedy coloring, and connected
+components (array union-find).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,28 +26,38 @@ ZERO_TOL = 1e-12
 
 
 class DependencyGraph:
-    """Undirected graph on nodes 0..p-1 with per-node sorted neighbor lists."""
+    """Undirected graph on nodes 0..p-1, stored as a symmetric CSR pattern.
+
+    edges is a sequence of (i, j) pairs or a (k, 2) integer array;
+    duplicate and reversed edges collapse into one.
+    """
 
     def __init__(self, num_nodes: int, edges=()):
         if num_nodes < 0:
             raise DomainError("num_nodes must be non-negative")
-        self.num_nodes = int(num_nodes)
-        adj = [set() for _ in range(self.num_nodes)]
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise DomainError(f"self loop at node {i}")
-            if not (0 <= i < self.num_nodes and 0 <= j < self.num_nodes):
-                raise DomainError(f"edge ({i},{j}) out of range")
-            adj[i].add(j)
-            adj[j].add(i)
-        self.adjacency = [np.array(sorted(s), dtype=int) for s in adj]
+        p = self.num_nodes = int(num_nodes)
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= p)).any(axis=1)
+        if bad.any():
+            i, j = e[np.argmax(bad)]
+            raise DomainError(f"self loop at node {i}" if i == j
+                              else f"edge ({i},{j}) out of range")
+        # both directions of every edge as row-major keys; unique sorts them
+        keys = np.unique(np.concatenate([e[:, 0] * p + e[:, 1], e[:, 1] * p + e[:, 0]]))
+        self.indices = keys % p  # no keys when p = 0
+        self.indptr = np.searchsorted(keys, np.arange(p + 1) * p)
+
+    @functools.cached_property
+    def adjacency(self) -> list:
+        """One sorted neighbor array per node (views into indices)."""
+        bounds = self.indptr.tolist()
+        return [self.indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self.adjacency[i]
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return self.indices.size // 2
 
     def __repr__(self):
         return f"DependencyGraph(p={self.num_nodes}, edges={self.num_edges()})"
@@ -54,33 +67,24 @@ def graph_from_matrix(m, delta: float = 0.0) -> DependencyGraph:
     """Graph with an edge (i, j), i != j, wherever |m(i, j)| >= delta.
 
     delta = 0 is read as the strict-nonzero graph, with entries below
-    ZERO_TOL in magnitude treated as zeros.
+    ZERO_TOL in magnitude treated as zeros. m is dense or scipy-sparse;
+    both are read through the COO entries of its strict upper triangle.
     """
     if delta < 0:
         raise DomainError("delta must be non-negative")
-    thr = ZERO_TOL if delta == 0 else delta
-    strict = delta == 0
-    if sp.issparse(m):
-        coo = sp.triu(m, k=1).tocoo()
-        keep = np.abs(coo.data) > thr if strict else np.abs(coo.data) >= thr
-        edges = zip(coo.row[keep], coo.col[keep])
-        p = m.shape[0]
-    else:
-        a = np.asarray(m, dtype=float)
-        p = a.shape[0]
-        if a.shape != (p, p):
-            raise DomainError("matrix must be square")
-        upper = np.triu(np.abs(a), k=1)
-        mask = upper > thr if strict else upper >= thr
-        rows, cols = np.nonzero(mask)
-        edges = zip(rows, cols)
-    return DependencyGraph(p, edges)
+    if not sp.issparse(m):
+        m = np.asarray(m, dtype=float)
+    p = m.shape[0] if m.ndim else 0
+    if m.shape != (p, p):
+        raise DomainError("matrix must be square")
+    upper = sp.triu(sp.coo_matrix(m), k=1)
+    mag = np.abs(upper.data)
+    keep = mag > ZERO_TOL if delta == 0 else mag >= delta
+    return DependencyGraph(p, np.column_stack([upper.row[keep], upper.col[keep]]))
 
 
 def max_degree(g: DependencyGraph) -> int:
-    if g.num_nodes == 0:
-        return 0
-    return max(len(a) for a in g.adjacency)
+    return int(np.diff(g.indptr).max()) if g.num_nodes else 0
 
 
 def row_nonzero_max(g: DependencyGraph) -> int:
@@ -166,36 +170,33 @@ def greedy_coloring(g: DependencyGraph) -> Coloring:
 def connected_components(g: DependencyGraph, restrict_to=None):
     """Components of the subgraph induced on restrict_to (default: all nodes).
 
-    Each component is a sorted list; components are ordered by their
+    Each component is a sorted list of ints; components are ordered by their
     smallest element.
     """
+    p = g.num_nodes
+    rows, cols = np.repeat(np.arange(p), np.diff(g.indptr)), g.indices
     if restrict_to is None:
-        nodes = range(g.num_nodes)
-        allowed = None
+        nodes = np.arange(p)
     else:
-        nodes = sorted(set(int(i) for i in restrict_to))
-        for i in nodes:
-            if not (0 <= i < g.num_nodes):
-                raise DomainError(f"node {i} out of range")
-        allowed = set(nodes)
-    seen = set()
-    comps = []
-    for start in nodes:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in g.adjacency[i]:
-                if j in seen:
-                    continue
-                if allowed is not None and j not in allowed:
-                    continue
-                seen.add(j)
-                stack.append(j)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
+        nodes = np.unique(np.fromiter(restrict_to, dtype=np.int64))
+        outside = nodes[(nodes < 0) | (nodes >= p)]
+        if outside.size:
+            raise DomainError(f"node {outside[0]} out of range")
+        inside = np.isin(rows, nodes) & np.isin(cols, nodes)
+        rows, cols = rows[inside], cols[inside]
+    # array union-find: each edge between two trees (listed both ways) hooks
+    # the larger root under the smaller, then pointer jumping reaches the roots;
+    # roots only move to smaller ids, so a root is its component's minimum
+    root = np.arange(p)
+    while rows.size:
+        a, b = root[rows], root[cols]
+        cross = a < b
+        np.minimum.at(root, b[cross], a[cross])
+        rows, cols = rows[a != b], cols[a != b]
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    label = root[nodes]
+    order = np.argsort(label, kind="stable")
+    members = nodes[order].tolist()
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1)).tolist()
+    return [members[i:j] for i, j in zip(starts, starts[1:] + [len(members)])]

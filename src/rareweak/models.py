@@ -166,12 +166,11 @@ class PrecisionModel:
     def dense(self) -> np.ndarray:
         return self._omega.toarray()
 
-    def graph(self, delta: float = 0.0) -> graphmod.DependencyGraph:
-        if delta == 0.0:
-            if self._graph is None:
-                self._graph = graphmod.graph_from_matrix(self._omega, 0.0)
-            return self._graph
-        return graphmod.graph_from_matrix(self._omega, delta)
+    def graph(self) -> graphmod.DependencyGraph:
+        """The strict-nonzero sparsity graph of Omega, built once."""
+        if self._graph is None:
+            self._graph = graphmod.graph_from_matrix(self._omega)
+        return self._graph
 
     def row_nonzero_max(self) -> int:
         return graphmod.row_nonzero_max(self.graph())

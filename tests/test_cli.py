@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -38,6 +39,15 @@ class TestConfigResolution:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             cli.resolve_config("detect", {"oops": 3})
+
+    def test_ranking_has_no_sample_size(self, tmp_path, capsys):
+        # ranking draws its statistics from the exact Gram, so n is unknown
+        config_path = tmp_path / "ranking.json"
+        config_path.write_text(json.dumps({"n": 5}))
+        assert cli.main(["ranking", "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 2
+        assert "unknown config keys for ranking: ['n']" in capsys.readouterr().err
+        assert "n" not in cli.resolve_config("ranking", None, {"scale": "paper"})
 
     def test_experiment_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -98,7 +108,7 @@ class TestConfigResolution:
         assert not (tmp_path / f"{experiment}.csv").exists()
 
     @pytest.mark.parametrize("experiment,raw,digest", [
-        ("ranking", {"delta": 1, "reps": 3}, "81418f97c460"),
+        ("ranking", {"delta": 1, "reps": 3}, "b288018b0a1a"),
         ("detect", {"alpha": 0.1, "p": 500, "omega": {"kind": "block2", "h0": 0.5}},
          "20c05564475a"),
         ("phase", {"theta": 0, "h0": 0.5}, "617fa12e77aa"),
@@ -343,3 +353,34 @@ def test_perfbench_spans_install():
                              str(root / "perfbench")],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def _load_perfbench(name):
+    # perfbench is a script directory, not a package: load a module by path
+    path = pathlib.Path(cli.__file__).parents[2] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+_BENCH_WORKLOADS = _load_perfbench("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_WORKLOADS))
+def test_paper_scale_bodies_match_recorded_digests(tmp_path, name):
+    # the CSV bodies of each bench workload at seed 0, run through main() as
+    # the bench runs them, equal the digests recorded in perfbench/
+    checks = _load_perfbench("checks")
+    workload = _BENCH_WORKLOADS[name]
+    recorded = checks.load_digests()[name]["0"]
+    for experiment, config in workload.experiments:
+        config_path = tmp_path / f"{experiment}.config.json"
+        config_path.write_text(json.dumps(config))
+        assert cli.main([experiment, "--config", str(config_path), "--scale", "paper",
+                         "--seed", "0", "--threads", str(workload.threads),
+                         "--out", str(tmp_path)]) == 0
+        body = checks.read_csv(tmp_path / f"{experiment}.csv")[2]
+        assert checks.digest(body) == recorded[experiment], experiment
+    assert sorted(recorded) == sorted(e for e, _ in workload.experiments)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rareweak.errors import CapacityError, DomainError
 from rareweak import graph as gr
@@ -201,3 +202,102 @@ class TestComponents:
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             gr.connected_components(path_graph(3), restrict_to=[5])
+
+
+def reference_adjacency(p, edges):
+    """Oracle: one Python set per node, filled edge by edge."""
+    adj = [set() for _ in range(p)]
+    for i, j in edges:
+        adj[int(i)].add(int(j))
+        adj[int(j)].add(int(i))
+    return [sorted(s) for s in adj]
+
+
+def reference_components(adj, restrict_to=None):
+    """Oracle: depth-first search over the allowed nodes in index order."""
+    allowed = set(range(len(adj))) if restrict_to is None else set(map(int, restrict_to))
+    seen, comps = set(), []
+    for start in sorted(allowed):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in adj[i]:
+                if j in allowed and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+class TestMatchesSetReference:
+    def random_edges(self, rng, p):
+        k = int(rng.integers(0, 2 * p + 1)) if p > 1 else 0
+        i = rng.integers(0, p, size=k) if p else np.zeros(0, dtype=int)
+        j = rng.integers(0, p, size=k) if p else np.zeros(0, dtype=int)
+        edges = [(a, b) for a, b in zip(i.tolist(), j.tolist()) if a != b]
+        # duplicates and reversed copies of some edges
+        extra = [edges[t] for t in rng.integers(0, len(edges), size=len(edges) // 3)] \
+            if edges else []
+        return edges + [(b, a) for a, b in extra] + extra
+
+    def test_adjacency_and_components(self):
+        rng = np.random.Generator(np.random.Philox(2024))
+        for trial in range(200):
+            p = int(rng.integers(0, 61))
+            edges = self.random_edges(rng, p)
+            given = np.array(edges, dtype=np.int64).reshape(-1, 2) if trial % 2 else edges
+            g = gr.DependencyGraph(p, given)
+            want = reference_adjacency(p, edges)
+            assert len(g.adjacency) == p
+            assert [a.tolist() for a in g.adjacency] == want
+            assert [g.neighbors(i).tolist() for i in range(p)] == want
+            assert g.num_edges() == sum(map(len, want)) // 2
+            assert gr.max_degree(g) == max(map(len, want), default=0)
+            comps = gr.connected_components(g)
+            assert comps == reference_components(want)
+            assert all(type(v) is int for c in comps for v in c)
+            subsets = [[], None]
+            if p:
+                picks = rng.integers(0, p, size=int(rng.integers(1, 2 * p + 1)))
+                subsets += [picks.tolist(), picks, set(picks.tolist()),
+                            list(reversed(sorted(set(picks.tolist()))))]
+            for restrict in subsets:
+                assert gr.connected_components(g, restrict_to=restrict) == \
+                    reference_components(want, restrict), restrict
+
+    def test_array_edges_validated(self):
+        with pytest.raises(DomainError, match="self loop"):
+            gr.DependencyGraph(4, np.array([[0, 1], [2, 2]]))
+        with pytest.raises(DomainError, match="out of range"):
+            gr.DependencyGraph(4, np.array([[0, 1], [1, 4]]))
+        with pytest.raises(DomainError, match="out of range"):
+            gr.DependencyGraph(4, np.array([[-1, 2]]))
+        with pytest.raises(DomainError):
+            gr.DependencyGraph(0, np.array([[0, 1]]))
+
+    def test_empty_graph(self):
+        g = gr.DependencyGraph(0)
+        assert g.adjacency == [] and g.num_edges() == 0
+        assert gr.connected_components(g) == []
+        assert gr.max_degree(g) == 0
+
+    def test_dense_and_sparse_input_agree(self):
+        rng = np.random.Generator(np.random.Philox(77))
+        m = np.where(rng.random((30, 30)) < 0.1, rng.standard_normal((30, 30)), 0.0)
+        m = m + m.T + np.eye(30)
+        m[0, 1] = m[1, 0] = 1e-13
+        for delta in (0.0, 0.3, 1.0):
+            dense = gr.graph_from_matrix(m, delta)
+            sparse = gr.graph_from_matrix(sp.csr_matrix(m), delta)
+            assert [a.tolist() for a in dense.adjacency] == \
+                [a.tolist() for a in sparse.adjacency]
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DomainError):
+            gr.graph_from_matrix(np.ones((2, 3)))
+        with pytest.raises(DomainError):
+            gr.graph_from_matrix(sp.csr_matrix(np.ones((2, 3))))
