@@ -15,10 +15,12 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,60 +107,151 @@ def config_hash(cfg: dict) -> str:
 # config schema
 # ---------------------------------------------------------------------------
 
-_COMMON_DEFAULTS = {"seed": 20260801, "threads": 1, "out": ".", "scale": "desk"}
+class _Check(NamedTuple):
+    """One config rule. `ok` tests a value's JSON type before it compares, so
+    it answers True or False for any value; `what` words the rule for the
+    error message."""
+    what: str
+    ok: Callable[[object], bool]
+
+
+def _finite(x) -> bool:
+    """A JSON number that is a finite double: not a bool, NaN, +-Infinity or
+    an integer beyond the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return math.isfinite(x) if isinstance(x, float) else abs(x) <= sys.float_info.max
+
+
+def _number(interval: str) -> _Check:
+    """Finite numbers, integers included, in an interval written "(0, 0.5]"."""
+    lo, hi = (float(t) for t in interval[1:-1].split(","))
+    above = operator.lt if interval[0] == "(" else operator.le
+    below = operator.lt if interval[-1] == ")" else operator.le
+    return _Check(f"a finite number in {interval}",
+                  lambda x: _finite(x) and above(lo, x) and below(x, hi))
+
+
+def _integer(lo: int, hi=math.inf) -> _Check:
+    what = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
+    return _Check(what, lambda x: _finite(x) and isinstance(x, int) and lo <= x <= hi)
+
+
+def _one_of(*options) -> _Check:
+    return _Check("one of " + ", ".join(map(repr, options)),
+                  lambda x: isinstance(x, str) and x in options)
+
+
+def _list_of(item: _Check, nonempty: bool = False) -> _Check:
+    return _Check(f"a {'nonempty ' if nonempty else ''}list, each {item.what}",
+                  lambda x: isinstance(x, list) and (len(x) > 0 or not nonempty)
+                  and all(item.ok(v) for v in x))
+
+
+def _pair(a: _Check, b: _Check) -> _Check:
+    return _Check(f"[{a.what}, {b.what}]",
+                  lambda x: isinstance(x, list) and len(x) == 2
+                  and a.ok(x[0]) and b.ok(x[1]))
+
+
+def _either(a: _Check, b: _Check) -> _Check:
+    return _Check(f"{a.what} or {b.what}", lambda x: a.ok(x) or b.ok(x))
+
+
+_IDENTITY = {"kind": "identity"}
+_VARTHETA = _number("(0, 1)")
+_H0 = _number("(-1, 1)")
+_GRID = _list_of(_pair(_VARTHETA, _number("(0, inf)")))  # (vartheta, r) points
+_OMEGA = _Check(
+    f"{{'kind': 'identity'}} or {{'kind': 'block2', 'h0': h0}} with h0 {_H0.what}",
+    lambda x: x == _IDENTITY or (
+        isinstance(x, dict) and set(x) == {"kind", "h0"} and x["kind"] == "block2"
+        and _H0.ok(x["h0"])))
+_LINSPACE = _Check(
+    "{'start': a, 'stop': b, 'num': n} with 0 < a <= b < 1 and an integer n >= 1",
+    lambda x: isinstance(x, dict) and set(x) == {"start", "stop", "num"}
+    and _VARTHETA.ok(x["start"]) and _VARTHETA.ok(x["stop"])
+    and x["start"] <= x["stop"] and _integer(1).ok(x["num"]))
 
 _SIX_BANDWIDTH_CASES = [[0.01, 0.175], [0.01, 0.2], [0.01, 0.225],
                         [0.005, 0.225], [0.005, 0.25], [0.01, 0.275]]
 
-_PRESETS = {
+# field: (desk default, paper default, check). Every experiment has the
+# _COMMON fields; "scale" picks the default column and "experiment" must
+# name the experiment being run.
+_COMMON = {
+    "seed": (20260801, 20260801, _integer(0, 2**64 - 1)),
+    "threads": (1, 1, _integer(1)),
+    "out": (".", ".", _Check("a string", lambda x: isinstance(x, str))),
+}
+
+_SCHEMA = {
     "detect": {
-        "desk": {"p": 2000, "omega": {"kind": "identity"}, "alpha": 0.05,
-                 "grid": [[0.6, 1.2]], "variants": ["ohc"], "reps": 100,
-                 "null_reps": 500, "alpha0": 0.5},
-        "paper": {"p": 10000, "omega": {"kind": "block2", "h0": 0.5},
-                  "alpha": 0.05, "grid": [[0.6, 1.2]],
-                  "variants": ["bhc", "whc", "ihc"], "reps": 200,
-                  "null_reps": 2000, "alpha0": 0.5},
+        "p": (2000, 10000, _integer(4)),
+        "omega": (_IDENTITY, {"kind": "block2", "h0": 0.5}, _OMEGA),
+        "alpha": (0.05, 0.05, _number("(0, 1)")),
+        "grid": ([[0.6, 1.2]], [[0.6, 1.2]], _GRID),
+        "variants": (["ohc"], ["bhc", "whc", "ihc"],
+                     _list_of(_one_of(*detect.VARIANTS), nonempty=True)),
+        "reps": (100, 200, _integer(50)),
+        "null_reps": (500, 2000, _integer(100)),
+        "alpha0": (0.5, 0.5, _number("(0, 0.5]")),
     },
     "recover": {
-        "desk": {"vartheta": 0.5, "r": 2.0, "p_grid": [512, 1024, 2048],
-                 "reps": 50, "methods": ["ht_ideal", "ht_universal"],
-                 "m0": 1, "q": select.DEFAULT_SCREEN_Q,
-                 "omega": {"kind": "identity"}},
-        "paper": {"vartheta": 0.5, "r": 2.0,
-                  "p_grid": [512, 1024, 2048, 4096, 8192, 16384],
-                  "reps": 200, "methods": ["ht_ideal"], "m0": 1,
-                  "q": select.DEFAULT_SCREEN_Q, "omega": {"kind": "identity"}},
+        "vartheta": (0.5, 0.5, _VARTHETA),
+        "r": (2.0, 2.0, _number("(0, inf)")),
+        "p_grid": ([512, 1024, 2048], [512, 1024, 2048, 4096, 8192, 16384],
+                   _list_of(_integer(8), nonempty=True)),
+        "reps": (50, 200, _integer(1)),
+        "methods": (["ht_ideal", "ht_universal"], ["ht_ideal"],
+                    _list_of(_one_of("ht_ideal", "ht_universal", "gs"), nonempty=True)),
+        "m0": (1, 1, _integer(1)),
+        "q": (select.DEFAULT_SCREEN_Q, select.DEFAULT_SCREEN_Q, _number("(0, inf)")),
+        "omega": (_IDENTITY, _IDENTITY, _OMEGA),
     },
     "bandwidth": {
-        "desk": {"p": 2000, "n": 200, "b": 2, "b0": 10, "alpha": 0.05,
-                 "cases": [[0.01, 0.225]], "reps": 50, "null_reps": 4000,
-                 "alpha0": 0.5},
-        "paper": {"p": 5000, "n": 200, "b": 2, "b0": 10, "alpha": 0.05,
-                  "cases": _SIX_BANDWIDTH_CASES, "reps": 200,
-                  "null_reps": 20000, "alpha0": 0.5},
+        "p": (2000, 5000, _integer(8)),
+        "n": (200, 200, _integer(2)),
+        "b": (2, 2, _integer(1)),
+        "b0": (10, 10, _integer(1)),
+        "alpha": (0.05, 0.05, _number("(0, 1)")),
+        "cases": ([[0.01, 0.225]], _SIX_BANDWIDTH_CASES,  # (epsilon, tau)
+                  _list_of(_pair(_number("[0, 1]"), _number("[0, inf)")))),
+        "reps": (50, 200, _integer(1)),
+        "null_reps": (4000, 20000, _integer(100)),
+        "alpha0": (0.5, 0.5, _number("(0, 0.5]")),
     },
     "ranking": {
-        "desk": {"p": 400, "epsilon": 0.05,
-                 "cases": [[-0.8, 4.0], [0.8, 1.5]], "reps": 50,
-                 "m0": 2, "delta": 0.5},
-        "paper": {"p": 1000, "epsilon": 0.05,
-                  "cases": [[-0.8, 4.0], [0.8, 1.5]], "reps": 200,
-                  "m0": 2, "delta": 0.5},
+        "p": (400, 1000, _integer(4)),
+        "epsilon": (0.05, 0.05, _number("[0, 1]")),
+        "cases": ([[-0.8, 4.0], [0.8, 1.5]], [[-0.8, 4.0], [0.8, 1.5]],  # (h0, tau)
+                  _list_of(_pair(_H0, _number("[0, inf)")))),
+        "reps": (50, 200, _integer(1)),
+        "m0": (2, 2, _integer(1)),
+        "delta": (0.5, 0.5, _number("[0, inf)")),
     },
     "classify": {
-        "desk": {"p": 2000, "theta": 0.4, "grid": [[0.3, 1.2]], "reps": 20,
-                 "test_size": 200, "alpha0": 0.1, "omega": {"kind": "identity"}},
-        "paper": {"p": 10000, "theta": 0.4, "grid": [[0.3, 1.2], [0.5, 0.02]],
-                  "reps": 50, "test_size": 200, "alpha0": 0.1,
-                  "omega": {"kind": "identity"}},
+        "p": (2000, 10000, _integer(10)),
+        "theta": (0.4, 0.4, _number("(0, 1)")),
+        "grid": ([[0.3, 1.2]], [[0.3, 1.2], [0.5, 0.02]], _GRID),
+        "reps": (20, 50, _integer(20)),
+        "test_size": (200, 200, _integer(1)),
+        "alpha0": (0.1, 0.1, _number("(0, 0.5]")),
+        "omega": (_IDENTITY, _IDENTITY, _OMEGA),
     },
     "phase": {
-        "desk": {"vartheta_grid": {"start": 0.05, "stop": 0.95, "num": 19},
-                 "theta": 0.2, "h0": None},
-        "paper": {"vartheta_grid": {"start": 0.05, "stop": 0.95, "num": 181},
-                  "theta": 0.2, "h0": None},
+        "vartheta_grid": ({"start": 0.05, "stop": 0.95, "num": 19},
+                          {"start": 0.05, "stop": 0.95, "num": 181},
+                          _either(_LINSPACE, _list_of(_VARTHETA, nonempty=True))),
+        "theta": (0.2, 0.2, _number("[0, 1)")),
+        "h0": (None, None, _either(_Check("null", lambda x: x is None), _H0)),
     },
+}
+
+# The rules that relate fields, checked once every field has passed its own.
+_CROSS_CHECKS = {
+    "bandwidth": _Check("b <= b0 < p", lambda c: c["b"] <= c["b0"] < c["p"]),
+    "ranking": _Check("an even p", lambda c: c["p"] % 2 == 0),
 }
 
 
@@ -167,197 +260,40 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _is_number(x, kinds=(int, float)):
-    return isinstance(x, kinds) and not isinstance(x, bool)
-
-
-def _check_omega_spec(spec):
-    _require(isinstance(spec, dict) and "kind" in spec,
-             "omega must be an object with a 'kind'")
-    kind = spec["kind"]
-    _require(kind in ("identity", "block2"),
-             f"omega kind must be 'identity' or 'block2', got {kind!r}")
-    if kind == "block2":
-        _require("h0" in spec and _is_number(spec["h0"]) and -1.0 < spec["h0"] < 1.0,
-                 "block2 omega needs a number h0 with |h0| < 1")
-        _require(set(spec) <= {"kind", "h0"}, f"unknown omega keys in {spec}")
-    else:
-        _require(set(spec) <= {"kind"}, f"unknown omega keys in {spec}")
-
-
 def _build_omega(spec, p) -> PrecisionModel:
     if spec["kind"] == "identity":
         return PrecisionModel.identity(p)
     return PrecisionModel.block2(p, float(spec["h0"]))
 
 
-def _check_pairs(val, name):
-    _require(isinstance(val, list), f"{name} must be a list")
-    for item in val:
-        _require(isinstance(item, list) and len(item) == 2
-                 and all(_is_number(x) for x in item),
-                 f"{name} entries must be [a, b] pairs of numbers, got {item!r}")
-
-
-_VALIDATORS = {}
-
-
-def _validator(kind):
-    def deco(fn):
-        _VALIDATORS[kind] = fn
-        return fn
-    return deco
-
-
-@_validator("detect")
-def _validate_detect(cfg):
-    _require(cfg["p"] >= 4, "p must be >= 4")
-    _check_pairs(cfg["grid"], "grid")
-    for v, r in cfg["grid"]:
-        _require(0 < v < 1 and r > 0, f"grid point ({v}, {r}) out of range")
-    _require(isinstance(cfg["variants"], list) and cfg["variants"],
-             "variants must be a nonempty list")
-    for var in cfg["variants"]:
-        _require(var in detect.VARIANTS, f"unknown variant {var!r}")
-    _require(0 < cfg["alpha"] < 1, "alpha must lie in (0, 1)")
-    _require(cfg["reps"] >= 50, "reps must be >= 50")
-    _require(cfg["null_reps"] >= 100, "null_reps must be >= 100")
-    _check_omega_spec(cfg["omega"])
-
-
-@_validator("recover")
-def _validate_recover(cfg):
-    _require(0 < cfg["vartheta"] < 1, "vartheta must lie in (0, 1)")
-    _require(cfg["r"] > 0, "r must be positive")
-    _require(isinstance(cfg["p_grid"], list) and cfg["p_grid"],
-             "p_grid must be a nonempty list")
-    for p in cfg["p_grid"]:
-        _require(_is_number(p, int) and p >= 8,
-                 f"p_grid entries must be integers >= 8, got {p!r}")
-    _require(cfg["reps"] >= 1, "reps must be >= 1")
-    _require(isinstance(cfg["methods"], list) and cfg["methods"],
-             "methods must be a nonempty list")
-    for m in cfg["methods"]:
-        _require(m in ("ht_ideal", "ht_universal", "gs"), f"unknown method {m!r}")
-    _require(cfg["m0"] >= 1, "m0 must be >= 1")
-    _require(cfg["q"] > 0, "q must be positive")
-    _check_omega_spec(cfg["omega"])
-
-
-@_validator("bandwidth")
-def _validate_bandwidth(cfg):
-    _require(cfg["p"] >= 8, "p must be >= 8")
-    _require(cfg["n"] >= 2, "n must be >= 2")
-    _require(1 <= cfg["b"] <= cfg["b0"], "need 1 <= b <= b0")
-    _require(cfg["b0"] < cfg["p"], "b0 must be below p")
-    _require(0 < cfg["alpha"] < 1, "alpha must lie in (0, 1)")
-    _check_pairs(cfg["cases"], "cases")
-    for eps, tau in cfg["cases"]:
-        _require(0 <= eps <= 1 and tau >= 0, f"case ({eps}, {tau}) out of range")
-    _require(cfg["reps"] >= 1, "reps must be >= 1")
-    _require(cfg["null_reps"] >= 100, "null_reps must be >= 100")
-
-
-@_validator("ranking")
-def _validate_ranking(cfg):
-    _require(cfg["p"] >= 4 and cfg["p"] % 2 == 0, "p must be even and >= 4")
-    _require(0 <= cfg["epsilon"] <= 1, "epsilon must lie in [0, 1]")
-    _check_pairs(cfg["cases"], "cases")
-    for h0, tau in cfg["cases"]:
-        _require(-1 < h0 < 1 and tau >= 0, f"case ({h0}, {tau}) out of range")
-    _require(cfg["reps"] >= 1, "reps must be >= 1")
-    _require(cfg["m0"] >= 1, "m0 must be >= 1")
-    _require(cfg["delta"] >= 0, "delta must be non-negative")
-
-
-@_validator("classify")
-def _validate_classify(cfg):
-    _require(cfg["p"] >= 10, "p must be >= 10")
-    _require(0 < cfg["theta"] < 1, "theta must lie in (0, 1)")
-    _check_pairs(cfg["grid"], "grid")
-    for v, r in cfg["grid"]:
-        _require(0 < v < 1 and r > 0, f"grid point ({v}, {r}) out of range")
-    _require(cfg["reps"] >= 20, "reps must be >= 20")
-    _require(cfg["test_size"] >= 1, "test_size must be >= 1")
-    _require(0 < cfg["alpha0"] <= 0.5, "alpha0 must lie in (0, 0.5]")
-    _check_omega_spec(cfg["omega"])
-
-
-@_validator("phase")
-def _validate_phase(cfg):
-    grid = cfg["vartheta_grid"]
-    if isinstance(grid, dict):
-        _require(set(grid) == {"start", "stop", "num"},
-                 "vartheta_grid object needs start/stop/num")
-        _require(_is_number(grid["start"]) and _is_number(grid["stop"])
-                 and _is_number(grid["num"], int),
-                 "vartheta_grid start/stop must be numbers and num an integer")
-        _require(0 < grid["start"] <= grid["stop"] < 1 and grid["num"] >= 1,
-                 "vartheta_grid out of range")
-    else:
-        _require(isinstance(grid, list) and grid, "vartheta_grid must be a list")
-        for v in grid:
-            _require(0 < v < 1, f"vartheta {v} out of range")
-    _require(0 <= cfg["theta"] < 1, "theta must lie in [0, 1)")
-    if cfg["h0"] is not None:
-        _require(_is_number(cfg["h0"]) and -1 < cfg["h0"] < 1,
-                 "h0 must be null or a number with |h0| < 1")
-
-
-def _check_scalar_type(key, value, default):
-    """A user value must have the type of its preset default: int fields take
-    an int but not a bool, float fields an int or a float, str fields a str.
-    Lists, objects and null defaults are left to the validators."""
-    if isinstance(default, str):
-        ok, what = isinstance(value, str), "a string"
-    elif _is_number(default, int):
-        ok, what = _is_number(value, int), "an integer"
-    elif isinstance(default, float):
-        ok, what = _is_number(value), "a number"
-    else:
-        return
-    _require(ok, f"{key} must be {what}, got {value!r}")
-
-
 def resolve_config(experiment: str, raw: dict | None, overrides: dict | None = None) -> dict:
-    """Merge preset defaults, the user config, and CLI overrides; validate.
+    """Merge the scale's defaults, the user config and the CLI overrides, and
+    check every field against the experiment's schema.
 
     Every field is explicit in the result, unknown keys are rejected, and
-    the validated dict is what gets hashed and echoed into output headers.
+    values are kept as written: the dict is what gets hashed and echoed into
+    output headers. Overrides (None means absent) pass the same checks.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     raw = dict(raw or {})
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    scale = overrides.get("scale") or raw.get("scale") or _COMMON_DEFAULTS["scale"]
-    if scale not in ("desk", "paper"):
-        raise ConfigError(f"scale must be 'desk' or 'paper', got {scale!r}")
-    cfg = dict(_COMMON_DEFAULTS)
-    cfg["experiment"] = experiment
-    cfg["scale"] = scale
-    cfg.update(_PRESETS[experiment][scale])
-    allowed = set(cfg)
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
-    if raw.get("experiment", experiment) != experiment:
-        raise ConfigError(
-            f"config is for {raw['experiment']!r}, not {experiment!r}"
-        )
-    for key, value in raw.items():
-        _check_scalar_type(key, value, cfg[key])
-    cfg.update(raw)
-    for key in ("seed", "threads", "out", "scale"):
-        if key in overrides:
-            cfg[key] = overrides[key]
-    cfg["seed"] = int(cfg["seed"])
-    cfg["threads"] = int(cfg["threads"])
-    _require(cfg["seed"] >= 0, "seed must be non-negative")
-    _require(cfg["threads"] >= 1, "threads must be >= 1")
-    try:
-        _VALIDATORS[experiment](cfg)
-    except (TypeError, ValueError) as exc:  # e.g. a string inside a list
-        raise ConfigError(f"malformed {experiment} config: {exc}") from exc
+    schema = {**_COMMON, **_SCHEMA[experiment]}
+    unknown = set(raw) - set(schema) - {"experiment", "scale"}
+    _require(not unknown, f"unknown config keys for {experiment}: {sorted(unknown)}")
+    _require(raw.get("experiment", experiment) == experiment,
+             f"config is for {raw.get('experiment')!r}, not {experiment!r}")
+    scale = overrides.get("scale", raw.get("scale", "desk"))
+    _require(isinstance(scale, str) and scale in ("desk", "paper"),
+             f"scale must be 'desk' or 'paper', got {scale!r}")
+    cfg = {"experiment": experiment, "scale": scale}
+    for key, (desk, paper, check) in schema.items():
+        value = overrides.get(key, raw.get(key, paper if scale == "paper" else desk))
+        _require(check.ok(value), f"{key} must be {check.what}, got {value!r}")
+        cfg[key] = value
+    cross = _CROSS_CHECKS.get(experiment)
+    if cross and not cross.ok(cfg):
+        raise ConfigError(f"{experiment} config needs {cross.what}")
     return cfg
 
 

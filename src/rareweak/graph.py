@@ -110,7 +110,10 @@ def enum_connected_subgraphs(g: DependencyGraph, m0: int, cap: int = SUBGRAPH_CA
         raise DomainError("m0 must be >= 1")
     p = g.num_nodes
     d = max_degree(g)
-    projected = p if d == 0 else p * (math.e * d) ** m0
+    try:
+        projected = p if d == 0 else p * (math.e * d) ** m0
+    except OverflowError:  # a large m0: the power is beyond the float range
+        projected = math.inf
     if p < 63:
         projected = min(projected, float(2**p))  # trivial exhaustive bound
     if projected > cap:

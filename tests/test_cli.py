@@ -10,6 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rareweak.errors import ConfigError
 from rareweak import apps, cli, phase
@@ -96,8 +98,21 @@ class TestConfigResolution:
         ("phase", {"vartheta_grid": {"start": 0.1, "stop": 0.5, "num": 2.5}}),
         ("phase", {"vartheta_grid": {"start": 0.1, "stop": 0.5, "num": True}}),
         ("phase", {"h0": False}),
+        ("detect", {"grid": [[0.6, math.inf]]}),
+        ("detect", {"alpha0": math.nan}),
+        ("recover", {"r": math.inf}),
+        ("recover", {"q": math.inf}),
+        ("bandwidth", {"cases": [[0.5, math.inf]]}),
+        ("bandwidth", {"alpha0": math.nan}),
+        ("ranking", {"cases": [[-0.8, math.inf]]}),
+        ("ranking", {"delta": math.inf}),
+        ("classify", {"grid": [[0.3, math.inf]]}),
+        ("ranking", {"delta": 10**400}),
     ], ids=["float_p", "integral_float_p", "bool_grid", "bool_case", "bool_h0",
-            "str_omega_h0", "float_num", "bool_num", "bool_phase_h0"])
+            "str_omega_h0", "float_num", "bool_num", "bool_phase_h0",
+            "inf_detect_r", "nan_detect_alpha0", "inf_recover_r", "inf_recover_q",
+            "inf_bandwidth_tau", "nan_bandwidth_alpha0", "inf_ranking_tau",
+            "inf_ranking_delta", "inf_classify_r", "huge_int_ranking_delta"])
     def test_wrongly_typed_list_entry_exit_code(self, tmp_path, capsys,
                                                 experiment, raw):
         config_path = tmp_path / "bad.json"
@@ -106,6 +121,23 @@ class TestConfigResolution:
                          "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / f"{experiment}.csv").exists()
+
+    @pytest.mark.parametrize("alpha0", [0, -0.1, 0.75])
+    @pytest.mark.parametrize("experiment", ["detect", "bandwidth"])
+    def test_alpha0_out_of_range_exit_code(self, tmp_path, capsys, experiment, alpha0):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps({"alpha0": alpha0}))
+        assert cli.main([experiment, "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 2
+        assert "alpha0 must be a finite number in (0, 0.5]" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}.csv").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"threads": 0}, {"seed": -1}, {"seed": 2**64}, {"seed": 3.0},
+        {"scale": "huge"}, {"out": 5}])
+    def test_overrides_are_checked(self, overrides):
+        with pytest.raises(ConfigError):
+            cli.resolve_config("phase", None, overrides)
 
     @pytest.mark.parametrize("experiment,raw,digest", [
         ("ranking", {"delta": 1, "reps": 3}, "b288018b0a1a"),
@@ -118,6 +150,18 @@ class TestConfigResolution:
         ("phase", {"vartheta_grid": {"start": 0.1, "stop": 0.5, "num": 5}},
          "b8cc963429fd"),
         ("detect", {"omega": {"kind": "block2", "h0": 0}}, "d9547df07f20"),
+        ("detect", {}, "3e34d5c2531e"),
+        ("detect", {"scale": "paper"}, "c29c4b25db20"),
+        ("recover", {}, "fe1824ab67a8"),
+        ("recover", {"scale": "paper"}, "c4291ecbbe51"),
+        ("bandwidth", {}, "924433e9ed66"),
+        ("bandwidth", {"scale": "paper"}, "5d998146d820"),
+        ("ranking", {}, "4531c508fbd5"),
+        ("ranking", {"scale": "paper"}, "e3de1b422059"),
+        ("classify", {}, "3174a46bdc8e"),
+        ("classify", {"scale": "paper"}, "135c3336d166"),
+        ("phase", {}, "90ea8192a332"),
+        ("phase", {"scale": "paper"}, "14e2e65dd4b2"),
     ])
     def test_valid_config_hash_pinned(self, experiment, raw, digest):
         # an int is a valid float value, kept as written in the hashed config
@@ -129,6 +173,54 @@ class TestConfigResolution:
         assert cli.config_hash(a) == cli.config_hash(b)
         c = cli.resolve_config("phase", {"theta": 0.3})
         assert cli.config_hash(a) != cli.config_hash(c)
+
+
+_NUMBER = (st.sampled_from([math.nan, math.inf, -math.inf, 2**64, 10**400, -10**400])
+           | st.floats() | st.integers())
+_JSON = st.recursive(st.none() | st.booleans() | st.text(max_size=6) | _NUMBER,
+                     lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+                     max_leaves=8)
+
+
+@st.composite
+def _json_near(draw, default):
+    """Any JSON value, or the default with one entry, at any depth, replaced."""
+    if isinstance(default, (list, dict)) and default and draw(st.booleans()):
+        key = draw(st.sampled_from(range(len(default)) if isinstance(default, list)
+                                   else sorted(default)))
+        value = list(default) if isinstance(default, list) else dict(default)
+        value[key] = draw(_json_near(default[key]))
+        return value
+    return draw(_NUMBER | _JSON)
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_resolved_config_is_checked_or_rejected(data):
+    # any JSON value in any field: a ConfigError, or a config whose numbers
+    # are all finite doubles; nothing else escapes
+    experiment = data.draw(st.sampled_from(cli.EXPERIMENTS))
+    scale = data.draw(st.sampled_from(["desk", "paper"]))
+    defaults = cli.resolve_config(experiment, None, {"scale": scale})
+    keys = data.draw(st.lists(st.sampled_from(sorted(defaults)), min_size=1,
+                              max_size=2, unique=True))
+    raw = {"scale": scale, **{k: data.draw(_json_near(defaults[k])) for k in keys}}
+    try:
+        cfg = cli.resolve_config(experiment, raw)
+    except ConfigError:
+        return
+    assert all(math.isfinite(float(x)) for x in _numbers(cfg))
 
 
 class TestResultTable:

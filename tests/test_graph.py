@@ -147,6 +147,15 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             gr.enum_connected_subgraphs(g, 6, cap=10_000)
 
+    def test_huge_m0_small_graph_uses_exhaustive_bound(self):
+        # (e d)^m0 overflows a float; the 2**p bound still admits p = 20
+        g = path_graph(20)
+        assert gr.enum_connected_subgraphs(g, 10**6) == gr.enum_connected_subgraphs(g, 20)
+
+    def test_huge_m0_large_graph_capacity_error(self):
+        with pytest.raises(CapacityError):
+            gr.enum_connected_subgraphs(path_graph(100), 10**6)
+
     def test_invalid_m0(self):
         with pytest.raises(DomainError):
             gr.enum_connected_subgraphs(path_graph(3), 0)
