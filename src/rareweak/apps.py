@@ -27,17 +27,6 @@ HCPLUS_ALPHA0 = 0.5
 # covariance bandwidth estimation
 # ---------------------------------------------------------------------------
 
-def offdiagonal_vectors(s: np.ndarray, k: int) -> np.ndarray:
-    """The k-th upper off-diagonal of a square matrix, length p - k."""
-    s = np.asarray(s)
-    p = s.shape[0]
-    if s.shape != (p, p):
-        raise DomainError("matrix must be square")
-    if not 1 <= k <= p - 1:
-        raise DomainError(f"k must lie in [1, p-1], got {k}")
-    return np.diagonal(s, offset=k).copy()
-
-
 def sample_cov_offdiagonals(samples: np.ndarray, max_k: int):
     """Off-diagonals 1..max_k of S_n = (1/n) X'X without forming S_n.
 

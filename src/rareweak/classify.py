@@ -16,7 +16,7 @@ import numpy as np
 
 from .detect import _check_alpha0, _hc_objective
 from .errors import DomainError
-from .models import PrecisionModel, class_rows, gen_class_sample, ClassSample
+from .models import PrecisionModel, gen_class_sample, ClassSample
 from .numerics import RngStream, normal_sf
 
 DEFAULT_ALPHA0 = 0.10
@@ -113,13 +113,25 @@ def train_hct(sample: ClassSample, omega: PrecisionModel,
 
 
 def classify_batch(model: HctModel, rows: np.ndarray,
-                   omega: PrecisionModel | None = None) -> np.ndarray:
-    """Labels sign((mu_hat)' Omega row) per row; exact zeros classify as +1."""
-    omega = model.omega if omega is None else omega
+                   mean: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Labels sign((mu_hat)' Omega x) per row x; exact zeros classify as +1.
+
+    With mean = (labels, mu), rows holds instead the standard-normal draws G
+    of the rows x_i = labels_i mu + Sigma^{1/2} g_i that class_rows would
+    build from them, and each is scored without forming it:
+    labels_i (mu . w) + g_i . (Sigma^{1/2}' w), with w = Omega mu_hat.
+    """
+    omega = model.omega
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != omega.p:
         raise DomainError(f"row dimension {rows.shape[1]} != p {omega.p}")
-    scores = rows @ omega.matvec(model.mu_hat.astype(float))
+    w = omega.matvec(model.mu_hat.astype(float))
+    if mean is None:
+        scores = rows @ w
+    else:
+        labels, mu = mean
+        scores = (np.asarray(labels, dtype=float) * (mu @ w)
+                  + rows @ omega.sigma_sqrt_rmatvec(w))
     return np.where(scores >= 0.0, 1, -1).astype(int)
 
 
@@ -138,7 +150,9 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
     """Held-out misclassification of the trained rule, averaged over replicates.
 
     Replicate k trains on a fresh sample (substream k.0) and evaluates on
-    test_size fresh rows with the same contrast vector (substream k.1).
+    test_size fresh rows with the same contrast vector (substream k.1). The
+    rule is linear, so the test rows are scored from their draws and never
+    formed: memory per replicate is one (test_size, p) draw.
     map_fn may supply a parallel map; replicates seed themselves, so any
     execution order gives the same result.
     """
@@ -153,8 +167,8 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
         model = train_hct(sample, omega, alpha0=alpha0)
         test_rng = rep.child(1)
         labels = np.where(test_rng.uniform(test_size) < 0.5, 1, -1).astype(int)
-        rows = class_rows(sample.mu, labels, omega, test_rng)
-        pred = classify_batch(model, rows)
+        draws = test_rng.standard_normal((test_size, p))  # as class_rows draws them
+        pred = classify_batch(model, draws, mean=(labels, sample.mu))
         return float(np.mean(pred != labels))
 
     mapper = map if map_fn is None else map_fn

@@ -12,6 +12,7 @@ count.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -288,7 +289,8 @@ def resolve_config(experiment: str, raw: dict | None, overrides: dict | None = N
              f"scale must be 'desk' or 'paper', got {scale!r}")
     cfg = {"experiment": experiment, "scale": scale}
     for key, (desk, paper, check) in schema.items():
-        value = overrides.get(key, raw.get(key, paper if scale == "paper" else desk))
+        default = copy.deepcopy(paper if scale == "paper" else desk)
+        value = overrides.get(key, raw.get(key, default))
         _require(check.ok(value), f"{key} must be {check.what}, got {value!r}")
         cfg[key] = value
     cross = _CROSS_CHECKS.get(experiment)
@@ -320,7 +322,7 @@ def _parallel_map(fn, count: int, threads: int):
 def run_detect_power(cfg: dict) -> ResultTable:
     """Size/power grid for HC variants at a shared simulated critical value."""
     root = cfg["seed"]
-    p = int(cfg["p"])
+    p = cfg["p"]
     omega = _build_omega(cfg["omega"], p)
     table_rng = RngStream(root, _TABLE_LANE)
     tables = {}
@@ -328,7 +330,7 @@ def run_detect_power(cfg: dict) -> ResultTable:
     for functional in sorted(needed):
         tables[functional] = detect.critical_value(
             p, [cfg["alpha"]], variant=functional,
-            num_null_reps=int(cfg["null_reps"]), rng=table_rng.child(len(tables)),
+            num_null_reps=cfg["null_reps"], rng=table_rng.child(len(tables)),
             alpha0=cfg["alpha0"])
 
     jobs = [(v, r, variant) for v, r in cfg["grid"] for variant in cfg["variants"]]
@@ -338,7 +340,7 @@ def run_detect_power(cfg: dict) -> ResultTable:
         params = ArwParams(p=p, vartheta=float(v), r=float(r))
         functional = "hcplus" if variant == "hcplus" else "ohc"
         est = detect.power_estimate(
-            params, omega, variant, cfg["alpha"], int(cfg["reps"]),
+            params, omega, variant, cfg["alpha"], cfg["reps"],
             RngStream(root, _WORK_LANE), table=tables[functional],
             alpha0=cfg["alpha0"])
         return (float(v), float(r), variant, est.size, est.power, est.power_se)
@@ -352,7 +354,7 @@ def run_recover(cfg: dict) -> ResultTable:
     """Mean Hamming distance versus dimension for the recovery methods."""
     root = cfg["seed"]
     vartheta, r = float(cfg["vartheta"]), float(cfg["r"])
-    reps = int(cfg["reps"])
+    reps = cfg["reps"]
     methods = list(cfg["methods"])
     rows = []
     for p in cfg["p_grid"]:
@@ -374,7 +376,7 @@ def run_recover(cfg: dict) -> ResultTable:
                     est = select.hard_threshold(inst.y, t_univ)
                 else:
                     est = select.gs_estimate(inst.y, omega, vartheta, r,
-                                             m0=int(cfg["m0"]), q=float(cfg["q"]))
+                                             m0=cfg["m0"], q=float(cfg["q"]))
                 out[method] = select.hamming(est.beta_hat, inst.beta)
             return out
 
@@ -393,11 +395,11 @@ def run_bandwidth(cfg: dict) -> ResultTable:
     rep = -1 and b_hat = -1 whose `correct` column holds the error rate.
     """
     root = cfg["seed"]
-    p, n, b, b0 = (int(cfg[k]) for k in ("p", "n", "b", "b0"))
+    p, n, b, b0 = cfg["p"], cfg["n"], cfg["b"], cfg["b0"]
     alpha = float(cfg["alpha"])
-    reps = int(cfg["reps"])
+    reps = cfg["reps"]
     table = detect.critical_value(
-        p, [alpha / b0], variant="hcplus", num_null_reps=int(cfg["null_reps"]),
+        p, [alpha / b0], variant="hcplus", num_null_reps=cfg["null_reps"],
         rng=RngStream(root, _TABLE_LANE), alpha0=cfg["alpha0"])
     rows = []
     for ci, (eps, tau) in enumerate(cfg["cases"]):
@@ -442,14 +444,14 @@ def run_ranking(cfg: dict) -> ResultTable:
     the signal-cancellation effect is visible. Summary rows use rep = -1.
     """
     root = cfg["seed"]
-    p = int(cfg["p"])
+    p = cfg["p"]
     eps = float(cfg["epsilon"])
-    reps = int(cfg["reps"])
+    reps = cfg["reps"]
     work_rng = RngStream(root, _WORK_LANE)
     rows = []
     for ci, (h0, tau) in enumerate(cfg["cases"]):
         sigma, cols, sigma_rows, sqrt_rows = _ranking_case_operators(p, float(h0))
-        plan = apps.gs_plan(sigma, float(cfg["delta"]), int(cfg["m0"]))
+        plan = apps.gs_plan(sigma, float(cfg["delta"]), cfg["m0"])
         case_rng = work_rng.child(ci)
 
         def one(k, tau=tau, sigma=sigma, cols=cols, sigma_rows=sigma_rows,
@@ -480,7 +482,7 @@ def run_ranking(cfg: dict) -> ResultTable:
 def run_classify(cfg: dict) -> ResultTable:
     """Held-out error of the HC-thresholded classifier over a (vartheta, r) grid."""
     root = cfg["seed"]
-    p = int(cfg["p"])
+    p = cfg["p"]
     theta = float(cfg["theta"])
     omega = _build_omega(cfg["omega"], p)
     rows = []
@@ -490,8 +492,8 @@ def run_classify(cfg: dict) -> ResultTable:
             items = list(xs)
             return _parallel_map(lambda k: fn(items[k]), len(items), threads)
         report = classify.classification_error(
-            float(v), float(r), theta, p, omega, int(cfg["reps"]),
-            int(cfg["test_size"]), RngStream(root, _WORK_LANE),
+            float(v), float(r), theta, p, omega, cfg["reps"],
+            cfg["test_size"], RngStream(root, _WORK_LANE),
             alpha0=float(cfg["alpha0"]), map_fn=map_fn)
         rows.append((float(v), float(r), theta, p, report.mean_error, report.se))
     return ResultTable("classify", ["vartheta", "r", "theta", "p", "mean_error", "se"],

@@ -213,6 +213,15 @@ class PrecisionModel:
             return self._sqrt @ v
         return (self._sqrt @ v.T).T
 
+    def sigma_sqrt_rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """Sigma^{1/2}' @ v, for the factor sample_noise applies: the rows it
+        returns for draws G score against v as G @ (Sigma^{1/2}' v)."""
+        v = np.asarray(v, dtype=float)
+        if self.kind == "identity":
+            return v
+        self._component_factors()
+        return self._sigma_sqrt.T @ v
+
     def sqrt_matrix(self) -> sp.csr_matrix:
         self._component_factors()
         return self._sqrt

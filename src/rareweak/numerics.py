@@ -106,10 +106,6 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=root_seed, spawn_key=path)
         self.generator = np.random.Generator(np.random.Philox(seq))
 
-    @property
-    def stream_id(self) -> int:
-        return self.path[0]
-
     def child(self, index: int) -> "RngStream":
         """Derive an independent substream; index extends the stream path."""
         if index < 0:
@@ -164,14 +160,6 @@ class BandedSymmetric:
             bands[d, : p - d] = np.diag(a, -d)
         return cls(bands)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.p, self.p))
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(self.p - d)
-            out[idx + d, idx] = self.bands[d, : self.p - d]
-            out[idx, idx + d] = self.bands[d, : self.p - d]
-        return out
-
     def offdiagonal(self, k: int) -> np.ndarray:
         """The k-th off-diagonal as a length p - k vector (k = 0 is the diagonal)."""
         if k < 0 or k > self.bandwidth:
@@ -186,22 +174,6 @@ class BandedCholesky:
         self.bands = np.asarray(bands, dtype=float)
         self.p = self.bands.shape[1]
         self.bandwidth = self.bands.shape[0] - 1
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.p, self.p))
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(self.p - d)
-            out[idx + d, idx] = self.bands[d, : self.p - d]
-        return out
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """L @ v."""
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        p = self.p
-        for d in range(self.bandwidth + 1):
-            out[d:] += self.bands[d, : p - d] * v[: p - d]
-        return out
 
     def right_apply(self, z: np.ndarray) -> np.ndarray:
         """Z @ L.T for a 2-d array Z whose rows are independent draws."""
@@ -333,11 +305,6 @@ def sym_sqrt(omega: np.ndarray, component_cap: int = SYM_SQRT_COMPONENT_CAP) -> 
 # restricted least-squares projections
 # ---------------------------------------------------------------------------
 
-def _as_index_array(index_set) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(i) for i in index_set)), dtype=int)
-    return idx
-
-
 def check_gram(g: np.ndarray, index_set=None) -> None:
     """Raise DegeneracyError when a restricted Gram matrix is rank deficient.
 
@@ -376,16 +343,3 @@ def restricted_quadform(gram_sub: np.ndarray, b_sub: np.ndarray, index_set=None)
     if g.shape[0] == 1:
         return float(b[0] * b[0] / g[0, 0])
     return float(b @ np.linalg.solve(g, b))
-
-
-def project_norm_sq(design: np.ndarray, response: np.ndarray, index_set) -> float:
-    """||P^I W||^2 where P^I projects onto the design columns indexed by I."""
-    idx = _as_index_array(index_set)
-    if idx.size == 0:
-        raise DomainError("index_set must be nonempty")
-    x = np.asarray(design, dtype=float)
-    w = np.asarray(response, dtype=float)
-    cols = x[:, idx]
-    g = cols.T @ cols
-    b = cols.T @ w
-    return restricted_quadform(g, b, index_set=idx)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,18 @@ class TestTrainAndClassify:
             b = cl.classify_batch(model, -row[None, :])[0]
             assert a == -b
 
+    def test_degenerate_rule_predicts_plus_one_from_draws(self):
+        # mu_hat = 0 scores every row exactly 0 on the draw path too
+        p = 40
+        om = mo.PrecisionModel.block2(p, 0.5)
+        model = cl.HctModel(mu_hat=np.zeros(p, dtype=np.int8), threshold=1.0,
+                            argmax_index=1, alpha0=0.1, omega=om, degenerate=True)
+        labels = np.array([1, -1, -1, 1, -1])
+        mu = np.full(p, 0.7)
+        draws = RngStream(6, 1).standard_normal((5, p))
+        preds = cl.classify_batch(model, draws, mean=(labels, mu))
+        assert np.array_equal(preds, np.ones(5, dtype=int))
+
     def test_dimension_mismatch(self):
         om = mo.PrecisionModel.identity(8)
         model = cl.HctModel(mu_hat=np.zeros(8, dtype=np.int8), threshold=1.0,
@@ -218,3 +231,59 @@ class TestClassificationError:
         om = mo.PrecisionModel.identity(100)
         with pytest.raises(DomainError):
             cl.classification_error(0.4, 1.0, 0.4, 100, om, 5, 50, RngStream(13, 0))
+
+    def test_peak_memory_is_one_draw(self):
+        # the test rows are scored from their draws: beyond the one
+        # (test_size, p) draw per replicate, nothing of that size is built
+        p, test_size = 10**4, 200
+        om = mo.PrecisionModel.block2(p, 0.5)
+        tracemalloc.start()
+        try:
+            cl.classification_error(0.3, 1.2, 0.4, p, om, 20, test_size,
+                                    RngStream(14, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * test_size * p * 8
+
+
+def _custom_omega(p):
+    """Unit-diagonal precision with a 3-node component {0, 1, 2}, a few
+    pairs and singletons elsewhere."""
+    a = np.eye(p)
+    for i, j, v in ((0, 1, 0.4), (1, 2, -0.3), (10, 11, 0.6), (20, 35, -0.5)):
+        a[i, j] = a[j, i] = v
+    return mo.PrecisionModel.custom(a)
+
+
+def _reference_errors(vartheta, r, theta, p, omega, reps, test_size, rng):
+    """classification_error's per-replicate errors with the test rows built
+    by class_rows and labelled by sign(row @ Omega mu_hat)."""
+    errors = []
+    for k in range(reps):
+        rep = rng.child(k)
+        sample = mo.gen_class_sample(p, vartheta, r, theta, omega, rep.child(0))
+        model = cl.train_hct(sample, omega)
+        test_rng = rep.child(1)
+        labels = np.where(test_rng.uniform(test_size) < 0.5, 1, -1)
+        rows = mo.class_rows(sample.mu, labels, omega, test_rng)
+        scores = rows @ omega.matvec(model.mu_hat.astype(float))
+        errors.append(np.mean(np.where(scores >= 0.0, 1, -1) != labels))
+    return np.asarray(errors)
+
+
+@pytest.mark.filterwarnings("ignore:HCT selected no features")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["identity", "block2_0.5", "block2_-0.8",
+                                  "block2_0.95", "custom"])
+def test_classification_error_matches_row_oracle(kind, seed):
+    p = 400
+    if kind == "identity":
+        om = mo.PrecisionModel.identity(p)
+    elif kind == "custom":
+        om = _custom_omega(p)
+    else:
+        om = mo.PrecisionModel.block2(p, float(kind.split("_")[1]))
+    rep = cl.classification_error(0.5, 0.3, 0.5, p, om, 20, 60, RngStream(seed, 3))
+    ref = _reference_errors(0.5, 0.3, 0.5, p, om, 20, 60, RngStream(seed, 3))
+    assert np.array_equal(rep.errors, ref)

@@ -174,6 +174,15 @@ class TestConfigResolution:
         c = cli.resolve_config("phase", {"theta": 0.3})
         assert cli.config_hash(a) != cli.config_hash(c)
 
+    def test_resolved_defaults_are_copies(self):
+        # mutating one resolved config leaves the schema's defaults alone
+        first = cli.resolve_config("bandwidth", None, {"scale": "paper"})
+        first["cases"].append([0.1, 0.1])
+        first["cases"][0][1] = 9.0
+        nxt = cli.resolve_config("bandwidth", None, {"scale": "paper"})
+        assert len(nxt["cases"]) == 6
+        assert cli.config_hash(nxt) == "5d998146d820"
+
 
 _NUMBER = (st.sampled_from([math.nan, math.inf, -math.inf, 2**64, 10**400, -10**400])
            | st.floats() | st.integers())

@@ -12,7 +12,7 @@ from scipy import stats
 from rareweak.errors import DomainError, FactorizationError, GenerationError
 from rareweak import models as mo
 from rareweak.graph import connected_components
-from rareweak.numerics import RngStream, project_norm_sq, sym_sqrt
+from rareweak.numerics import RngStream, restricted_quadform, sym_sqrt
 
 
 class TestParams:
@@ -206,6 +206,27 @@ class TestPrecisionModel:
         sigma = np.linalg.inv(om.dense())
         assert np.max(np.abs(emp - sigma)) <= 0.05
 
+    @pytest.mark.parametrize("kind", ["identity", "block2", "custom"])
+    def test_sigma_sqrt_rmatvec_scores_noise_rows(self, kind):
+        # the rows sample_noise builds from draws G score as G @ (Sigma^{1/2}' v)
+        if kind == "identity":
+            om = mo.PrecisionModel.identity(6)
+        elif kind == "block2":
+            om = mo.PrecisionModel.block2(6, -0.8)
+        else:
+            a = np.eye(6)
+            a[0, 2] = a[2, 0] = 0.4
+            a[2, 5] = a[5, 2] = -0.3
+            om = mo.PrecisionModel.custom(a)
+        v = RngStream(4, 1).standard_normal(6)
+        sigma_sqrt = np.linalg.inv(om.sqrt_matrix().toarray())
+        assert np.allclose(om.sigma_sqrt_rmatvec(v), sigma_sqrt.T @ v)
+        rows = om.sample_noise(RngStream(4, 0), size=5)
+        g = RngStream(4, 0).standard_normal((5, 6))
+        assert np.allclose(rows @ v, g @ om.sigma_sqrt_rmatvec(v))
+        if kind == "identity":
+            assert np.array_equal(om.sigma_sqrt_rmatvec(v), v)
+
 
 class TestGenArw:
     def test_noise_covariance_over_replicates(self):
@@ -279,7 +300,8 @@ class TestRegressionForm:
         reg = mo.to_regression(inst)
         x = om.sqrt_matrix().toarray()
         for idx in ([2], [0, 1], [0, 1, 4]):
-            direct = project_norm_sq(x, x @ inst.y, idx)
+            cols = x[:, idx]
+            direct = restricted_quadform(cols.T @ cols, cols.T @ (x @ inst.y))
             assert abs(reg.quadform(idx) - direct) <= 1e-8
 
 
@@ -331,16 +353,25 @@ class TestClassSample:
         assert set(np.unique(sample.labels)) <= {-1, 1}
 
 
+def _banded_dense(sigma):
+    """A BandedSymmetric as a dense symmetric array."""
+    out = np.zeros((sigma.p, sigma.p))
+    for d in range(sigma.bandwidth + 1):
+        idx = np.arange(sigma.p - d)
+        out[idx + d, idx] = out[idx, idx + d] = sigma.bands[d, : sigma.p - d]
+    return out
+
+
 class TestBandedSample:
     def test_no_bands_identity(self):
         samples, sigma = mo.gen_banded_sample(50, 10, [], RngStream(18, 0))
         assert samples.shape == (10, 50)
-        assert np.allclose(sigma.to_dense(), np.eye(50))
+        assert np.allclose(_banded_dense(sigma), np.eye(50))
         assert mo.banded_true_bandwidth(sigma) == 0
 
     def test_zero_epsilon_band(self):
         _, sigma = mo.gen_banded_sample(30, 5, [(0.0, 0.5)], RngStream(19, 0))
-        assert np.allclose(sigma.to_dense(), np.eye(30))
+        assert np.allclose(_banded_dense(sigma), np.eye(30))
 
     def test_pd_rate_without_repair(self):
         ok = 0
@@ -362,7 +393,7 @@ class TestBandedSample:
     def test_sample_covariance_tracks_sigma(self):
         samples, sigma = mo.gen_banded_sample(40, 4000, [(0.3, 0.3)], RngStream(22, 0))
         emp = samples.T @ samples / samples.shape[0]
-        assert np.max(np.abs(emp - sigma.to_dense())) <= 0.12
+        assert np.max(np.abs(emp - _banded_dense(sigma))) <= 0.12
 
     def test_deterministic(self):
         a, _ = mo.gen_banded_sample(100, 8, [(0.05, 0.2)], RngStream(23, 0))
