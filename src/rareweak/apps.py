@@ -11,15 +11,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .detect import CriticalValueTable, hc_plus_statistic
 from .errors import DegeneracyError, DomainError
-from .graph import SUBGRAPH_CAP, enum_connected_subgraphs, graph_from_matrix
 from .models import RegressionInstance
-from .numerics import chisq_sf, gram_rank_deficient, normal_sf
+from .numerics import chisq_sf, normal_sf
+from .select import GsPlan
 
-RANKING_DEFAULT_M0 = 2
 HCPLUS_ALPHA0 = 0.5
 
 
@@ -117,73 +115,24 @@ def rank_features_us(instance: RegressionInstance) -> RankingResult:
     return RankingResult(scores=scores, method="US")
 
 
-@dataclass(frozen=True)
-class GsPlan:
-    """The part of graph-guided ranking that depends on the Gram matrix alone.
-
-    Built once per design by gs_plan and shared by every response ranked
-    under it: the subgraphs of the neighborhood graph, split by size, with
-    the Gram entries of the singletons and pairs and the pairs' degeneracy.
-    """
-
-    p: int
-    singles: np.ndarray      # singleton nodes
-    single_diag: np.ndarray  # their Gram diagonal
-    ii: np.ndarray           # pair (ii[k], jj[k]), ii[k] < jj[k]
-    jj: np.ndarray
-    gii: np.ndarray
-    gjj: np.ndarray
-    gij: np.ndarray
-    det: np.ndarray          # gii * gjj - gij ** 2
-    pair_ok: np.ndarray      # False where the pair Gram is rank deficient
-    larger: tuple            # subgraphs of three or more nodes, sorted tuples
-
-
-def gs_plan(gram, delta: float = 0.0, m0: int = RANKING_DEFAULT_M0,
-            cap: int = SUBGRAPH_CAP) -> GsPlan:
-    """Enumerate the ranking subgraphs of a Gram matrix (dense or sparse).
-
-    The neighborhood graph keeps edges where |gram(i, j)| >= delta, and
-    every connected subgraph of size <= m0 is enumerated. Pairs are
-    degenerate under check_gram's eigenvalue rule.
-    """
-    if not sp.issparse(gram):
-        gram = np.asarray(gram, dtype=float)
-    subsets = enum_connected_subgraphs(graph_from_matrix(gram, delta), m0, cap=cap)
-    diag = np.asarray(gram.diagonal())
-    singles = np.asarray([s[0] for s in subsets if len(s) == 1], dtype=int)
-    pairs = np.asarray([s for s in subsets if len(s) == 2], dtype=int).reshape(-1, 2)
-    ii, jj = pairs[:, 0], pairs[:, 1]
-    # sparse indexing gives a matrix, or a sparse matrix when there are no pairs
-    gij = np.asarray(gram[ii, jj]).ravel() if ii.size else np.zeros(0)
-    gii, gjj = diag[ii], diag[jj]
-    pair_grams = np.stack([gii, gij, gij, gjj], axis=-1).reshape(-1, 2, 2)
-    return GsPlan(p=gram.shape[0], singles=singles, single_diag=diag[singles],
-                  ii=ii, jj=jj, gii=gii, gjj=gjj, gij=gij,
-                  det=gii * gjj - gij * gij,
-                  pair_ok=~gram_rank_deficient(np.linalg.eigvalsh(pair_grams)),
-                  larger=tuple(s for s in subsets if len(s) > 2))
-
-
 def rank_features_gs(instance: RegressionInstance, plan: GsPlan) -> RankingResult:
     """Graph-guided ranking via chi-square P-values of subgraph projections.
 
     Every subgraph I of the plan gets the P-value P(chi2_{|I|} > ||P^I W||^2),
     and feature j scores the minimum over subgraphs containing j (its
     singleton always participates). Degenerate subgraphs are skipped. The
-    plan must come from gs_plan on the instance's Gram matrix.
+    plan must come from select.gs_plan on the instance's Gram matrix.
     """
     if plan.p != instance.p:
         raise DomainError(f"plan is for p={plan.p}, instance has p={instance.p}")
     b = np.asarray(instance.xtw, dtype=float)
-    scores = np.ones(instance.p)
-    np.minimum.at(scores, plan.singles,
-                  chisq_sf(1, b[plan.singles] ** 2 / plan.single_diag))
+    scores = np.minimum(1.0, chisq_sf(1, b ** 2 / plan.single_diag))
 
     ok = plan.pair_ok
+    g = plan.pair_grams[ok]
+    gii, gij, gjj = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
     bi, bj = b[plan.ii[ok]], b[plan.jj[ok]]
-    quad = (plan.gjj[ok] * bi ** 2 - 2 * plan.gij[ok] * bi * bj
-            + plan.gii[ok] * bj ** 2) / plan.det[ok]
+    quad = (gjj * bi ** 2 - 2 * gij * bi * bj + gii * bj ** 2) / (gii * gjj - gij * gij)
     pv = chisq_sf(2, quad)
     np.minimum.at(scores, plan.ii[ok], pv)
     np.minimum.at(scores, plan.jj[ok], pv)

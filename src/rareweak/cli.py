@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from . import apps, classify, detect, phase, select
 from .errors import ConfigError, RareWeakError
+from .graph import graph_from_matrix
 from .models import (
     ArwParams,
     PrecisionModel,
@@ -451,7 +452,8 @@ def run_ranking(cfg: dict) -> ResultTable:
     rows = []
     for ci, (h0, tau) in enumerate(cfg["cases"]):
         sigma, cols, sigma_rows, sqrt_rows = _ranking_case_operators(p, float(h0))
-        plan = apps.gs_plan(sigma, float(cfg["delta"]), cfg["m0"])
+        plan = select.gs_plan(sigma, graph_from_matrix(sigma, float(cfg["delta"])),
+                              cfg["m0"])
         case_rng = work_rng.child(ci)
 
         def one(k, tau=tau, sigma=sigma, cols=cols, sigma_rows=sigma_rows,

@@ -53,6 +53,14 @@ class DependencyGraph:
         bounds = self.indptr.tolist()
         return [self.indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
+    @functools.cached_property
+    def upper_edges(self) -> tuple:
+        """Every edge once as (ii, jj) arrays with ii < jj, in lex order: the
+        upper-triangle entries of the CSR pattern."""
+        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
+        upper = self.indices > rows
+        return rows[upper], self.indices[upper]
+
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
@@ -101,7 +109,8 @@ def enum_connected_subgraphs(g: DependencyGraph, m0: int, cap: int = SUBGRAPH_CA
     """All connected vertex subsets of size <= m0, each exactly once.
 
     Returned as sorted tuples, ordered by size with ties broken
-    lexicographically. Enumeration grows each subset from its minimum
+    lexicographically. Singletons and pairs (the edges) come straight from
+    the CSR arrays; subsets of three or more nodes grow from their minimum
     element with an exclusive-extension discipline, so no duplicates are
     produced. The projected count p * (e * d)^m0 is checked against the cap
     before any enumeration starts.
@@ -120,13 +129,22 @@ def enum_connected_subgraphs(g: DependencyGraph, m0: int, cap: int = SUBGRAPH_CA
         raise CapacityError(
             f"projected subgraph count {projected:.3e} exceeds cap {cap:.3e}"
         )
+    out = [(v,) for v in range(p)]
+    if m0 >= 2:
+        ii, jj = g.upper_edges
+        out += zip(ii.tolist(), jj.tolist())
+    if len(out) > cap:
+        raise CapacityError(f"subgraph count exceeded cap {cap}")
+    if m0 < 3:
+        return out
     adj = g.adjacency
-    out = []
+    larger = []
 
     def extend(sub, ext, closed, anchor):
-        out.append(tuple(sorted(sub)))
-        if len(sub) >= m0:
-            return
+        if len(sub) >= 3:
+            larger.append(tuple(sorted(sub)))
+            if len(sub) >= m0:
+                return
         ext = list(ext)
         while ext:
             w = ext.pop()
@@ -138,11 +156,11 @@ def enum_connected_subgraphs(g: DependencyGraph, m0: int, cap: int = SUBGRAPH_CA
         ext0 = [int(u) for u in adj[v] if u > v]
         closed0 = {v} | {int(u) for u in adj[v]}
         extend([v], ext0, closed0, v)
-        if len(out) > cap:
+        if len(out) + len(larger) > cap:
             raise CapacityError(f"subgraph count exceeded cap {cap}")
 
-    out.sort(key=lambda t: (len(t), t))
-    return out
+    larger.sort(key=lambda t: (len(t), t))
+    return out + larger
 
 
 @dataclass(frozen=True)
@@ -170,12 +188,9 @@ def greedy_coloring(g: DependencyGraph) -> Coloring:
     return Coloring(color_of=color, num_colors=max(num, 1))
 
 
-def connected_components(g: DependencyGraph, restrict_to=None):
-    """Components of the subgraph induced on restrict_to (default: all nodes).
-
-    Each component is a sorted list of ints; components are ordered by their
-    smallest element.
-    """
+def _component_roots(g: DependencyGraph, restrict_to):
+    """The nodes of restrict_to (default: all nodes), ascending, and the
+    smallest node of each one's component in the subgraph they induce."""
     p = g.num_nodes
     rows, cols = np.repeat(np.arange(p), np.diff(g.indptr)), g.indices
     if restrict_to is None:
@@ -198,8 +213,29 @@ def connected_components(g: DependencyGraph, restrict_to=None):
         rows, cols = rows[a != b], cols[a != b]
         while not np.array_equal(root[root], root):
             root = root[root]
-    label = root[nodes]
-    order = np.argsort(label, kind="stable")
+    return nodes, root[nodes]
+
+
+def component_labels(g: DependencyGraph):
+    """Array form of connected_components over all nodes: (label, order).
+
+    label[v] numbers the component of node v from 0, components counted in
+    order of their smallest node, and order lists the nodes component by
+    component, each component ascending.
+    """
+    nodes, root = _component_roots(g, None)
+    label = np.cumsum(root == nodes)[root] - 1
+    return label, np.argsort(label, kind="stable")
+
+
+def connected_components(g: DependencyGraph, restrict_to=None):
+    """Components of the subgraph induced on restrict_to (default: all nodes).
+
+    Each component is a sorted list of ints; components are ordered by their
+    smallest element.
+    """
+    nodes, root = _component_roots(g, restrict_to)
+    order = np.argsort(root, kind="stable")
     members = nodes[order].tolist()
-    starts = np.flatnonzero(np.diff(label[order], prepend=-1)).tolist()
+    starts = np.flatnonzero(np.diff(root[order], prepend=-1)).tolist()
     return [members[i:j] for i, j in zip(starts, starts[1:] + [len(members)])]

@@ -27,10 +27,6 @@ from .numerics import (
     restricted_quadform,
 )
 
-# Densify the Gram matrix of a regression instance up to this dimension;
-# beyond it subset extraction reads the sparse rows directly.
-DENSE_GRAM_LIMIT = 2048
-
 
 def sparsity_level(p, vartheta: float) -> float:
     """Signal prevalence epsilon_p = p^-vartheta."""
@@ -194,7 +190,7 @@ class PrecisionModel:
         if self.kind == "identity":
             eye = sp.identity(self.p, format="csr")
             return eye, eye, np.ones(self.p)
-        return component_factors(self._omega, graphmod.connected_components(self.graph()))
+        return component_factors(self._omega, *graphmod.component_labels(self.graph()))
 
     # -- linear maps --------------------------------------------------------
 
@@ -278,16 +274,33 @@ def gen_arw(params, omega: PrecisionModel, rng: RngStream) -> ArwInstance:
     return ArwInstance(beta=beta, y=y, params=params, omega=omega)
 
 
+def gram_blocks(gram: sp.csr_matrix, sets) -> np.ndarray:
+    """The dense blocks gram[s][:, s] for the rows s of a (k, n) index array,
+    as a (k, n, n) stack; an index set need not be sorted."""
+    sets = np.asarray(sets, dtype=int)
+    k, n = sets.shape
+    if not sets.size:
+        return np.zeros((k, n, n))
+    rows = np.repeat(sets, n, axis=1).ravel()
+    cols = np.tile(sets, (1, n)).ravel()
+    return np.asarray(gram[rows, cols]).reshape(k, n, n)
+
+
 @dataclass
 class RegressionInstance:
     """Regression form W = X beta + z with Gram matrix G = X'X.
 
     Projections only need (gram, xtw). For a precision model Omega,
-    X = Omega^{1/2}, W = X Y, G = Omega, and X'W = Omega Y.
+    X = Omega^{1/2}, W = X Y, G = Omega, and X'W = Omega Y. The Gram matrix
+    is held as CSR; dense input is converted once, here.
     """
 
-    gram: object  # dense ndarray or sparse matrix
+    gram: sp.csr_matrix
     xtw: np.ndarray
+
+    def __post_init__(self):
+        if not (sp.isspmatrix_csr(self.gram) and self.gram.dtype == float):
+            self.gram = sp.csr_matrix(self.gram, dtype=float)
 
     @property
     def p(self) -> int:
@@ -295,29 +308,10 @@ class RegressionInstance:
 
     def gram_sub(self, idx) -> np.ndarray:
         """The dense block gram[idx][:, idx]; idx need not be sorted."""
-        idx = np.asarray(idx, dtype=int)
-        if not sp.issparse(self.gram):
-            return self.gram[np.ix_(idx, idx)]
-        g = self.gram.tocsr()
-        # the CSR entries of each requested row, in row order
-        first = g.indptr[idx]
-        counts = g.indptr[idx + 1] - first
-        entry = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
-        cols = g.indices[entry]
-        # each entry lands at every position of idx that holds its column
-        order = np.argsort(idx, kind="stable")
-        lo = np.searchsorted(idx[order], cols, side="left")
-        hits = np.searchsorted(idx[order], cols, side="right") - lo
-        dst_row = np.repeat(np.repeat(np.arange(idx.size), counts), hits)
-        dst_col = order[np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits - lo, hits)]
-        out = np.zeros((idx.size, idx.size))
-        out[dst_row, dst_col] = g.data[np.repeat(entry, hits)]
-        return out
+        return gram_blocks(self.gram, np.asarray(idx, dtype=int)[None])[0]
 
     def gram_diag(self) -> np.ndarray:
-        if sp.issparse(self.gram):
-            return np.asarray(self.gram.diagonal())
-        return np.diag(self.gram)
+        return self.gram.diagonal()
 
     def quadform(self, idx) -> float:
         """||P^I W||^2 over the columns in idx, via the Gram system."""
@@ -334,10 +328,7 @@ def regression_from_y(y: np.ndarray, omega: PrecisionModel) -> RegressionInstanc
     y = np.asarray(y, dtype=float)
     if y.shape != (omega.p,):
         raise DomainError("y length must match omega dimension")
-    gram = omega.omega
-    if omega.p <= DENSE_GRAM_LIMIT:
-        gram = gram.toarray()
-    return RegressionInstance(gram=gram, xtw=omega.matvec(y))
+    return RegressionInstance(gram=omega.omega, xtw=omega.matvec(y))
 
 
 # ---------------------------------------------------------------------------

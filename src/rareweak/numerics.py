@@ -22,7 +22,7 @@ from .errors import (
     FactorizationError,
     NotPositiveDefiniteError,
 )
-from .graph import ZERO_TOL, connected_components, graph_from_matrix
+from .graph import ZERO_TOL, component_labels, graph_from_matrix
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -215,44 +215,41 @@ def chol_banded(sigma, bandwidth: int | None = None) -> BandedCholesky:
 # blockwise factorization over the sparsity graph
 # ---------------------------------------------------------------------------
 
-def component_factors(a, comps):
+def component_factors(a, label, order):
     """A^{1/2}, A^{-1/2} and the diagonal of A^{-1} for a symmetric A (sparse
     or dense).
 
-    comps partitions the nodes into the connected components of A's sparsity
-    graph, as graph.connected_components gives them (sorted members, ordered
-    by smallest member); entries of A between components must be zeros
-    below ZERO_TOL and are dropped. The COO entries of A are scattered into
-    one (k, s, s) stack per component size s, each stack takes one eigh
-    call, and the roots come back as sparse maps holding each component's
-    full s x s block: for sparse A, memory is O(nnz(A)) plus the blocks.
-    Raises NotPositiveDefiniteError naming the first component (by smallest
-    member) whose smallest eigenvalue is at most 1e-12.
+    label and order describe the connected components of A's sparsity graph
+    as graph.component_labels gives them: label[v] numbers node v's
+    component, counting components by smallest member, and order lists the
+    nodes component by component, each ascending. Entries of A between
+    components must be zeros below ZERO_TOL and are dropped. The COO entries
+    of A are scattered into one (k, s, s) stack per component size s, each
+    stack takes one eigh call, and the roots come back as sparse maps holding
+    each component's full s x s block: for sparse A, memory is O(nnz(A))
+    plus the blocks. Raises NotPositiveDefiniteError naming the first
+    component (by smallest member) whose smallest eigenvalue is at most 1e-12.
     """
-    comps = [np.asarray(c, dtype=int) for c in comps]
     p = a.shape[0]
-    sizes = np.array([c.size for c in comps])
+    sizes = np.bincount(label)
     starts = np.cumsum(sizes) - sizes
-    nodes = np.concatenate(comps)
     # the factors hold each component's full s x s block, row-major, in
     # component order; base is where each block starts in that layout
     area = sizes * sizes
     base = np.cumsum(area) - area
-    label = np.empty(p, dtype=int)
-    label[nodes] = np.repeat(np.arange(len(comps)), sizes)
     pos = np.empty(p, dtype=int)
-    pos[nodes] = np.arange(p) - np.repeat(starts, sizes)
+    pos[order] = np.arange(p) - np.repeat(starts, sizes)
     coo = sp.coo_matrix(a)
     inside = label[coo.row] == label[coo.col]
     r, c = coo.row[inside], coo.col[inside]
     a_vals = np.zeros(area.sum())
     a_vals[base[label[r]] + pos[r] * sizes[label[r]] + pos[c]] = coo.data[inside]
-    rows = np.repeat(nodes, np.repeat(sizes, sizes))
+    rows = np.repeat(order, np.repeat(sizes, sizes))
     offset = np.arange(area.sum()) - np.repeat(base, area)
-    cols = nodes[np.repeat(starts, area) + offset % np.repeat(sizes, area)]
+    cols = order[np.repeat(starts, area) + offset % np.repeat(sizes, area)]
     sqrt_vals, isqrt_vals = np.empty(area.sum()), np.empty(area.sum())
     inv_diag = np.empty(p)
-    lowest = np.empty(len(comps))
+    lowest = np.empty(sizes.size)
     for s in np.unique(sizes):
         cid = np.flatnonzero(sizes == s)
         flat = base[cid][:, None] + np.arange(s * s)
@@ -264,13 +261,13 @@ def component_factors(a, comps):
         vt = v.transpose(0, 2, 1)
         sqrt_vals[flat] = ((v * root) @ vt).reshape(cid.size, -1)
         isqrt_vals[flat] = ((v / root) @ vt).reshape(cid.size, -1)
-        members = nodes[starts[cid][:, None] + np.arange(s)]
+        members = order[starts[cid][:, None] + np.arange(s)]
         inv_diag[members] = np.sum(v * v / w[:, None, :], axis=2)
     bad = np.flatnonzero(lowest <= 1e-12)
     if bad.size:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite on component starting at "
-            f"{comps[bad[0]][0]} (min eigenvalue {lowest[bad[0]]:.3e})"
+            f"{order[starts[bad[0]]]} (min eigenvalue {lowest[bad[0]]:.3e})"
         )
     shape = (p, p)
     return (sp.csr_matrix((sqrt_vals, (rows, cols)), shape=shape),
@@ -292,13 +289,14 @@ def sym_sqrt(omega: np.ndarray, component_cap: int = SYM_SQRT_COMPONENT_CAP) -> 
         raise DomainError("matrix must be square")
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise DomainError("matrix must be symmetric")
-    comps = connected_components(graph_from_matrix(a))
-    for comp in comps:
-        if len(comp) > component_cap:
-            raise CapacityError(
-                f"sparsity component of size {len(comp)} exceeds cap {component_cap}"
-            )
-    return component_factors(a, comps)[0].toarray()
+    label, order = component_labels(graph_from_matrix(a))
+    big = np.bincount(label)
+    big = big[big > component_cap]
+    if big.size:
+        raise CapacityError(
+            f"sparsity component of size {big[0]} exceeds cap {component_cap}"
+        )
+    return component_factors(a, label, order)[0].toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +323,9 @@ def check_gram(g: np.ndarray, index_set=None) -> None:
 
 
 def gram_rank_deficient(w: np.ndarray):
-    """check_gram's rule for two or more columns, on the ascending eigenvalues
-    (last axis) of one Gram matrix or a stack, as np.linalg.eigvalsh gives them."""
+    """check_gram's rule on the ascending eigenvalues (last axis) of one Gram
+    matrix or a stack, as np.linalg.eigvalsh gives them. For one column,
+    w = [g00] and the rule is the single-column one, g00 <= GRAM_RCOND."""
     return w[..., 0] <= GRAM_RCOND * np.maximum(w[..., -1], 1.0)
 
 
@@ -339,6 +338,8 @@ def restricted_quadform(gram_sub: np.ndarray, b_sub: np.ndarray, index_set=None)
     """
     g = np.atleast_2d(np.asarray(gram_sub, dtype=float))
     b = np.atleast_1d(np.asarray(b_sub, dtype=float))
+    if not g.size:
+        raise DomainError("restricted quadratic form needs a nonempty index set")
     check_gram(g, index_set)
     if g.shape[0] == 1:
         return float(b[0] * b[0] / g[0, 0])

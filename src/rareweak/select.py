@@ -14,11 +14,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CapacityError, DegeneracyError, DomainError
 from .graph import DependencyGraph, connected_components, enum_connected_subgraphs
-from .models import PrecisionModel, RegressionInstance, regression_from_y
-from .numerics import check_gram
+from .models import PrecisionModel, RegressionInstance, gram_blocks, regression_from_y
+from .numerics import check_gram, gram_rank_deficient
 
 DEFAULT_SCREEN_Q = 0.9
 CLEAN_COMPONENT_CAP = 15
@@ -124,6 +125,62 @@ def default_gs_tuning(p, vartheta: float, r: float, m0: int = 1,
                     v=math.sqrt(2.0 * r * math.log(p)))
 
 
+@dataclass(frozen=True)
+class GsPlan:
+    """The part of graphlet screening and ranking that depends on the Gram
+    matrix and the graph alone.
+
+    Built once per design by gs_plan and shared by every response screened or
+    ranked under it: the singletons' Gram diagonal, the pairs with their 2x2
+    Gram blocks and degeneracy, and the subgraphs of three or more nodes.
+    """
+
+    p: int
+    single_diag: np.ndarray  # gram[v, v] for every node v
+    ii: np.ndarray           # pair (ii[k], jj[k]), ii[k] < jj[k], in lex order
+    jj: np.ndarray
+    pair_grams: np.ndarray   # (k, 2, 2) Gram blocks, read as gram_sub reads them
+    pair_ok: np.ndarray      # False where check_gram finds the pair rank deficient
+    larger: tuple            # subgraphs of three or more nodes, sorted tuples
+
+
+def gs_plan(gram, graph: DependencyGraph, m0: int) -> GsPlan:
+    """Enumerate the connected subgraphs of size <= m0 of graph and read
+    their Gram blocks from gram (dense or sparse).
+
+    Singletons are every node and pairs are the graph's edges; the larger
+    subgraphs keep enum_connected_subgraphs' size-then-lex order. Pairs are
+    degenerate under check_gram's eigenvalue rule.
+    """
+    gram = sp.csr_matrix(gram, dtype=float)
+    p = gram.shape[0]
+    if graph.num_nodes != p:
+        raise DomainError(f"graph has {graph.num_nodes} nodes, Gram matrix is {p} x {p}")
+    subsets = enum_connected_subgraphs(graph, m0)
+    ii, jj = graph.upper_edges
+    if m0 < 2:
+        ii, jj = ii[:0], jj[:0]
+    pair_grams = gram_blocks(gram, np.column_stack([ii, jj]))
+    return GsPlan(p=p, single_diag=gram_blocks(gram, np.arange(p)[:, None])[:, 0, 0],
+                  ii=ii, jj=jj, pair_grams=pair_grams,
+                  pair_ok=~gram_rank_deficient(np.linalg.eigvalsh(pair_grams)),
+                  larger=tuple(subsets[p + ii.size:]))
+
+
+def _screen_step(instance: RegressionInstance, sub, retained: list, gate: float) -> None:
+    """Screen one subgraph against the retained set, one quadform at a time."""
+    try:
+        t1 = instance.quadform(sub)
+        inter = [j for j in sub if retained[j]]
+        t2 = instance.quadform(inter) if inter else 0.0
+    except DegeneracyError as exc:
+        warnings.warn(f"screen skipped degenerate subgraph {sub}: {exc}")
+        return
+    if t1 - t2 >= gate:
+        for j in sub:
+            retained[j] = True
+
+
 def gs_screen(instance: RegressionInstance, graph: DependencyGraph,
               tuning: GsTuning) -> np.ndarray:
     """Screen step: sweep connected subgraphs in size-then-lex order.
@@ -131,24 +188,46 @@ def gs_screen(instance: RegressionInstance, graph: DependencyGraph,
     A subgraph joins the retained set when its projection energy gain over
     the already-retained part reaches 2 q log p. Degenerate projections are
     skipped with a warning.
+
+    Singletons and pairs are scored in stacked calls with the arithmetic of
+    RegressionInstance.quadform (b*b/g for one column, solve and then dot for
+    two), so the sweep gives the same bits as scoring them one at a time;
+    only the retained-set bookkeeping runs pair by pair. A degenerate
+    singleton or pair, and every larger subgraph, goes through quadform.
     """
     p = instance.p
     if graph.num_nodes != p:
         raise DomainError("graph size must match instance dimension")
-    subsets = enum_connected_subgraphs(graph, tuning.m0)
+    plan = gs_plan(instance.gram, graph, tuning.m0)
     gate = 2.0 * tuning.q * math.log(p)
-    retained: set[int] = set()
-    for sub in subsets:
-        try:
-            t1 = instance.quadform(sub)
-            inter = [j for j in sub if j in retained]
-            t2 = instance.quadform(inter) if inter else 0.0
-        except DegeneracyError as exc:
-            warnings.warn(f"screen skipped degenerate subgraph {sub}: {exc}")
-            continue
-        if t1 - t2 >= gate:
-            retained.update(sub)
-    return np.array(sorted(retained), dtype=int)
+    b = np.asarray(instance.xtw, dtype=float)
+
+    # a singleton never meets the retained set before its own turn: t2 = 0
+    single_bad = gram_rank_deficient(plan.single_diag[:, None])
+    single = np.divide(b * b, plan.single_diag, out=np.zeros(p), where=~single_bad)
+    retained = (~single_bad & (single >= gate)).tolist()
+    for v in np.flatnonzero(single_bad).tolist():
+        _screen_step(instance, (v,), retained, gate)
+
+    ok = plan.pair_ok
+    pair = np.zeros(ok.size)
+    bb = np.column_stack([b[plan.ii[ok]], b[plan.jj[ok]]])
+    x = np.linalg.solve(plan.pair_grams[ok], bb[..., None])
+    pair[ok] = np.matmul(bb[:, None, :], x)[:, 0, 0]
+    single, single_bad = single.tolist(), single_bad.tolist()
+    for i, j, t1, good in zip(plan.ii.tolist(), plan.jj.tolist(), pair.tolist(),
+                              ok.tolist()):
+        ri, rj = retained[i], retained[j]
+        if not good or (ri != rj and single_bad[i if ri else j]):
+            _screen_step(instance, (i, j), retained, gate)  # warns
+        elif not (ri and rj):  # both retained: t2 = t1, no gain
+            t2 = single[i] if ri else single[j] if rj else 0.0
+            if t1 - t2 >= gate:
+                retained[i] = retained[j] = True
+
+    for sub in plan.larger:
+        _screen_step(instance, sub, retained, gate)
+    return np.flatnonzero(retained)
 
 
 def _clean_component(instance: RegressionInstance, comp, tuning: GsTuning):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from rareweak.errors import DegeneracyError, DomainError
-from rareweak import apps, detect
+from rareweak import apps, detect, select
 from rareweak import models as mo
 from rareweak.graph import enum_connected_subgraphs, graph_from_matrix
 from rareweak.numerics import (RngStream, check_gram, chisq_sf, gram_rank_deficient,
@@ -100,7 +100,7 @@ class TestRankingGs:
         w = RngStream(7, 0).standard_normal(12)
         inst = _instance_from_design(np.eye(12), w)
         us = apps.rank_features_us(inst)
-        gs = apps.rank_features_gs(inst, apps.gs_plan(np.eye(12), delta=0.0, m0=1))
+        gs = apps.rank_features_gs(inst, _plan(np.eye(12), 0.0, 1))
         assert np.array_equal(np.argsort(us.scores), np.argsort(gs.scores))
 
     def test_gs_score_never_above_singleton(self):
@@ -108,7 +108,7 @@ class TestRankingGs:
         x = sym_sqrt(sigma)
         w = x @ (np.array([3.0, 3.0] + [0.0] * 8)) + RngStream(8, 0).standard_normal(10)
         inst = _instance_from_design(x, w)
-        gs = apps.rank_features_gs(inst, apps.gs_plan(sigma, delta=0.3, m0=2))
+        gs = apps.rank_features_gs(inst, _plan(sigma, 0.3, 2))
         from rareweak.numerics import chisq_sf
 
         diag = inst.gram_diag()
@@ -122,14 +122,14 @@ class TestRankingGs:
         with pytest.raises(DegeneracyError):
             check_gram(gram)
         inst = mo.RegressionInstance(gram=gram, xtw=np.array([1.0, -1.0]))
-        gs = apps.rank_features_gs(inst, apps.gs_plan(gram, delta=0.0, m0=2))
+        gs = apps.rank_features_gs(inst, _plan(gram, 0.0, 2))
         assert np.array_equal(gs.scores, chisq_sf(1, np.ones(2)))
 
     def test_cancellation_case_gs_beats_us(self):
         p, h0, tau, eps = 400, -0.8, 4.0, 0.05
         sigma = mo.PrecisionModel.block2(p, h0).dense()
         ssqrt = sym_sqrt(sigma)
-        plan = apps.gs_plan(sigma, delta=0.5, m0=2)
+        plan = _plan(sigma, 0.5, 2)
         gaps = []
         for k in range(30):
             rng = RngStream(9, 0).child(k)
@@ -143,6 +143,10 @@ class TestRankingGs:
             auc_gs = apps.roc_curve(apps.rank_features_gs(inst, plan), truth).auc
             gaps.append(auc_gs - auc_us)
         assert np.mean(gaps) > 0.05
+
+
+def _plan(gram, delta, m0):
+    return select.gs_plan(gram, graph_from_matrix(gram, delta), m0)
 
 
 def _gs_reference(inst, gram, delta, m0):
@@ -190,19 +194,20 @@ class TestGsPlan:
         gram = self._gram(sparse)
         xtw = RngStream(11, 0).standard_normal(11) + np.arange(11) % 3
         inst = mo.RegressionInstance(gram=gram, xtw=xtw)
-        got = apps.rank_features_gs(inst, apps.gs_plan(gram, delta=delta, m0=m0))
+        got = apps.rank_features_gs(inst, _plan(gram, delta, m0))
         assert np.array_equal(got.scores, _gs_reference(inst, gram, delta, m0))
 
     def test_plan_sizes(self):
-        plan = apps.gs_plan(self._gram(False), delta=0.0, m0=3)
-        assert plan.p == 11 and np.array_equal(plan.singles, np.arange(11))
+        gram = self._gram(False)
+        plan = _plan(gram, 0.0, 3)
+        assert plan.p == 11 and np.array_equal(plan.single_diag, np.diag(gram))
         assert plan.ii.size == 8 and not plan.pair_ok[0] and plan.pair_ok[1:].all()
         assert all(len(sub) == 3 for sub in plan.larger) and len(plan.larger) == 6
 
     def test_plan_for_other_p_rejected(self):
         inst = mo.RegressionInstance(gram=np.eye(8), xtw=np.ones(8))
         with pytest.raises(DomainError):
-            apps.rank_features_gs(inst, apps.gs_plan(np.eye(6)))
+            apps.rank_features_gs(inst, _plan(np.eye(6), 0.0, 2))
 
 
 class TestRoc:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rareweak.errors import ConfigError
-from rareweak import apps, cli, phase
+from rareweak import cli, phase, select
 from rareweak.models import PrecisionModel
 
 
@@ -327,8 +327,9 @@ class TestRunners:
                 return fn(*args, **kwargs)
             return counted
 
-        for name in ("graph_from_matrix", "enum_connected_subgraphs"):
-            monkeypatch.setattr(apps, name, counting(name, getattr(apps, name)))
+        for module, name in ((cli, "graph_from_matrix"),
+                             (select, "enum_connected_subgraphs")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         raw = dict(TINY["ranking"], reps=4, cases=[[-0.8, 4.0], [0.8, 1.5]])
         bodies = []
         for threads in (1, 2):
@@ -469,6 +470,17 @@ def _load_perfbench(name):
 _BENCH_WORKLOADS = _load_perfbench("workloads").WORKLOADS
 
 
+def _bench_body_digest(checks, tmp_path, workload, experiment, config, seed):
+    """Digest of one bench experiment's CSV body, run through main() as the
+    bench runs it."""
+    config_path = tmp_path / f"{experiment}.config.json"
+    config_path.write_text(json.dumps(config))
+    assert cli.main([experiment, "--config", str(config_path), "--scale", "paper",
+                     "--seed", str(seed), "--threads", str(workload.threads),
+                     "--out", str(tmp_path)]) == 0
+    return checks.digest(checks.read_csv(tmp_path / f"{experiment}.csv")[2])
+
+
 @pytest.mark.parametrize("name", sorted(_BENCH_WORKLOADS))
 def test_paper_scale_bodies_match_recorded_digests(tmp_path, name):
     # the CSV bodies of each bench workload at seed 0, run through main() as
@@ -477,11 +489,20 @@ def test_paper_scale_bodies_match_recorded_digests(tmp_path, name):
     workload = _BENCH_WORKLOADS[name]
     recorded = checks.load_digests()[name]["0"]
     for experiment, config in workload.experiments:
-        config_path = tmp_path / f"{experiment}.config.json"
-        config_path.write_text(json.dumps(config))
-        assert cli.main([experiment, "--config", str(config_path), "--scale", "paper",
-                         "--seed", "0", "--threads", str(workload.threads),
-                         "--out", str(tmp_path)]) == 0
-        body = checks.read_csv(tmp_path / f"{experiment}.csv")[2]
-        assert checks.digest(body) == recorded[experiment], experiment
+        assert _bench_body_digest(checks, tmp_path, workload, experiment, config,
+                                  0) == recorded[experiment], experiment
     assert sorted(recorded) == sorted(e for e, _ in workload.experiments)
+
+
+def test_block2_recover_bodies_match_recorded_digests_every_seed(tmp_path):
+    # the graphlet screen scores singletons and pairs in stacked LAPACK calls;
+    # one changed last bit in a score can flip a retained node, so block2
+    # recover is checked at every recorded seed, not only at seed 0
+    checks = _load_perfbench("checks")
+    workload = _BENCH_WORKLOADS["block2"]
+    config = dict(workload.experiments)["recover"]
+    recorded = checks.load_digests()["block2"]
+    assert len(recorded) == 20
+    for seed in sorted(recorded, key=int):
+        assert _bench_body_digest(checks, tmp_path, workload, "recover", config,
+                                  seed) == recorded[seed]["recover"], seed

@@ -269,6 +269,9 @@ class TestMatchesSetReference:
             comps = gr.connected_components(g)
             assert comps == reference_components(want)
             assert all(type(v) is int for c in comps for v in c)
+            label, order = gr.component_labels(g)
+            assert np.all(np.diff(label[order]) >= 0)
+            assert [order[label[order] == c].tolist() for c in range(len(comps))] == comps
             subsets = [[], None]
             if p:
                 picks = rng.integers(0, p, size=int(rng.integers(1, 2 * p + 1)))

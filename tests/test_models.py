@@ -173,14 +173,14 @@ class TestPrecisionModel:
 
     def test_concurrent_first_calls_factor_once(self, monkeypatch):
         calls = []
-        components = mo.graphmod.connected_components
+        components = mo.graphmod.component_labels
 
         def slow_components(*args, **kwargs):
             calls.append(1)
             time.sleep(0.05)  # both threads arrive while the first one factors
             return components(*args, **kwargs)
 
-        monkeypatch.setattr(mo.graphmod, "connected_components", slow_components)
+        monkeypatch.setattr(mo.graphmod, "component_labels", slow_components)
         om = mo.PrecisionModel.block2(1000, 0.5)
         workers = 8
         barrier = threading.Barrier(workers, timeout=30)
@@ -309,7 +309,7 @@ class TestRegressionForm:
     @pytest.mark.parametrize("idx", [[0, 1], [1, 0], [3, 4], [5], [4, 3, 2],
                                      [9, 2, 3, 8], [7, 6, 7]])
     def test_sparse_gram_sub_matches_dense(self, idx, h0):
-        p = mo.DENSE_GRAM_LIMIT + 2
+        p = 12
         om = mo.PrecisionModel.block2(p, h0)
         reg = mo.regression_from_y(RngStream(13, 0).standard_normal(p), om)
         assert sp.issparse(reg.gram)

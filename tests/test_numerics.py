@@ -320,3 +320,9 @@ class TestProjections:
         with pytest.raises(DegeneracyError) as exc:
             _project_norm_sq(x, np.ones(4), [0, 1])
         assert exc.value.index_set == (0, 1)
+
+    def test_empty_index_set_is_domain_error(self):
+        with pytest.raises(DomainError):
+            nu.restricted_quadform(np.zeros((0, 0)), np.zeros(0))
+        with pytest.raises(DomainError):
+            RegressionInstance(gram=np.eye(3), xtw=np.ones(3)).quadform([])

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from rareweak.errors import CapacityError, DomainError
+from rareweak.errors import CapacityError, DegeneracyError, DomainError
 from rareweak import cli, models as mo
 from rareweak import select as se
+from rareweak.graph import DependencyGraph, enum_connected_subgraphs
 from rareweak.numerics import RngStream, normal_sf
 
 
@@ -124,6 +127,95 @@ class TestGsScreen:
                 tuning = se.default_gs_tuning(200, 0.5, 2.0, m0=1, q=q)
                 sizes.append(se.gs_screen(reg, om.graph(), tuning).size)
             assert sizes == sorted(sizes, reverse=True)
+
+
+def _screen_reference(instance, graph, tuning):
+    """gs_screen one subgraph at a time, every score through instance.quadform."""
+    gate = 2.0 * tuning.q * math.log(instance.p)
+    retained = set()
+    for sub in enum_connected_subgraphs(graph, tuning.m0):
+        try:
+            t1 = instance.quadform(sub)
+            inter = [j for j in sub if j in retained]
+            t2 = instance.quadform(inter) if inter else 0.0
+        except DegeneracyError as exc:
+            warnings.warn(f"screen skipped degenerate subgraph {sub}: {exc}")
+            continue
+        if t1 - t2 >= gate:
+            retained.update(sub)
+    return np.array(sorted(retained), dtype=int)
+
+
+def _screen_case(case, seed, p=24):
+    """A regression instance and a graph: a random Gram pattern plus a chain,
+    so some pairs have a zero off-diagonal entry."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if case == "asymmetric":
+        a = np.eye(p)
+    else:
+        a = np.diag(rng.uniform(0.5, 2.0, p))
+    iu = np.triu_indices(p, 1)
+    pick = rng.uniform(size=iu[0].size) < 0.12
+    a[iu[0][pick], iu[1][pick]] = a[iu[1][pick], iu[0][pick]] = \
+        rng.uniform(-0.6, 0.6, pick.sum())
+    if case == "degenerate":
+        a[3, :] = a[:, 3] = 0.0  # a zero-norm column
+        a[5, 5] = 0.0            # a zero diagonal entry with edges
+        a[7, 7] = a[8, 8] = 1.0  # a rank-deficient pair
+        a[7, 8] = a[8, 7] = 1.0 - 1e-12
+    w = 3.0 * rng.standard_normal(p)
+    if case == "asymmetric":
+        # a custom precision matrix may be asymmetric by up to 1e-10; pair
+        # (7, 8) is rank deficient read as stored (check_gram's eigvalsh reads
+        # the lower entry), but not with the upper entry in both places
+        a[iu[0][pick], iu[1][pick]] += 5e-11
+        a[7, 8], a[8, 7] = 1.0 - 2.6e-10, 1.0 - 1.7e-10
+        inst = mo.regression_from_y(w, mo.PrecisionModel.custom(a))
+    else:
+        gram = sp.csr_matrix(a) if case == "sparse" else a
+        inst = mo.RegressionInstance(gram=gram, xtw=w)
+    chain = np.column_stack([np.arange(p - 1), np.arange(1, p)])
+    edges = np.vstack([np.argwhere(np.triu(a != 0.0, 1)), chain])
+    return inst, DependencyGraph(p, edges)
+
+
+def _recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+class TestGsScreenBatched:
+    @pytest.mark.parametrize("m0", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["sparse", "dense", "degenerate", "asymmetric"])
+    def test_matches_per_subset_reference(self, case, m0):
+        warned = 0
+        for seed in range(6):
+            inst, graph = _screen_case(case, seed)
+            tuning = se.GsTuning(m0=m0, q=0.9, u=1.0, v=1.0)
+            got, got_warnings = _recorded(se.gs_screen, inst, graph, tuning)
+            ref, ref_warnings = _recorded(_screen_reference, inst, graph, tuning)
+            assert np.array_equal(got, ref) and got.dtype == ref.dtype
+            assert got_warnings == ref_warnings
+            assert 0 < ref.size < inst.p
+            warned += len(ref_warnings)
+        assert (warned > 0) == (case == "degenerate" or (case == "asymmetric" and m0 > 1))
+
+    def test_block2_pairs_make_no_quadform_call(self, monkeypatch):
+        calls = []
+        quadform = mo.RegressionInstance.quadform
+
+        def counted(self, idx):
+            calls.append(idx)
+            return quadform(self, idx)
+
+        monkeypatch.setattr(mo.RegressionInstance, "quadform", counted)
+        om = mo.PrecisionModel.block2(400, 0.5)
+        inst = mo.gen_arw(mo.ArwParams(p=400, vartheta=0.4, r=2.0), om, RngStream(35, 0))
+        tuning = se.default_gs_tuning(400, 0.4, 2.0, m0=2)
+        kept = se.gs_screen(mo.to_regression(inst), om.graph(), tuning)
+        assert kept.size > 0 and calls == []
 
 
 class TestGsClean:
