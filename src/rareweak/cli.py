@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from . import apps, classify, detect, phase, select
@@ -42,8 +43,13 @@ from .numerics import RngStream, sym_sqrt
 
 EXPERIMENTS = ("detect", "recover", "bandwidth", "ranking", "classify", "phase")
 
-# Stream lanes: lane 0 simulates critical-value tables, lane 1 feeds
-# replicate work. Replicate k of unit u always uses child(u * reps + k).
+# Stream lanes: lane 0 simulates critical-value tables (detect's i-th table
+# uses its child(i)), lane 1 feeds replicate work. Replicate k of unit u uses
+# lane 1's child(u).child(k), where u is the case index for bandwidth and
+# ranking and the grid value p for recover. detect and classify hand lane 1
+# itself to the library: replicate k of detect.power_estimate uses
+# child(1).child(k), and of classify.classification_error child(k), at every
+# grid point and variant, so grid points share draws.
 _TABLE_LANE = 0
 _WORK_LANE = 1
 
@@ -421,19 +427,21 @@ def run_bandwidth(cfg: dict) -> ResultTable:
 
 
 def _ranking_case_operators(p: int, h0: float):
-    """Sigma = I_{p/2} (x) B of one ranking case, B = [[1, h0], [h0, 1]], as a
-    sparse matrix, and the 2x2 diagonal blocks of Sigma and
-    Sigma^{1/2} = I_{p/2} (x) B^{1/2} as (p, 2) rows: row i holds the entries
-    in columns cols[i].
+    """Sigma = I_{p/2} (x) B of one ranking case, B = [[1, h0], [h0, 1]], and
+    Sigma^{1/2} = I_{p/2} (x) B^{1/2}, as CSR matrices.
 
-    Both matrices vanish outside those blocks, so the product with v is
-    (rows * v[cols]).sum(axis=1), at O(p) cost.
+    Both are laid out straight from the 2x2 tiles: row i holds its block's
+    row in columns 2 * (i // 2) and 2 * (i // 2) + 1, so a product with v
+    sums two terms per row, in column order, at O(p) cost.
     """
     block = np.array([[1.0, h0], [h0, 1.0]])
-    rows = np.arange(p)[:, None]
-    cols = (rows & ~1) + np.arange(2)
-    return (PrecisionModel.block2(p, h0).omega, cols, np.tile(block, (p // 2, 1)),
-            np.tile(sym_sqrt(block), (p // 2, 1)))
+    indices = ((np.arange(p) & ~1)[:, None] + np.arange(2)).ravel()
+    indptr = np.arange(0, 2 * p + 1, 2)
+
+    def tiled(b):
+        return sp.csr_matrix((np.tile(b, (p // 2, 1)).ravel(), indices, indptr),
+                             shape=(p, p))
+    return tiled(block), tiled(sym_sqrt(block))
 
 
 def run_ranking(cfg: dict) -> ResultTable:
@@ -451,20 +459,19 @@ def run_ranking(cfg: dict) -> ResultTable:
     work_rng = RngStream(root, _WORK_LANE)
     rows = []
     for ci, (h0, tau) in enumerate(cfg["cases"]):
-        sigma, cols, sigma_rows, sqrt_rows = _ranking_case_operators(p, float(h0))
+        sigma, sigma_sqrt = _ranking_case_operators(p, float(h0))
         plan = select.gs_plan(sigma, graph_from_matrix(sigma, float(cfg["delta"])),
                               cfg["m0"])
         case_rng = work_rng.child(ci)
 
-        def one(k, tau=tau, sigma=sigma, cols=cols, sigma_rows=sigma_rows,
-                sqrt_rows=sqrt_rows, plan=plan, case_rng=case_rng):
+        def one(k, tau=float(tau), sigma=sigma, sigma_sqrt=sigma_sqrt, plan=plan,
+                case_rng=case_rng):
             rng = case_rng.child(k)
-            beta = draw_paired_beta(p, eps, float(tau), rng)
+            beta = draw_paired_beta(p, eps, tau, rng)
             truth = beta != 0.0
-            if not truth.any() or truth.all():
+            if not 0 < np.count_nonzero(truth) < p:
                 return math.nan, math.nan
-            z = rng.standard_normal(p)
-            xtw = (sigma_rows * beta[cols]).sum(axis=1) + (sqrt_rows * z[cols]).sum(axis=1)
+            xtw = sigma @ beta + sigma_sqrt @ rng.standard_normal(p)
             instance = RegressionInstance(gram=sigma, xtw=xtw)
             auc_us = apps.roc_curve(apps.rank_features_us(instance), truth).auc
             auc_gs = apps.roc_curve(apps.rank_features_gs(instance, plan), truth).auc
@@ -571,6 +578,20 @@ def _env_threads():
         raise ConfigError(f"RAREWEAK_THREADS must be an integer, got {value!r}") from exc
 
 
+def _output_path(out_dir: str, experiment: str) -> str:
+    """The CSV path in out_dir, creating the directory; checked before the
+    run so that an unusable --out fails at once, not after the whole run."""
+    path = os.path.join(out_dir, f"{experiment}.csv")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: "
+                          f"{exc.strerror or exc}") from exc
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
+    return path
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -579,6 +600,7 @@ def main(argv=None) -> int:
         overrides = {"seed": args.seed, "scale": args.scale, "out": args.out,
                      "threads": threads}
         cfg = resolve_config(args.experiment, raw, overrides)
+        path = _output_path(cfg["out"], args.experiment)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -587,10 +609,11 @@ def main(argv=None) -> int:
     except RareWeakError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{args.experiment}.csv")
-    table.write_csv(path)
+    try:
+        table.write_csv(path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     print(f"wrote {path} ({len(table.rows)} rows, config {config_hash(cfg)})")
     return 0
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf
-from scipy.special import erfc, gammaincc
+from scipy.special import erfc, erfcx, gammaincc
 
 from .errors import (
     CapacityError,
@@ -61,7 +61,11 @@ def normal_sf(x):
 def chisq_sf(df, x):
     """Chi-square survival function with df degrees of freedom.
 
-    Computed as the regularized upper incomplete gamma Q(df/2, x/2).
+    Closed forms at df = 1, erfc(sqrt(x/2)), and at df = 2, exp(-x/2); the
+    regularized upper incomplete gamma Q(df/2, x/2) for df >= 3. The df = 1
+    tail is evaluated as erfcx(sqrt(x/2)) * exp(-x/2): erfc of a rounded
+    sqrt(x/2) would carry a relative error of about x times the rounding,
+    1e-13 near x = 1000, while this product stays within a few ulps.
     """
     if df < 1 or int(df) != df:
         raise DomainError(f"chisq_sf requires integer df >= 1, got {df!r}")
@@ -70,7 +74,13 @@ def chisq_sf(df, x):
         raise DomainError("chisq_sf requires finite input")
     if np.any(arr < 0):
         raise DomainError("chisq_sf requires x >= 0")
-    out = gammaincc(df / 2.0, arr / 2.0)
+    half = arr / 2.0
+    if df == 1:
+        out = erfcx(np.sqrt(half)) * np.exp(-half)
+    elif df == 2:
+        out = np.exp(-half)
+    else:
+        out = gammaincc(df / 2.0, half)
     if arr.ndim == 0:
         return float(out)
     return out
@@ -87,7 +97,11 @@ class RngStream:
     on every platform and regardless of what other streams are doing, which
     makes replicate-level parallelism schedule independent. Streams are
     stateful and single owner: hand distinct child streams to concurrent
-    workers instead of sharing one.
+    workers instead of sharing one. Deriving a child reads only the parent's
+    key, so several threads may derive children of one shared parent.
+
+    The Philox generator is built on the first draw, not here: a stream that
+    only derives children never pays for its SeedSequence and Philox state.
     """
 
     def __init__(self, root_seed: int, stream_id: int = 0, _path=None):
@@ -100,11 +114,17 @@ class RngStream:
                 raise DomainError("stream_id must be non-negative")
             path = (stream_id,)
         else:
-            path = tuple(int(k) for k in _path)
+            path = tuple(map(int, _path))
         self.root_seed = root_seed
         self.path = path
-        seq = np.random.SeedSequence(entropy=root_seed, spawn_key=path)
-        self.generator = np.random.Generator(np.random.Philox(seq))
+        self._generator = None
+
+    @property
+    def generator(self) -> np.random.Generator:
+        if self._generator is None:
+            seq = np.random.SeedSequence(entropy=self.root_seed, spawn_key=self.path)
+            self._generator = np.random.Generator(np.random.Philox(seq))
+        return self._generator
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent substream; index extends the stream path."""

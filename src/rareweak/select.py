@@ -161,7 +161,7 @@ def gs_plan(gram, graph: DependencyGraph, m0: int) -> GsPlan:
     if m0 < 2:
         ii, jj = ii[:0], jj[:0]
     pair_grams = gram_blocks(gram, np.column_stack([ii, jj]))
-    return GsPlan(p=p, single_diag=gram_blocks(gram, np.arange(p)[:, None])[:, 0, 0],
+    return GsPlan(p=p, single_diag=gram.diagonal(),
                   ii=ii, jj=jj, pair_grams=pair_grams,
                   pair_ok=~gram_rank_deficient(np.linalg.eigvalsh(pair_grams)),
                   larger=tuple(subsets[p + ii.size:]))

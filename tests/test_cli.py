@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from rareweak.errors import ConfigError
 from rareweak import cli, phase, select
 from rareweak.models import PrecisionModel
+from rareweak.numerics import RngStream, sym_sqrt
 
 
 TINY = {
@@ -342,13 +344,30 @@ class TestRunners:
     @pytest.mark.parametrize("h0", [-0.95, -0.8, 0.0, 1e-13, 0.5, 0.8, 0.95])
     def test_ranking_operators_are_block2_blocks(self, h0):
         p = 40
-        sigma, cols, sigma_rows, sqrt_rows = cli._ranking_case_operators(p, h0)
+        sigma, sigma_sqrt = cli._ranking_case_operators(p, h0)
         model = PrecisionModel.block2(p, h0)
-        rows = np.arange(p)[:, None]
-        assert sp.issparse(sigma)
+        assert sp.isspmatrix_csr(sigma) and sp.isspmatrix_csr(sigma_sqrt)
         assert np.array_equal(sigma.toarray(), model.dense())
-        assert np.array_equal(sigma_rows, model.dense()[rows, cols])
-        assert np.array_equal(sqrt_rows, model.sqrt_matrix().toarray()[rows, cols])
+        assert np.array_equal(sigma_sqrt.toarray(), model.sqrt_matrix().toarray())
+
+    @pytest.mark.parametrize("h0", [-0.8, 0.0, 0.8])
+    def test_ranking_products_match_block_row_sums(self, h0):
+        # the CSR products add each row's two tile terms in column order, the
+        # sums the runner formed from (p, 2) block rows before
+        p = 200
+        sigma, sigma_sqrt = cli._ranking_case_operators(p, h0)
+        rows = np.arange(p)[:, None]
+        cols = (rows & ~1) + np.arange(2)
+        block = np.array([[1.0, h0], [h0, 1.0]])
+        sigma_rows = np.tile(block, (p // 2, 1))
+        sqrt_rows = np.tile(sym_sqrt(block), (p // 2, 1))
+        rng = RngStream(41, 0)
+        for k in range(250):
+            beta = np.where(rng.uniform(p) < 0.1, 4.0, 0.0)
+            z = rng.standard_normal(p)
+            old = ((sigma_rows * beta[cols]).sum(axis=1)
+                   + (sqrt_rows * z[cols]).sum(axis=1))
+            assert (sigma @ beta + sigma_sqrt @ z).tobytes() == old.tobytes()
 
     def test_ranking_allocates_no_square_array(self):
         # one dense p x p float array would be 128 MB here
@@ -423,6 +442,32 @@ class TestMain:
         monkeypatch.setenv("RAREWEAK_THREADS", "abc")
         assert cli.main(["phase", "--out", str(tmp_path)]) == 2
         assert "RAREWEAK_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_unusable_out_dir_exit_code(self, tmp_path, capsys, monkeypatch, sub):
+        # an existing file, or a path beneath one, fails before the runner
+        # starts, in one line and with a config error's exit code
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setitem(cli._RUNNERS, "phase", lambda cfg: pytest.fail("ran"))
+        out = blocker / sub if sub else blocker
+        assert cli.main(["phase", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory")
+        assert err.count("\n") == 1
+
+    def test_csv_path_taken_by_directory_exit_code(self, tmp_path, capsys):
+        (tmp_path / "phase.csv").mkdir()
+        assert cli.main(["phase", "--out", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_write_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def full(self, path):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli.ResultTable, "write_csv", full)
+        assert cli.main(["phase", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
     def test_written_files_byte_identical(self, tmp_path):
         config_path = tmp_path / "r.json"
@@ -506,3 +551,18 @@ def test_block2_recover_bodies_match_recorded_digests_every_seed(tmp_path):
     for seed in sorted(recorded, key=int):
         assert _bench_body_digest(checks, tmp_path, workload, "recover", config,
                                   seed) == recorded[seed]["recover"], seed
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ranking_bodies_match_recorded_digests_every_seed(tmp_path, threads):
+    # GS ranking scores features by closed-form chi-square tails; a changed
+    # last bit can only move a body through a near-tie flip in the ranking,
+    # so every recorded seed is checked, at one and at two threads
+    checks = _load_perfbench("checks")
+    workload = _BENCH_WORKLOADS["ranking"]
+    config = dict(workload.experiments)["ranking"]
+    recorded = checks.load_digests()["ranking"]
+    assert len(recorded) == 20
+    for seed in sorted(recorded, key=int):
+        assert _bench_body_digest(checks, tmp_path, replace(workload, threads=threads),
+                                  "ranking", config, seed) == recorded[seed]["ranking"], seed

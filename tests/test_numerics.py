@@ -1,8 +1,11 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaincc
 
 from rareweak.errors import (
     CapacityError,
@@ -20,6 +23,19 @@ from rareweak.models import RegressionInstance
 # density, then frozen here.
 NORMAL_SF_1959964 = 0.02499999909644240430
 CHISQ_SF_3_78147 = 0.05000062528476008979
+# df -> (x, P(chi2_df > x)) across the range, the far tail included
+CHISQ_SF_FAR_TAIL = {
+    1: ([1e-20, 0.5, 30.0, 200.0, 700.0, 1000.0, 1135.4, 1300.0, 1400.0],
+        [0.99999999992021154392, 0.47950012218695346232, 4.3204630578274972948e-8,
+         2.088487583762544757e-45, 2.9902269751246203369e-154,
+         1.7958327848007261946e-219, 6.6835403625511407767e-249,
+         1.1303728441492742445e-284, 2.101014516264217495e-306]),
+    2: ([1e-20, 0.5, 30.0, 200.0, 700.0, 1000.0, 1135.4, 1300.0, 1400.0],
+        [0.99999999999999999999, 0.77880078307140486825, 3.0590232050182578837e-7,
+         3.720075976020835963e-44, 9.9295903962649792963e-153,
+         7.1245764067412855315e-218, 2.8250271340599168246e-247,
+         5.1119519486511562468e-283, 9.8596765437597708567e-305]),
+}
 
 
 class TestNormalSf:
@@ -84,6 +100,48 @@ class TestChisqSf:
         with pytest.raises(DomainError):
             nu.chisq_sf(2.5, 1.0)
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 7])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_nonfinite_and_negative_rejected(self, df, bad):
+        with pytest.raises(DomainError):
+            nu.chisq_sf(df, bad)
+        with pytest.raises(DomainError):
+            nu.chisq_sf(df, np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("df", [1, 2])
+    def test_closed_forms_match_gammaincc(self, df):
+        # 0, tiny x, moderate x up to 1000, and the underflow tail
+        x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-20, 1e-10],
+                            np.geomspace(1e-8, 1.0, 400), np.linspace(0.0, 1000.0, 100001),
+                            np.geomspace(1500.0, 1e6, 200)])
+        got = nu.chisq_sf(df, x)
+        ref = gammaincc(df / 2.0, x / 2.0)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+        assert np.all(got[x >= 1500.0] == 0.0) and np.all(ref[x >= 1500.0] == 0.0)
+        assert got[0] == 1.0
+
+    @pytest.mark.parametrize("df", [1, 2])
+    def test_closed_forms_far_tail(self, df):
+        # beyond x = 1000 gammaincc itself drifts from the true tail (1.05e-13
+        # relative near x = 1135 at df = 1), so agreement with it is looser
+        # there, and CHISQ_SF_FAR_TAIL holds the reference
+        x = np.linspace(1000.0, 1408.0, 40001)  # results stay normal doubles
+        got = nu.chisq_sf(df, x)
+        assert np.all(np.abs(got - gammaincc(df / 2.0, x / 2.0)) <= 2e-13 * got)
+        pts, truth = (np.array(v) for v in CHISQ_SF_FAR_TAIL[df])
+        assert np.all(np.abs(nu.chisq_sf(df, pts) - truth) <= 1e-15 * truth)
+
+    @pytest.mark.parametrize("df", [3, 4, 7, 30])
+    def test_gammaincc_kept_from_df3(self, df):
+        x = np.concatenate([[0.0, 1e-20], np.linspace(0.0, 2000.0, 4001)])
+        assert np.array_equal(nu.chisq_sf(df, x), gammaincc(df / 2.0, x / 2.0))
+
+    @pytest.mark.parametrize("df", [1, 2, 3])
+    def test_scalars_return_float(self, df):
+        for x in (0, 2.5, np.float64(2.5), np.array(2.5)):
+            assert type(nu.chisq_sf(df, x)) is float
+        assert nu.chisq_sf(df, [2.5]).shape == (1,)
+
 
 class TestRngStream:
     def test_determinism(self):
@@ -110,6 +168,44 @@ class TestRngStream:
     def test_large_sample_mean(self):
         v = nu.RngStream(123, 0).standard_normal(10**6)
         assert abs(v.mean()) <= 5.0 / math.sqrt(10**6)
+
+    @pytest.mark.parametrize("root,path", [(0, (0,)), (7, (1,)), (2**64 - 1, (3, 5, 2))])
+    def test_draws_match_hand_built_philox(self, root, path):
+        stream = nu.RngStream(root, path[0])
+        for k in path[1:]:
+            stream = stream.child(k)
+        gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(root, spawn_key=path)))
+        assert np.array_equal(stream.standard_normal(50), gen.standard_normal(50))
+        assert np.array_equal(stream.uniform((4, 3)), gen.random((4, 3)))
+        assert np.array_equal(stream.standard_normal(7), gen.standard_normal(7))
+
+    def test_deriving_children_builds_no_generator(self):
+        parent = nu.RngStream(5, 1)
+        child = parent.child(3).child(4)
+        assert parent._generator is None and child._generator is None
+        child.uniform(2)
+        assert parent._generator is None and child._generator is not None
+
+    def test_children_of_shared_parent_across_threads(self):
+        # workers derive children of one shared parent that never draws, as
+        # the ranking runner's case streams do; the draws equal serial ones
+        def draws(parent, k):
+            rng = parent.child(k)
+            return np.concatenate([rng.uniform(5), rng.standard_normal(5)])
+
+        serial = [draws(nu.RngStream(11, 1).child(0), k) for k in range(64)]
+        shared = nu.RngStream(11, 1).child(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(lambda k: draws(shared, k), range(64)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+        assert np.array_equal(shared.standard_normal(4),
+                              nu.RngStream(11, 1).child(0).standard_normal(4))
 
     def test_invalid_args(self):
         with pytest.raises(DomainError):
