@@ -8,7 +8,7 @@ simulated threshold) and graph-guided feature ranking with ROC evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,7 +108,11 @@ class RankingResult:
 
 
 def rank_features_us(instance: RegressionInstance) -> RankingResult:
-    """Marginal ranking: two-sided normal P-value of each (x_j, W)."""
+    """Marginal ranking: two-sided normal P-value of each (x_j, W).
+
+    The instance may hold one response or an (r, p) block of them; each row
+    of the scores is the one-response result, bit for bit.
+    """
     b = np.asarray(instance.xtw, dtype=float)
     scale = np.sqrt(instance.gram_diag())
     scores = 2.0 * normal_sf(np.abs(b) / scale)
@@ -122,29 +126,41 @@ def rank_features_gs(instance: RegressionInstance, plan: GsPlan) -> RankingResul
     and feature j scores the minimum over subgraphs containing j (its
     singleton always participates). Degenerate subgraphs are skipped. The
     plan must come from select.gs_plan on the instance's Gram matrix.
+
+    An (r, p) block of responses is scored in one pass: singletons and pairs
+    elementwise over the block, pair minima folded in with one np.minimum.at
+    on flat indices in each row's pair order, and subgraphs of three or more
+    nodes row by row through quadform. Each row equals the one-response
+    scores bit for bit.
     """
     if plan.p != instance.p:
         raise DomainError(f"plan is for p={plan.p}, instance has p={instance.p}")
-    b = np.asarray(instance.xtw, dtype=float)
+    b = np.ascontiguousarray(instance.xtw, dtype=float)
     scores = np.minimum(1.0, chisq_sf(1, b ** 2 / plan.single_diag))
 
     ok = plan.pair_ok
     g = plan.pair_grams[ok]
     gii, gij, gjj = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
-    bi, bj = b[plan.ii[ok]], b[plan.jj[ok]]
+    ii, jj = plan.ii[ok], plan.jj[ok]
+    bi, bj = b[..., ii], b[..., jj]
     quad = (gjj * bi ** 2 - 2 * gij * bi * bj + gii * bj ** 2) / (gii * gjj - gij * gij)
-    pv = chisq_sf(2, quad)
-    np.minimum.at(scores, plan.ii[ok], pv)
-    np.minimum.at(scores, plan.jj[ok], pv)
+    pv = chisq_sf(2, quad).ravel()
+    offsets = np.arange(0, scores.size, plan.p)[:, None]
+    flat = scores.reshape(-1)
+    np.minimum.at(flat, (offsets + ii).ravel(), pv)
+    np.minimum.at(flat, (offsets + jj).ravel(), pv)
 
-    for sub in plan.larger:
-        try:
-            quad = instance.quadform(sub)
-        except DegeneracyError:
-            continue
-        pv = chisq_sf(len(sub), quad)
-        for j in sub:
-            scores[j] = min(scores[j], pv)
+    if plan.larger:
+        for row, xtw in zip(scores.reshape(-1, plan.p), b.reshape(-1, plan.p)):
+            one = replace(instance, xtw=xtw)
+            for sub in plan.larger:
+                try:
+                    quad = one.quadform(sub)
+                except DegeneracyError:
+                    continue
+                pv = chisq_sf(len(sub), quad)
+                for j in sub:
+                    row[j] = min(row[j], pv)
 
     return RankingResult(scores=scores, method="GS")
 
@@ -160,38 +176,66 @@ class RocCurve:
     auc: float
 
 
-def roc_curve(scores, truth) -> RocCurve:
+def _truth_mask(truth, shape) -> np.ndarray:
+    """The boolean support mask of roc_curve's truth argument."""
+    arr = np.asarray(truth)
+    if arr.dtype == bool:
+        if arr.shape != shape:
+            raise DomainError(f"truth mask has shape {arr.shape}, scores {shape}")
+        return arr
+    if len(shape) != 1:
+        raise DomainError("a block of score rows takes an (r, p) boolean truth mask")
+    if arr.ndim != 1:
+        raise DomainError("truth index set must be 1-D")
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise DomainError(f"truth indices must be integers, got dtype {arr.dtype}")
+    if np.any((arr < 0) | (arr >= shape[0])):
+        raise DomainError(f"truth indices must lie in [0, {shape[0]})")
+    mask = np.zeros(shape, dtype=bool)
+    mask[arr] = True
+    return mask
+
+
+def roc_curve(scores, truth) -> RocCurve | list[RocCurve]:
     """ROC of a significance ranking against a true support set.
 
     scores may be a RankingResult or an array (lower = more significant).
     truth is a boolean mask or an index set, and must be a nonempty proper
-    subset. Tied scores advance the sweep together; AUC is the trapezoidal
+    subset. Tied scores advance the sweep together: the curve has one point
+    per tie group, at the group's last element, and AUC is the trapezoidal
     area, so ties contribute half credit.
+
+    An (r, p) block of score rows takes an (r, p) boolean mask and returns
+    one RocCurve per row, sorted in one argsort. The counts at a tie group's
+    end do not depend on the order inside the group, so the sort need not be
+    stable, and each row's area is np.trapezoid of its own curve: every
+    RocCurve equals the one-row result bit for bit.
     """
     vals = np.asarray(getattr(scores, "scores", scores), dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[0] == 0:
+        raise DomainError("scores must be a nonempty vector or (r, p) block of rows")
     if not np.all(np.isfinite(vals)):
         raise DomainError("scores must be finite")
-    p = vals.shape[0]
-    mask = np.zeros(p, dtype=bool)
-    truth_arr = np.asarray(truth)
-    if truth_arr.dtype == bool:
-        if truth_arr.shape != (p,):
-            raise DomainError("truth mask length must match scores")
-        mask = truth_arr
-    else:
-        mask[np.asarray(truth_arr, dtype=int)] = True
-    npos = int(mask.sum())
-    if npos == 0 or npos == p:
+    mask = _truth_mask(truth, vals.shape)
+    p = vals.shape[-1]
+    block, masks = vals.reshape(-1, p), mask.reshape(-1, p)
+    npos = masks.sum(axis=1)
+    if np.any((npos == 0) | (npos == p)):
         raise DomainError("truth must be a nonempty proper subset")
-    order = np.argsort(vals, kind="stable")
-    sorted_vals = vals[order]
-    sorted_true = mask[order]
-    # group ties: cumulative counts at the last element of each tie block
-    boundaries = np.flatnonzero(np.diff(sorted_vals) != 0)
-    ends = np.append(boundaries, p - 1)
-    cum_tp = np.cumsum(sorted_true)[ends]
-    cum_fp = np.cumsum(~sorted_true)[ends]
-    tpr = np.concatenate([[0.0], cum_tp / npos])
-    fpr = np.concatenate([[0.0], cum_fp / (p - npos)])
-    auc = float(np.trapezoid(tpr, fpr))
-    return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
+    r = block.shape[0]
+    order = np.argsort(block, axis=1)
+    flat = order + np.arange(0, r * p, p)[:, None]
+    sorted_vals = block.take(flat)
+    # sweep counts behind a leading zero point; a point is kept at the last
+    # element of each tie group
+    tp = np.zeros((r, p + 1), dtype=np.int64)
+    np.cumsum(masks.take(flat), axis=1, dtype=np.int64, out=tp[:, 1:])
+    keep = np.ones((r, p + 1), dtype=bool)
+    keep[:, 1:-1] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
+    sizes = keep.sum(axis=1)
+    tpr = tp[keep] / np.repeat(npos, sizes)
+    fpr = (np.arange(p + 1) - tp)[keep] / np.repeat(p - npos, sizes)
+    cuts = np.cumsum(sizes)[:-1]
+    curves = [RocCurve(fpr=f, tpr=t, auc=float(np.trapezoid(t, f)))
+              for f, t in zip(np.split(fpr, cuts), np.split(tpr, cuts))]
+    return curves if vals.ndim == 2 else curves[0]

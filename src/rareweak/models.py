@@ -292,7 +292,8 @@ class RegressionInstance:
 
     Projections only need (gram, xtw). For a precision model Omega,
     X = Omega^{1/2}, W = X Y, G = Omega, and X'W = Omega Y. The Gram matrix
-    is held as CSR; dense input is converted once, here.
+    is held as CSR; dense input is converted once, here. xtw is one response
+    or an (r, p) block of them sharing the Gram matrix; quadform takes one.
     """
 
     gram: sp.csr_matrix
@@ -301,10 +302,13 @@ class RegressionInstance:
     def __post_init__(self):
         if not (sp.isspmatrix_csr(self.gram) and self.gram.dtype == float):
             self.gram = sp.csr_matrix(self.gram, dtype=float)
+        if np.shape(self.xtw)[-1:] != self.gram.shape[:1]:
+            raise DomainError(f"xtw has shape {np.shape(self.xtw)}, "
+                              f"Gram matrix is {self.gram.shape[0]} x {self.gram.shape[1]}")
 
     @property
     def p(self) -> int:
-        return self.xtw.shape[0]
+        return self.xtw.shape[-1]
 
     def gram_sub(self, idx) -> np.ndarray:
         """The dense block gram[idx][:, idx]; idx need not be sorted."""
@@ -315,6 +319,8 @@ class RegressionInstance:
 
     def quadform(self, idx) -> float:
         """||P^I W||^2 over the columns in idx, via the Gram system."""
+        if self.xtw.ndim != 1:
+            raise DomainError("quadform takes an instance with one response")
         idx = np.asarray(sorted(set(int(i) for i in idx)), dtype=int)
         return restricted_quadform(self.gram_sub(idx), self.xtw[idx], index_set=idx)
 

@@ -257,3 +257,109 @@ class TestRoc:
         with pytest.raises(DomainError):
             apps.roc_curve(np.array([0.1, 0.2]), np.array([False, False]))
 
+    @pytest.mark.parametrize("truth", [[5], [-1], [4], [1.7], [[0, 1]], [True, False]])
+    def test_bad_index_set_rejected(self, truth):
+        # out of range, negative, non-integer, not 1-D, or a mask of the wrong length
+        with pytest.raises(DomainError):
+            apps.roc_curve(np.array([0.1, 0.9, 0.2, 0.8]), truth)
+
+    def test_block_takes_only_a_matching_mask(self):
+        scores = np.array([[0.1, 0.9, 0.2, 0.8], [0.3, 0.2, 0.1, 0.4]])
+        mask = np.array([[True, False, False, False], [False, True, True, False]])
+        assert len(apps.roc_curve(scores, mask)) == 2
+        for truth in ([0, 2], mask[0], mask[:, :3], np.array([mask]),
+                      np.array([mask[0], [True] * 4])):
+            with pytest.raises(DomainError):
+                apps.roc_curve(scores, truth)
+        for bad_scores, bad_mask in ((scores[None], mask[None]),
+                                     (scores[:0], mask[:0])):
+            with pytest.raises(DomainError):
+                apps.roc_curve(bad_scores, bad_mask)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _roc_reference(vals, mask):
+    """The ROC sweep of one row with a stable sort: (fpr, tpr, auc)."""
+    p, npos = vals.size, int(mask.sum())
+    order = np.argsort(vals, kind="stable")
+    sorted_vals, sorted_true = vals[order], mask[order]
+    ends = np.append(np.flatnonzero(np.diff(sorted_vals) != 0), p - 1)
+    tpr = np.concatenate([[0.0], np.cumsum(sorted_true)[ends] / npos])
+    fpr = np.concatenate([[0.0], np.cumsum(~sorted_true)[ends] / (p - npos)])
+    return fpr, tpr, float(np.trapezoid(tpr, fpr))
+
+
+class TestBlocks:
+    """Every row of a block call equals the one-row call, bit for bit."""
+
+    @staticmethod
+    def _gram(sparse):
+        # a near-singular pair {0, 1} with node 8 hanging off 1, a triangle
+        # {2, 3, 4}, a chain 5-6-7 and a singleton 9
+        gram = np.diag(np.r_[1.0, 1.0, 1.0 + 0.1 * (np.arange(2, 10) % 3)])
+        gram[0, 1] = gram[1, 0] = 1.0 - 1e-10
+        for (i, j), v in {(1, 8): 0.2, (2, 3): 0.3, (3, 4): -0.4, (2, 4): 0.25,
+                          (5, 6): 0.5, (6, 7): -0.3}.items():
+            gram[i, j] = gram[j, i] = v
+        return sp.csr_matrix(gram) if sparse else gram
+
+    @staticmethod
+    def _xtw():
+        rows = RngStream(17, 0).standard_normal((6, 10)) * 2.0
+        rows[1] = 0.0                          # every feature tied at 1
+        rows[2, ::2] = -0.0                    # signed zeros among the responses
+        rows[3] = np.repeat([1.5, -1.5, 0.7, 0.7, 2.0], 2)
+        return rows
+
+    def test_us_rows_match_one_row(self):
+        gram = self._gram(True)
+        xtw = self._xtw()
+        block = apps.rank_features_us(mo.RegressionInstance(gram=gram, xtw=xtw)).scores
+        assert block.shape == xtw.shape
+        for row, w in zip(block, xtw):
+            one = apps.rank_features_us(mo.RegressionInstance(gram=gram, xtw=w)).scores
+            assert np.array_equal(_bits(row), _bits(one))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("m0", [1, 2, 3])
+    def test_gs_rows_match_one_row(self, sparse, m0):
+        gram = self._gram(sparse)
+        plan = _plan(gram, 0.0, m0)
+        if m0 >= 2:
+            assert not plan.pair_ok[0] and plan.pair_ok[1:].all()
+        if m0 == 3:
+            assert (2, 3, 4) in plan.larger and (0, 1, 8) in plan.larger
+        xtw = self._xtw()
+        block = apps.rank_features_gs(mo.RegressionInstance(gram=gram, xtw=xtw), plan)
+        assert block.scores.shape == xtw.shape
+        for row, w in zip(block.scores, xtw):
+            inst = mo.RegressionInstance(gram=gram, xtw=w)
+            one = apps.rank_features_gs(inst, plan).scores
+            assert np.array_equal(_bits(row), _bits(one))
+            assert np.array_equal(one, _gs_reference(inst, gram, 0.0, m0))
+
+    def test_roc_rows_match_one_row_and_stable_reference(self):
+        gram = self._gram(True)
+        inst = mo.RegressionInstance(gram=gram, xtw=self._xtw())
+        gs = apps.rank_features_gs(inst, _plan(gram, 0.0, 3)).scores
+        us = apps.rank_features_us(inst).scores
+        signed_zeros = np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.25, 0.5, 1.0, -0.0, 0.25])
+        scores = np.vstack([gs, us, signed_zeros, np.ones(10)])
+        # a pair or triangle P-value that is the minimum for several of its
+        # nodes ties them, and the zero response ties every feature at 1
+        assert sum(np.unique(row).size < row.size for row in gs) >= 4
+        masks = RngStream(18, 0).uniform(scores.shape) < 0.4
+        masks[:, 0], masks[:, 1] = True, False
+        curves = apps.roc_curve(scores, masks)
+        assert len(curves) == len(scores)
+        for curve, row, mask in zip(curves, scores, masks):
+            one = apps.roc_curve(row, mask)
+            ref = _roc_reference(row, mask)
+            for got in (curve, one):
+                assert np.array_equal(_bits(got.fpr), _bits(ref[0]))
+                assert np.array_equal(_bits(got.tpr), _bits(ref[1]))
+                assert _bits(got.auc) == _bits(ref[2])
+        assert curves[-1].auc == 0.5 and curves[-1].fpr.size == 2

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rareweak.errors import ConfigError
-from rareweak import cli, phase, select
+from rareweak import apps, cli, phase, select
 from rareweak.models import PrecisionModel
 from rareweak.numerics import RngStream, sym_sqrt
 
@@ -341,6 +341,42 @@ class TestRunners:
             assert sorted(calls) == ["enum_connected_subgraphs"] * 2 + ["graph_from_matrix"] * 2
         assert bodies[0] == bodies[1]
 
+    @pytest.mark.parametrize("raw, blocks", [
+        ({"p": 1000, "reps": 20}, 6),              # 8, 8 and 4 rows per case
+        (dict(TINY["ranking"], reps=12), 2),        # some rows have no support
+        (dict(TINY["ranking"], epsilon=0.0), 0),    # no row has support
+    ])
+    def test_ranking_scores_once_per_block(self, monkeypatch, raw, blocks):
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                block = args[0].scores if name == "roc_curve" else args[0].xtw
+                calls.append((name, np.ndim(block)))
+                return fn(*args)
+            return counted
+
+        for name in ("rank_features_us", "rank_features_gs", "roc_curve"):
+            monkeypatch.setattr(apps, name, counting(name, getattr(apps, name)))
+        raw = dict(raw, cases=[[-0.8, 4.0], [0.8, 1.5]])
+        bodies = []
+        for threads in (1, 2, 3, 4):
+            calls.clear()
+            cfg = cli.resolve_config("ranking", raw, {"threads": threads})
+            bodies.append(cli.run_ranking(cfg).body_lines())
+            assert sorted(calls) == ([("rank_features_gs", 2)] * blocks
+                                     + [("rank_features_us", 2)] * blocks
+                                     + [("roc_curve", 2)] * 2 * blocks)
+        assert all(body == bodies[0] for body in bodies)
+        assert ("nan" in "".join(bodies[0])) == (blocks != 6)
+        # scoring one replicate at a time gives the same bytes
+        monkeypatch.setattr(cli, "RANKING_BLOCK_VALUES", 1)
+        calls.clear()
+        assert cli.run_ranking(cli.resolve_config("ranking", raw)).body_lines() == bodies[0]
+        scored = [row for row in (line.split(",") for line in bodies[0][1:])
+                  if row[2] != "-1" and row[3] != "nan"]
+        assert len(calls) == 4 * len(scored)
+
     @pytest.mark.parametrize("h0", [-0.95, -0.8, 0.0, 1e-13, 0.5, 0.8, 0.95])
     def test_ranking_operators_are_block2_blocks(self, h0):
         p = 40
@@ -553,11 +589,12 @@ def test_block2_recover_bodies_match_recorded_digests_every_seed(tmp_path):
                                   seed) == recorded[seed]["recover"], seed
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
 def test_ranking_bodies_match_recorded_digests_every_seed(tmp_path, threads):
-    # GS ranking scores features by closed-form chi-square tails; a changed
-    # last bit can only move a body through a near-tie flip in the ranking,
-    # so every recorded seed is checked, at one and at two threads
+    # GS ranking scores features by closed-form chi-square tails, in blocks
+    # of replicates; a changed last bit can only move a body through a
+    # near-tie flip in the ranking, so every recorded seed is checked, at one
+    # to four threads
     checks = _load_perfbench("checks")
     workload = _BENCH_WORKLOADS["ranking"]
     config = dict(workload.experiments)["ranking"]

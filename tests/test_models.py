@@ -315,6 +315,18 @@ class TestRegressionForm:
         assert sp.issparse(reg.gram)
         assert np.array_equal(reg.gram_sub(idx), om.dense()[np.ix_(idx, idx)])
 
+    @pytest.mark.parametrize("xtw", [np.zeros(3), np.zeros(5), np.zeros((2, 3)),
+                                     np.float64(1.0)])
+    def test_xtw_length_must_match_gram(self, xtw):
+        with pytest.raises(DomainError):
+            mo.RegressionInstance(gram=np.eye(4), xtw=xtw)
+
+    def test_block_of_responses(self):
+        reg = mo.RegressionInstance(gram=np.eye(4), xtw=np.ones((3, 4)))
+        assert reg.p == 4
+        with pytest.raises(DomainError):
+            reg.quadform([0, 1])
+
 
 class TestClassSample:
     def test_sample_size_from_theta(self):
