@@ -99,33 +99,26 @@ def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
 # feature ranking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankingResult:
-    """Per-feature significance scores; lower means more significant."""
-
-    scores: np.ndarray
-    method: str
-
-
-def rank_features_us(instance: RegressionInstance) -> RankingResult:
-    """Marginal ranking: two-sided normal P-value of each (x_j, W).
+def rank_features_us(instance: RegressionInstance) -> np.ndarray:
+    """Marginal ranking: P(chi2_1 > (x_j, W)^2 / g_jj) per feature, the
+    two-sided normal P-value of (x_j, W) / sqrt(g_jj); lower means more
+    significant.
 
     The instance may hold one response or an (r, p) block of them; each row
     of the scores is the one-response result, bit for bit.
     """
     b = np.asarray(instance.xtw, dtype=float)
-    scale = np.sqrt(instance.gram_diag())
-    scores = 2.0 * normal_sf(np.abs(b) / scale)
-    return RankingResult(scores=scores, method="US")
+    return chisq_sf(1, b ** 2 / instance.gram_diag())
 
 
-def rank_features_gs(instance: RegressionInstance, plan: GsPlan) -> RankingResult:
+def rank_features_gs(instance: RegressionInstance, plan: GsPlan) -> np.ndarray:
     """Graph-guided ranking via chi-square P-values of subgraph projections.
 
     Every subgraph I of the plan gets the P-value P(chi2_{|I|} > ||P^I W||^2),
     and feature j scores the minimum over subgraphs containing j (its
-    singleton always participates). Degenerate subgraphs are skipped. The
-    plan must come from select.gs_plan on the instance's Gram matrix.
+    singleton, scored as in rank_features_us, always participates).
+    Degenerate subgraphs are skipped. The plan must come from select.gs_plan
+    on the instance's Gram matrix.
 
     An (r, p) block of responses is scored in one pass: singletons and pairs
     elementwise over the block, pair minima folded in with one np.minimum.at
@@ -136,7 +129,7 @@ def rank_features_gs(instance: RegressionInstance, plan: GsPlan) -> RankingResul
     if plan.p != instance.p:
         raise DomainError(f"plan is for p={plan.p}, instance has p={instance.p}")
     b = np.ascontiguousarray(instance.xtw, dtype=float)
-    scores = np.minimum(1.0, chisq_sf(1, b ** 2 / plan.single_diag))
+    scores = chisq_sf(1, b ** 2 / plan.single_diag)
 
     ok = plan.pair_ok
     g = plan.pair_grams[ok]
@@ -162,7 +155,7 @@ def rank_features_gs(instance: RegressionInstance, plan: GsPlan) -> RankingResul
                 for j in sub:
                     row[j] = min(row[j], pv)
 
-    return RankingResult(scores=scores, method="GS")
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -176,47 +169,29 @@ class RocCurve:
     auc: float
 
 
-def _truth_mask(truth, shape) -> np.ndarray:
-    """The boolean support mask of roc_curve's truth argument."""
-    arr = np.asarray(truth)
-    if arr.dtype == bool:
-        if arr.shape != shape:
-            raise DomainError(f"truth mask has shape {arr.shape}, scores {shape}")
-        return arr
-    if len(shape) != 1:
-        raise DomainError("a block of score rows takes an (r, p) boolean truth mask")
-    if arr.ndim != 1:
-        raise DomainError("truth index set must be 1-D")
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise DomainError(f"truth indices must be integers, got dtype {arr.dtype}")
-    if np.any((arr < 0) | (arr >= shape[0])):
-        raise DomainError(f"truth indices must lie in [0, {shape[0]})")
-    mask = np.zeros(shape, dtype=bool)
-    mask[arr] = True
-    return mask
-
-
 def roc_curve(scores, truth) -> RocCurve | list[RocCurve]:
     """ROC of a significance ranking against a true support set.
 
-    scores may be a RankingResult or an array (lower = more significant).
-    truth is a boolean mask or an index set, and must be a nonempty proper
-    subset. Tied scores advance the sweep together: the curve has one point
-    per tie group, at the group's last element, and AUC is the trapezoidal
-    area, so ties contribute half credit.
+    scores is an array, lower = more significant. truth is a boolean mask of
+    the same shape and must mark a nonempty proper subset. Tied scores
+    advance the sweep together: the curve has one point per tie group, at
+    the group's last element, and AUC is the trapezoidal area, so ties
+    contribute half credit.
 
-    An (r, p) block of score rows takes an (r, p) boolean mask and returns
-    one RocCurve per row, sorted in one argsort. The counts at a tie group's
-    end do not depend on the order inside the group, so the sort need not be
-    stable, and each row's area is np.trapezoid of its own curve: every
-    RocCurve equals the one-row result bit for bit.
+    An (r, p) block of score rows returns one RocCurve per row, sorted in one
+    argsort. The counts at a tie group's end do not depend on the order
+    inside the group, so the sort need not be stable, and each row's area is
+    np.trapezoid of its own curve: every RocCurve equals the one-row result
+    bit for bit.
     """
-    vals = np.asarray(getattr(scores, "scores", scores), dtype=float)
+    vals = np.asarray(scores, dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[0] == 0:
         raise DomainError("scores must be a nonempty vector or (r, p) block of rows")
     if not np.all(np.isfinite(vals)):
         raise DomainError("scores must be finite")
-    mask = _truth_mask(truth, vals.shape)
+    mask = np.asarray(truth)
+    if mask.dtype != bool or mask.shape != vals.shape:
+        raise DomainError(f"truth must be a boolean mask of shape {vals.shape}")
     p = vals.shape[-1]
     block, masks = vals.reshape(-1, p), mask.reshape(-1, p)
     npos = masks.sum(axis=1)

@@ -22,19 +22,12 @@ from .numerics import RngStream, normal_sf
 DEFAULT_ALPHA0 = 0.10
 
 
-@dataclass(frozen=True)
-class FeatureZVector:
-    z: np.ndarray
-    n: int
-
-
-def z_vector(sample: ClassSample) -> FeatureZVector:
+def z_vector(sample: ClassSample) -> np.ndarray:
     """Z = (1/sqrt(n)) sum_i label_i * row_i, distributed N(sqrt(n) mu, Sigma)."""
     n = sample.n
     if n < 1:
         raise DomainError("need at least one training row")
-    z = sample.features.T @ sample.labels.astype(float) / math.sqrt(n)
-    return FeatureZVector(z=z, n=n)
+    return sample.features.T @ sample.labels.astype(float) / math.sqrt(n)
 
 
 def clip_threshold(z: np.ndarray, t: float) -> np.ndarray:
@@ -45,29 +38,19 @@ def clip_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return np.where(np.abs(z) >= t, np.sign(z), 0.0).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class HctThreshold:
-    threshold: float
-    argmax_index: int
+def hct_threshold(z: np.ndarray, omega: PrecisionModel,
+                  alpha0: float = DEFAULT_ALPHA0) -> tuple[float, np.ndarray]:
+    """Higher Criticism threshold for feature selection, with the innovated
+    transform Omega Z it thresholds.
 
-
-def hct_threshold(zvec: FeatureZVector, omega: PrecisionModel,
-                  alpha0: float = DEFAULT_ALPHA0) -> HctThreshold:
-    """Higher Criticism threshold for feature selection.
-
-    Two-sided P-values of the innovated transform Omega Z are sorted and the
-    score sqrt(p) (i/p - pi_(i)) / sqrt((i/p)(1 - i/p)) is maximized over
+    Two-sided P-values of Omega Z are sorted and the score
+    sqrt(p) (i/p - pi_(i)) / sqrt((i/p)(1 - i/p)) is maximized over
     i <= alpha0 * p (ties to the smallest i). The threshold is the i-th
     largest |Omega Z| at the maximizer; the denominator here uses i/p, not
     the P-value, unlike the detection statistic.
     """
-    return _hct_with_innovated(zvec, omega, alpha0)[0]
-
-
-def _hct_with_innovated(zvec: FeatureZVector, omega: PrecisionModel, alpha0: float):
-    """hct_threshold's result together with the innovated transform Omega Z."""
     _check_alpha0(alpha0)
-    z = np.asarray(zvec.z, dtype=float)
+    z = np.asarray(z, dtype=float)
     p = z.shape[0]
     if omega.p != p:
         raise DomainError("omega dimension must match z")
@@ -79,8 +62,7 @@ def _hct_with_innovated(zvec: FeatureZVector, omega: PrecisionModel, alpha0: flo
     srt = np.sort(pv)[:upper]
     scores = _hc_objective(srt, p, np.arange(1, upper + 1) / p)
     k = int(np.argmax(scores))
-    threshold = float(np.sort(np.abs(wz))[::-1][k])
-    return HctThreshold(threshold=threshold, argmax_index=k + 1), wz
+    return float(np.sort(np.abs(wz))[::-1][k]), wz
 
 
 @dataclass
@@ -89,7 +71,6 @@ class HctModel:
 
     mu_hat: np.ndarray
     threshold: float
-    argmax_index: int
     alpha0: float
     omega: PrecisionModel
     degenerate: bool
@@ -98,17 +79,15 @@ class HctModel:
 def train_hct(sample: ClassSample, omega: PrecisionModel,
               alpha0: float = DEFAULT_ALPHA0) -> HctModel:
     """Fit the HC-thresholded rule: mu_hat = clip(Omega Z) at the HCT."""
-    zv = z_vector(sample)
-    sel, wz = _hct_with_innovated(zv, omega, alpha0)
-    if sel.threshold > 0.0:
-        mu_hat = clip_threshold(wz, sel.threshold)
+    threshold, wz = hct_threshold(z_vector(sample), omega, alpha0)
+    if threshold > 0.0:
+        mu_hat = clip_threshold(wz, threshold)
     else:
         mu_hat = np.zeros(omega.p, dtype=np.int8)  # all statistics exactly zero
     degenerate = not np.any(mu_hat)
     if degenerate:
         warnings.warn("HCT selected no features; classifier degenerates to +1")
-    return HctModel(mu_hat=mu_hat, threshold=sel.threshold,
-                    argmax_index=sel.argmax_index, alpha0=alpha0,
+    return HctModel(mu_hat=mu_hat, threshold=threshold, alpha0=alpha0,
                     omega=omega, degenerate=degenerate)
 
 
@@ -174,5 +153,5 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
     mapper = map if map_fn is None else map_fn
     errors = np.asarray(list(mapper(one_rep, range(reps))), dtype=float)
     mean = float(np.mean(errors))
-    se = float(np.std(errors, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    se = float(np.std(errors, ddof=1) / math.sqrt(reps))
     return ClassificationErrorReport(mean_error=mean, se=se, errors=errors, reps=reps)

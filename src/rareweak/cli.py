@@ -371,7 +371,7 @@ def run_recover(cfg: dict) -> ResultTable:
         t_ideal = select.ideal_threshold(p, vartheta, r)
         t_univ = select.universal_threshold(p)
 
-        def one(k, p=p, omega=omega, params=params, t_ideal=t_ideal, t_univ=t_univ):
+        def one(k):
             # streams key on the grid value, so duplicate grid entries replay
             rng = RngStream(root, _WORK_LANE).child(p).child(k)
             inst = gen_arw(params, omega, rng)
@@ -410,7 +410,7 @@ def run_bandwidth(cfg: dict) -> ResultTable:
         rng=RngStream(root, _TABLE_LANE), alpha0=cfg["alpha0"])
     rows = []
     for ci, (eps, tau) in enumerate(cfg["cases"]):
-        def one(k, eps=eps, tau=tau, ci=ci):
+        def one(k):
             rng = RngStream(root, _WORK_LANE).child(ci).child(k)
             samples, sigma = gen_banded_sample(p, n, [(eps, tau)] * b, rng)
             est = apps.estimate_bandwidth(samples, b0, alpha, table,
@@ -477,8 +477,7 @@ def run_ranking(cfg: dict) -> ResultTable:
                               cfg["m0"])
         case_rng = work_rng.child(ci)
 
-        def block(i, tau=float(tau), sigma=sigma, sigma_sqrt=sigma_sqrt, plan=plan,
-                  case_rng=case_rng):
+        def block(i):
             ks = range(i * height, min((i + 1) * height, reps))
             aucs = [(math.nan, math.nan)] * len(ks)
             scored, beta_rows, noise_rows = [], [], []

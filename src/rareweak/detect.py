@@ -2,15 +2,15 @@
 
 P-value pipelines under three noise transforms (marginal, whitened,
 innovated), the orthodox HC statistic and its heavy-tail-guarded variant,
-simulated and asymptotic critical values, the innovated HC test with its
-degree-inflated threshold, the oracle likelihood-ratio statistic, and Monte
-Carlo size/power estimation.
+simulated critical values, and Monte Carlo size/power estimation, where the
+innovated variant's threshold is inflated by the precision matrix's maximum
+row-nonzero count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,24 +40,15 @@ VARIANTS = tuple(_VARIANT_PVALUES)
 
 
 @dataclass(frozen=True)
-class PValueVector:
-    values: np.ndarray
-    side: str
-    transform: str
-
-
-@dataclass(frozen=True)
 class DetectionResult:
     statistic: float
     argmax_index: int
-    threshold: float | None
-    reject: bool
     variant: str
     clamped: bool = False
 
 
 def pvalues(y: np.ndarray, omega: PrecisionModel, transform: str = "none",
-            side: str = "upper") -> PValueVector:
+            side: str = "upper") -> np.ndarray:
     """Per-coordinate P-values of the observation under a noise transform.
 
     transform "none" standardizes each Y_i by sqrt(Sigma(i,i)); "whitened"
@@ -79,14 +70,12 @@ def pvalues(y: np.ndarray, omega: PrecisionModel, transform: str = "none",
     else:
         t = omega.matvec(y)
     if side == "upper":
-        vals = normal_sf(t)
-    else:
-        vals = 2.0 * normal_sf(np.abs(t))
-    return PValueVector(values=vals, side=side, transform=transform)
+        return normal_sf(t)
+    return 2.0 * normal_sf(np.abs(t))
 
 
 def _pvalue_array(pv) -> np.ndarray:
-    vals = pv.values if isinstance(pv, PValueVector) else np.asarray(pv, dtype=float)
+    vals = np.asarray(pv, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
         raise DomainError("need a vector of at least two P-values")
     return vals
@@ -143,15 +132,13 @@ def _hc(rows: np.ndarray, frac: float, floor: bool):
 def _hc_result(pv, frac: float, floor: bool, variant: str) -> DetectionResult:
     stat, index, clamped = _hc(_pvalue_array(pv)[None, :], frac, floor)
     return DetectionResult(statistic=float(stat[0]), argmax_index=int(index[0]),
-                           threshold=None, reject=False, variant=variant,
-                           clamped=bool(clamped[0]))
+                           variant=variant, clamped=bool(clamped[0]))
 
 
 def hc_statistic(pv, variant: str = "ohc") -> DetectionResult:
     """Orthodox HC: maximize the standardized rank discrepancy over i <= p/2.
 
-    Ties take the smallest index. No threshold is attached; the result's
-    reject flag is False until a test wraps it.
+    Ties take the smallest index.
     """
     return _hc_result(pv, 0.5, False, variant)
 
@@ -160,7 +147,7 @@ def hc_plus_statistic(pv, alpha0: float = 0.5) -> DetectionResult:
     """HC restricted to i <= alpha0 * p with sorted P-values above 1/p.
 
     The feasible set may be empty, in which case the statistic is -inf and
-    the test never rejects.
+    no threshold rejects.
     """
     _check_alpha0(alpha0)
     return _hc_result(pv, alpha0, True, "hcplus")
@@ -175,13 +162,6 @@ def _check_alpha0(alpha0: float):
 # critical values
 # ---------------------------------------------------------------------------
 
-def asymptotic_critical_value(p) -> float:
-    """Large-p reference sqrt(2 log log p); crude for any finite p."""
-    if p <= math.e:
-        raise DomainError("p must exceed e for the asymptotic reference")
-    return math.sqrt(2.0 * math.log(math.log(p)))
-
-
 @dataclass(frozen=True)
 class CriticalValueTable:
     """Simulated null quantiles of an HC variant at one dimension."""
@@ -193,10 +173,6 @@ class CriticalValueTable:
     num_null_reps: int
     seed: int
     alpha0: float = 0.5
-
-    @property
-    def asymptotic(self) -> float:
-        return asymptotic_critical_value(self.p)
 
     def value(self, alpha: float) -> float:
         for a, q in zip(self.alphas, self.quantiles):
@@ -220,15 +196,13 @@ class CriticalValueTable:
 
 
 def critical_value(p: int, alphas, variant: str = "ohc",
-                   num_null_reps: int = 1000, rng: RngStream | None = None,
+                   num_null_reps: int = 1000, *, rng: RngStream,
                    alpha0: float = 0.5) -> CriticalValueTable:
     """Simulate null quantiles of an HC variant over iid uniform P-values.
 
     The null draws take Y ~ N(0, I_p), under which the P-values are exactly
     iid uniform, so the statistic is simulated on sorted uniforms directly.
     """
-    if rng is None:
-        raise DomainError("an RngStream is required for reproducible tables")
     if num_null_reps < 100:
         raise DomainError("num_null_reps must be at least 100")
     if variant not in ("ohc", "hcplus"):
@@ -255,39 +229,8 @@ def critical_value(p: int, alphas, variant: str = "ohc",
 
 
 # ---------------------------------------------------------------------------
-# tests
+# size and power
 # ---------------------------------------------------------------------------
-
-def ihc_test(y: np.ndarray, omega: PrecisionModel, alpha: float,
-             table: CriticalValueTable) -> DetectionResult:
-    """Innovated HC test: reject when the statistic reaches d* h(p, alpha).
-
-    d* is the maximum row-nonzero count of the precision matrix; the
-    critical value h(p, alpha) comes from a table simulated for the orthodox
-    statistic on uniforms at the same dimension.
-    """
-    y = np.asarray(y, dtype=float)
-    table.check(y.shape[0], "ohc")
-    res = _variant_statistic(y, omega, "ihc")
-    threshold = variant_threshold(omega, "ihc", alpha, table)
-    return replace(res, threshold=threshold, reject=bool(res.statistic >= threshold))
-
-
-def lr_statistic(y: np.ndarray, epsilon: float, tau: float) -> float:
-    """Oracle log-likelihood ratio for the two-point mixture alternative.
-
-    Sum of log((1 - eps) + eps * exp(tau Y_i - tau^2 / 2)), evaluated in
-    log space so large exponents cannot overflow.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
-    if tau < 0.0:
-        raise DomainError("tau must be non-negative")
-    y = np.asarray(y, dtype=float)
-    expo = tau * y - 0.5 * tau * tau
-    terms = np.logaddexp(math.log1p(-epsilon), math.log(epsilon) + expo)
-    return float(np.sum(terms))
-
 
 def _variant_statistic(y: np.ndarray, omega: PrecisionModel, variant: str,
                        alpha0: float = 0.5) -> DetectionResult:
@@ -299,6 +242,8 @@ def _variant_statistic(y: np.ndarray, omega: PrecisionModel, variant: str,
 
 def variant_threshold(omega: PrecisionModel, variant: str, alpha: float,
                       table: CriticalValueTable) -> float:
+    """The table's critical value at alpha; the innovated variant multiplies
+    it by the maximum row-nonzero count of the precision matrix."""
     mult = omega.row_nonzero_max() if variant == "ihc" else 1.0
     return mult * table.value(alpha)
 
@@ -315,11 +260,12 @@ class PowerEstimate:
 
 def power_estimate(params, omega: PrecisionModel, variant: str,
                    alpha: float, reps: int, rng: RngStream,
-                   table: CriticalValueTable | None = None,
-                   alpha0: float = 0.5) -> PowerEstimate:
+                   table: CriticalValueTable, alpha0: float = 0.5) -> PowerEstimate:
     """Monte Carlo size and power at a shared simulated critical value.
 
     params is an ArwParams or MixtureParams; only (p, epsilon, tau) are used.
+    table must be simulated at p for the variant's functional: 'hcplus' for
+    HC+, at this alpha0, and 'ohc' for every other variant.
 
     Replicate k draws its null and alternative data from substreams
     rng.child(1).child(k), so calls sharing a root stream are paired draw
@@ -329,12 +275,7 @@ def power_estimate(params, omega: PrecisionModel, variant: str,
         raise DomainError("reps must be at least 50")
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
-    functional = "hcplus" if variant == "hcplus" else "ohc"
-    if table is None:
-        table = critical_value(params.p, [alpha], variant=functional,
-                               num_null_reps=max(1000, reps),
-                               rng=rng.child(0), alpha0=alpha0)
-    table.check(params.p, functional, alpha0)
+    table.check(params.p, "hcplus" if variant == "hcplus" else "ohc", alpha0)
     threshold = variant_threshold(omega, variant, alpha, table)
     null_rejects = 0
     alt_rejects = 0

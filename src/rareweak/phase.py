@@ -1,4 +1,4 @@
-"""Closed-form phase boundaries and the region classifier.
+"""Closed-form phase boundaries.
 
 All boundary curves live in the plane of (sparsity exponent vartheta,
 strength exponent r): the detection boundary, the exact-recovery boundary
@@ -10,8 +10,6 @@ classification boundary for training size p^theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError, SolverError
 
@@ -111,47 +109,6 @@ def rho_classify(vartheta: float, theta: float) -> float:
             f"vartheta must lie in (0, 1 - theta) = (0, {1.0 - theta}), got {vartheta}"
         )
     return (1.0 - theta) * rho_detect(vartheta / (1.0 - theta))
-
-
-class RegionLabel(str, Enum):
-    UNDETECTABLE = "undetectable"
-    DETECTABLE_NOT_RECOVERABLE = "detectable_not_recoverable"
-    ALMOST_FULLY_RECOVERABLE = "almost_fully_recoverable"
-    EXACTLY_RECOVERABLE = "exactly_recoverable"
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    vartheta: float
-    r: float
-
-    def __post_init__(self):
-        _check_vartheta(self.vartheta)
-        if self.r <= 0.0:
-            raise DomainError("r must be positive")
-
-
-def classify_region(pt: PhasePoint, exact_boundary=rho_exact_identity) -> RegionLabel:
-    """Four-way region label; points within BOUNDARY_EPS of a curve are rejected.
-
-    Regions are open: below rho_detect, between rho_detect and vartheta,
-    between vartheta and the exact-recovery curve, or above it.
-    """
-    c_detect = rho_detect(pt.vartheta)
-    c_count = pt.vartheta
-    c_exact = exact_boundary(pt.vartheta)
-    for c in (c_detect, c_count, c_exact):
-        if abs(pt.r - c) <= BOUNDARY_EPS:
-            raise DomainError(
-                f"point (vartheta={pt.vartheta}, r={pt.r}) lies on a boundary curve"
-            )
-    if pt.r < c_detect:
-        return RegionLabel.UNDETECTABLE
-    if pt.r < c_count:
-        return RegionLabel.DETECTABLE_NOT_RECOVERABLE
-    if pt.r < c_exact:
-        return RegionLabel.ALMOST_FULLY_RECOVERABLE
-    return RegionLabel.EXACTLY_RECOVERABLE
 
 
 def boundary_grid(varthetas, theta: float = 0.2, h0: float | None = None):

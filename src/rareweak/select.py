@@ -2,8 +2,8 @@
 
 Hard thresholding with ideal and universal thresholds, the two-step graphlet
 screening procedure (a chi-square screen over connected subgraphs followed by
-a penalized exhaustive clean over retained components), univariate screening
-as the marginal baseline, and Hamming-distance evaluation.
+a penalized exhaustive clean over retained components), and Hamming-distance
+evaluation.
 """
 
 from __future__ import annotations
@@ -284,24 +284,11 @@ def gs_clean(instance: RegressionInstance, graph: DependencyGraph, retained,
 
 
 def gs_estimate(y: np.ndarray, omega: PrecisionModel, vartheta: float, r: float,
-                m0: int = 1, q: float = DEFAULT_SCREEN_Q,
-                component_cap: int = CLEAN_COMPONENT_CAP) -> SelectionResult:
+                m0: int = 1, q: float = DEFAULT_SCREEN_Q) -> SelectionResult:
     """Full screen + clean pipeline with the standard exponent-based tuning."""
     instance = regression_from_y(y, omega)
     g = omega.graph()
     tuning = default_gs_tuning(omega.p, vartheta, r, m0=m0, q=q)
     retained = gs_screen(instance, g, tuning)
-    return gs_clean(instance, g, retained, tuning, component_cap=component_cap)
+    return gs_clean(instance, g, retained, tuning)
 
-
-def univariate_screen(instance: RegressionInstance, t: float) -> SelectionResult:
-    """Marginal screening: keep (x_j, W) wherever |(x_j, W)| >= t.
-
-    The correlation vector X'W equals the innovated transform of the
-    original observation, so this is entrywise thresholding of Omega Y.
-    """
-    if t < 0:
-        raise DomainError("threshold must be non-negative")
-    b = np.asarray(instance.xtw, dtype=float)
-    beta = np.where(np.abs(b) >= t, b, 0.0)
-    return SelectionResult(beta_hat=beta, method="US", tuning={"t": float(t)})

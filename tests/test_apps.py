@@ -80,18 +80,18 @@ class TestRankingUs:
     def test_matched_column_ranked_first(self):
         x = np.eye(6)
         w = x[:, 3] * 2.0
-        res = apps.rank_features_us(_instance_from_design(x, w))
-        assert int(np.argmin(res.scores)) == 3
+        scores = apps.rank_features_us(_instance_from_design(x, w))
+        assert int(np.argmin(scores)) == 3
 
     def test_zero_response_all_tied_at_one(self):
         x = np.eye(4)
-        res = apps.rank_features_us(_instance_from_design(x, np.zeros(4)))
-        assert np.allclose(res.scores, 1.0)
+        scores = apps.rank_features_us(_instance_from_design(x, np.zeros(4)))
+        assert np.allclose(scores, 1.0)
 
     def test_identity_order_matches_magnitude(self):
         w = np.array([0.3, -2.0, 1.1, 0.0, -0.7])
-        res = apps.rank_features_us(_instance_from_design(np.eye(5), w))
-        assert np.array_equal(np.argsort(res.scores, kind="stable"),
+        scores = apps.rank_features_us(_instance_from_design(np.eye(5), w))
+        assert np.array_equal(np.argsort(scores, kind="stable"),
                               np.argsort(-np.abs(w), kind="stable"))
 
 
@@ -101,7 +101,16 @@ class TestRankingGs:
         inst = _instance_from_design(np.eye(12), w)
         us = apps.rank_features_us(inst)
         gs = apps.rank_features_gs(inst, _plan(np.eye(12), 0.0, 1))
-        assert np.array_equal(np.argsort(us.scores), np.argsort(gs.scores))
+        assert np.array_equal(np.argsort(us), np.argsort(gs))
+
+    def test_m0_one_identity_equals_us(self):
+        # both score singletons with the one chi-square(1) tail, to the bit,
+        # from zero responses to the far tail
+        scale = np.array([[0.0], [1e-8], [1.0], [5.0], [30.0]])
+        xtw = RngStream(7, 1).standard_normal((5, 12)) * scale
+        inst = mo.RegressionInstance(gram=np.eye(12), xtw=xtw)
+        gs = apps.rank_features_gs(inst, _plan(np.eye(12), 0.0, 1))
+        assert np.array_equal(gs, apps.rank_features_us(inst))
 
     def test_gs_score_never_above_singleton(self):
         sigma = mo.PrecisionModel.block2(10, -0.6).dense()
@@ -113,7 +122,7 @@ class TestRankingGs:
 
         diag = inst.gram_diag()
         singles = chisq_sf(1, np.asarray(inst.xtw) ** 2 / diag)
-        assert np.all(gs.scores <= singles + 1e-12)
+        assert np.all(gs <= singles + 1e-12)
 
     def test_near_singular_pair_screened_like_larger_subgraphs(self):
         # eigenvalues 1e-10 and 2 - 1e-10: rank deficient under check_gram, so
@@ -123,7 +132,7 @@ class TestRankingGs:
             check_gram(gram)
         inst = mo.RegressionInstance(gram=gram, xtw=np.array([1.0, -1.0]))
         gs = apps.rank_features_gs(inst, _plan(gram, 0.0, 2))
-        assert np.array_equal(gs.scores, chisq_sf(1, np.ones(2)))
+        assert np.array_equal(gs, chisq_sf(1, np.ones(2)))
 
     def test_cancellation_case_gs_beats_us(self):
         p, h0, tau, eps = 400, -0.8, 4.0, 0.05
@@ -195,7 +204,7 @@ class TestGsPlan:
         xtw = RngStream(11, 0).standard_normal(11) + np.arange(11) % 3
         inst = mo.RegressionInstance(gram=gram, xtw=xtw)
         got = apps.rank_features_gs(inst, _plan(gram, delta, m0))
-        assert np.array_equal(got.scores, _gs_reference(inst, gram, delta, m0))
+        assert np.array_equal(got, _gs_reference(inst, gram, delta, m0))
 
     def test_plan_sizes(self):
         gram = self._gram(False)
@@ -237,10 +246,11 @@ class TestRoc:
         assert abs(auc - 0.5) <= 3.0 / math.sqrt(p // 4)
 
     def test_index_set_truth(self):
+        # truth is a boolean mask: an in-range integer index set is refused too
         scores = np.array([0.1, 0.9, 0.2, 0.8])
-        a = apps.roc_curve(scores, np.array([0, 2]))
-        b = apps.roc_curve(scores, np.array([True, False, True, False]))
-        assert a.auc == b.auc
+        with pytest.raises(DomainError):
+            apps.roc_curve(scores, np.array([0, 2]))
+        assert apps.roc_curve(scores, np.array([True, False, True, False])).auc == 1.0
 
     @given(st.floats(0.1, 5.0), st.floats(-3.0, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -317,10 +327,10 @@ class TestBlocks:
     def test_us_rows_match_one_row(self):
         gram = self._gram(True)
         xtw = self._xtw()
-        block = apps.rank_features_us(mo.RegressionInstance(gram=gram, xtw=xtw)).scores
+        block = apps.rank_features_us(mo.RegressionInstance(gram=gram, xtw=xtw))
         assert block.shape == xtw.shape
         for row, w in zip(block, xtw):
-            one = apps.rank_features_us(mo.RegressionInstance(gram=gram, xtw=w)).scores
+            one = apps.rank_features_us(mo.RegressionInstance(gram=gram, xtw=w))
             assert np.array_equal(_bits(row), _bits(one))
 
     @pytest.mark.parametrize("sparse", [False, True])
@@ -334,18 +344,18 @@ class TestBlocks:
             assert (2, 3, 4) in plan.larger and (0, 1, 8) in plan.larger
         xtw = self._xtw()
         block = apps.rank_features_gs(mo.RegressionInstance(gram=gram, xtw=xtw), plan)
-        assert block.scores.shape == xtw.shape
-        for row, w in zip(block.scores, xtw):
+        assert block.shape == xtw.shape
+        for row, w in zip(block, xtw):
             inst = mo.RegressionInstance(gram=gram, xtw=w)
-            one = apps.rank_features_gs(inst, plan).scores
+            one = apps.rank_features_gs(inst, plan)
             assert np.array_equal(_bits(row), _bits(one))
             assert np.array_equal(one, _gs_reference(inst, gram, 0.0, m0))
 
     def test_roc_rows_match_one_row_and_stable_reference(self):
         gram = self._gram(True)
         inst = mo.RegressionInstance(gram=gram, xtw=self._xtw())
-        gs = apps.rank_features_gs(inst, _plan(gram, 0.0, 3)).scores
-        us = apps.rank_features_us(inst).scores
+        gs = apps.rank_features_gs(inst, _plan(gram, 0.0, 3))
+        us = apps.rank_features_us(inst)
         signed_zeros = np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.25, 0.5, 1.0, -0.0, 0.25])
         scores = np.vstack([gs, us, signed_zeros, np.ones(10)])
         # a pair or triangle P-value that is the minimum for several of its

@@ -22,20 +22,20 @@ def make_sample(features, labels, mu=None):
 class TestZVector:
     def test_single_positive_row(self):
         row = np.array([[1.0, -2.0, 0.5]])
-        zv = cl.z_vector(make_sample(row, [1]))
-        assert np.array_equal(zv.z, row[0])
+        z = cl.z_vector(make_sample(row, [1]))
+        assert np.array_equal(z, row[0])
 
     def test_single_negative_row(self):
         row = np.array([[1.0, -2.0, 0.5]])
-        zv = cl.z_vector(make_sample(row, [-1]))
-        assert np.array_equal(zv.z, -row[0])
+        z = cl.z_vector(make_sample(row, [-1]))
+        assert np.array_equal(z, -row[0])
 
     def test_null_norm_concentrates(self):
         p, n = 2000, 50
         om = mo.PrecisionModel.identity(p)
         sample = mo.gen_class_sample(p, 0.99, 0.001, 0.5, om, RngStream(1, 0), n=n)
-        zv = cl.z_vector(sample)
-        assert abs(zv.z @ zv.z / p - 1.0) <= 5.0 / math.sqrt(p)
+        z = cl.z_vector(sample)
+        assert abs(z @ z / p - 1.0) <= 5.0 / math.sqrt(p)
 
 
 class TestClipThreshold:
@@ -67,11 +67,11 @@ class TestHctThreshold:
         z = np.zeros(p)
         z[0] = 10.0
         z[1:] = RngStream(3, 0).standard_normal(p - 1) * 0.5
-        zv = cl.FeatureZVector(z=z, n=4)
         om = mo.PrecisionModel.identity(p)
-        sel = cl.hct_threshold(zv, om, alpha0=0.10)
-        assert sel.threshold <= 10.0
-        assert sel.argmax_index <= 5
+        threshold, wz = cl.hct_threshold(z, om, alpha0=0.10)
+        assert np.array_equal(wz, z)
+        # the maximizer is among the five largest |z|
+        assert np.sort(np.abs(z))[-5] <= threshold <= 10.0
 
     def test_denominator_differs_from_detection_hc(self):
         # construct sorted P-values where the rank-based denominator picks a
@@ -81,40 +81,37 @@ class TestHctThreshold:
         pv[0] = 1e-8
         pv[1:6] = 0.02
         z = norm.isf(pv / 2.0)
-        zv = cl.FeatureZVector(z=z, n=4)
         om = mo.PrecisionModel.identity(p)
-        sel = cl.hct_threshold(zv, om, alpha0=0.10)
+        threshold, _ = cl.hct_threshold(z, om, alpha0=0.10)
         srt = np.sort(pv)[:10]
         i = np.arange(1, 11)
         det_obj = math.sqrt(p) * (i / p - srt) / np.sqrt(srt * (1 - srt))
         cls_obj = math.sqrt(p) * (i / p - srt) / np.sqrt((i / p) * (1 - i / p))
         assert int(np.argmax(det_obj)) + 1 == 1
         assert int(np.argmax(cls_obj)) + 1 != 1
-        assert sel.argmax_index == int(np.argmax(cls_obj)) + 1
+        assert threshold == np.sort(np.abs(z))[::-1][np.argmax(cls_obj)]
 
     def test_all_pvalues_large_still_defined(self):
         p = 50
         z = np.full(p, 1e-3)
-        zv = cl.FeatureZVector(z=z, n=4)
         om = mo.PrecisionModel.identity(p)
-        sel = cl.hct_threshold(zv, om, alpha0=0.10)
-        assert sel.threshold == pytest.approx(1e-3)
+        threshold, _ = cl.hct_threshold(z, om, alpha0=0.10)
+        assert threshold == pytest.approx(1e-3)
 
     def test_row_permutation_invariance(self):
         p = 60
         om = mo.PrecisionModel.identity(p)
         sample = mo.gen_class_sample(p, 0.4, 1.5, 0.6, om, RngStream(4, 0))
-        sel1 = cl.hct_threshold(cl.z_vector(sample), om)
+        t1, _ = cl.hct_threshold(cl.z_vector(sample), om)
         perm = np.argsort(RngStream(4, 1).standard_normal(sample.n))
         shuffled = mo.ClassSample(features=sample.features[perm],
                                   labels=sample.labels[perm], mu=sample.mu)
-        sel2 = cl.hct_threshold(cl.z_vector(shuffled), om)
-        assert sel1.threshold == pytest.approx(sel2.threshold)
+        t2, _ = cl.hct_threshold(cl.z_vector(shuffled), om)
+        assert t1 == pytest.approx(t2)
 
     def test_too_small_p(self):
-        zv = cl.FeatureZVector(z=np.zeros(5), n=2)
         with pytest.raises(DomainError):
-            cl.hct_threshold(zv, mo.PrecisionModel.identity(5), alpha0=0.10)
+            cl.hct_threshold(np.zeros(5), mo.PrecisionModel.identity(5), alpha0=0.10)
 
 
 class TestTrainAndClassify:
@@ -124,7 +121,7 @@ class TestTrainAndClassify:
         for k in range(5):
             sample = mo.gen_class_sample(p, 0.3, 1.5, 0.5, om, RngStream(5, k))
             model = cl.train_hct(sample, om)
-            z = cl.z_vector(sample).z
+            z = cl.z_vector(sample)
             if model.mu_hat.any():
                 assert model.mu_hat[np.argmax(np.abs(z))] != 0
 
@@ -144,8 +141,8 @@ class TestTrainAndClassify:
         om = mo.PrecisionModel.identity(p)
         mu_hat = np.zeros(p, dtype=np.int8)
         mu_hat[3] = 1
-        model = cl.HctModel(mu_hat=mu_hat, threshold=1.0, argmax_index=1,
-                            alpha0=0.1, omega=om, degenerate=False)
+        model = cl.HctModel(mu_hat=mu_hat, threshold=1.0, alpha0=0.1, omega=om,
+                            degenerate=False)
         rows = RngStream(7, 0).standard_normal((50, p))
         preds = cl.classify_batch(model, rows)
         expect = np.where(rows[:, 3] >= 0, 1, -1)
@@ -186,7 +183,7 @@ class TestTrainAndClassify:
         p = 40
         om = mo.PrecisionModel.block2(p, 0.5)
         model = cl.HctModel(mu_hat=np.zeros(p, dtype=np.int8), threshold=1.0,
-                            argmax_index=1, alpha0=0.1, omega=om, degenerate=True)
+                            alpha0=0.1, omega=om, degenerate=True)
         labels = np.array([1, -1, -1, 1, -1])
         mu = np.full(p, 0.7)
         draws = RngStream(6, 1).standard_normal((5, p))
@@ -196,7 +193,7 @@ class TestTrainAndClassify:
     def test_dimension_mismatch(self):
         om = mo.PrecisionModel.identity(8)
         model = cl.HctModel(mu_hat=np.zeros(8, dtype=np.int8), threshold=1.0,
-                            argmax_index=1, alpha0=0.1, omega=om, degenerate=True)
+                            alpha0=0.1, omega=om, degenerate=True)
         with pytest.raises(DomainError):
             cl.classify_batch(model, np.zeros((2, 9)))
 

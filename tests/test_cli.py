@@ -351,7 +351,7 @@ class TestRunners:
 
         def counting(name, fn):
             def counted(*args):
-                block = args[0].scores if name == "roc_curve" else args[0].xtw
+                block = args[0] if name == "roc_curve" else args[0].xtw
                 calls.append((name, np.ndim(block)))
                 return fn(*args)
             return counted

@@ -8,23 +8,18 @@ from rareweak import detect as de
 from rareweak import models as mo
 from rareweak.numerics import RngStream, normal_sf
 
-# High-precision oracle for the three-term likelihood-ratio example
-# (mpmath, 40 digits): eps = 0.1, tau = 1, y = (0, 1, 2).
-LR_EXAMPLE = 0.32146008131766874868
-
-
 class TestPValues:
     def test_zero_data_upper(self):
         om = mo.PrecisionModel.identity(6)
         pv = de.pvalues(np.zeros(6), om, "none", "upper")
-        assert np.allclose(pv.values, 0.5)
+        assert np.allclose(pv, 0.5)
 
     def test_transforms_coincide_under_identity(self):
         om = mo.PrecisionModel.identity(10)
         y = RngStream(1, 0).standard_normal(10)
-        a = de.pvalues(y, om, "none", "two").values
-        b = de.pvalues(y, om, "whitened", "two").values
-        c = de.pvalues(y, om, "innovated", "two").values
+        a = de.pvalues(y, om, "none", "two")
+        b = de.pvalues(y, om, "whitened", "two")
+        c = de.pvalues(y, om, "innovated", "two")
         assert np.allclose(a, b) and np.allclose(a, c)
 
     def test_block_model_snr_ordering(self):
@@ -34,9 +29,9 @@ class TestPValues:
         om = mo.PrecisionModel.block2(4, h0)
         y = np.zeros(4)
         y[0] = tau
-        brute = de.pvalues(y, om, "none", "two").values[0]
-        whit = de.pvalues(y, om, "whitened", "two").values[0]
-        innov = de.pvalues(y, om, "innovated", "two").values[0]
+        brute = de.pvalues(y, om, "none", "two")[0]
+        whit = de.pvalues(y, om, "whitened", "two")[0]
+        innov = de.pvalues(y, om, "innovated", "two")[0]
         assert abs(brute - 2 * normal_sf(math.sqrt(1 - h0**2) * tau)) <= 1e-12
         assert abs(whit - 2 * normal_sf(0.965926 * tau)) <= 1e-6
         assert abs(innov - 2 * normal_sf(tau)) <= 1e-12
@@ -58,7 +53,6 @@ class TestHcStatistic:
         expected = 2 * (0.25 - 0.01) / math.sqrt(0.01 * 0.99)
         assert abs(res.statistic - expected) <= 1e-12
         assert res.argmax_index == 1
-        assert res.threshold is None and res.reject is False
 
     def test_uniform_spacing_moderate(self):
         p = 40
@@ -111,7 +105,6 @@ class TestHcPlus:
     def test_empty_feasible_set(self):
         res = de.hc_plus_statistic(np.array([0.1, 0.2, 0.6, 0.9]), alpha0=0.5)
         assert res.statistic == -math.inf
-        assert res.reject is False
 
     def test_matches_hc_when_unconstrained(self):
         pv = np.array([0.3, 0.45, 0.6, 0.7, 0.8, 0.9])
@@ -197,7 +190,8 @@ class TestHcKernel:
     ])
     def test_table_matches_per_replicate_loop(self, p, variant, alpha0, reps):
         alphas = np.linspace(0.01, 0.99, 99)
-        table = de.critical_value(p, alphas, variant, reps, RngStream(22, p), alpha0)
+        table = de.critical_value(p, alphas, variant, reps, rng=RngStream(22, p),
+                                  alpha0=alpha0)
         rng = RngStream(22, p)
         frac, floor = (0.5, False) if variant == "ohc" else (alpha0, True)
         stats = np.array([_reference_hc(rng.uniform(p), frac, floor)[0]
@@ -214,16 +208,13 @@ class TestHcKernel:
                 calls.append(size)
                 return super().uniform(size)
 
-        de.critical_value(p, [0.05], "hcplus", reps, Counting(23, 0))
+        de.critical_value(p, [0.05], "hcplus", reps, rng=Counting(23, 0))
         height = max(1, de.NULL_BLOCK_VALUES // p)
         assert len(calls) <= math.ceil(reps / height)
         assert sum(np.prod(size) for size in calls) == reps * p
 
 
 class TestCriticalValues:
-    def test_asymptotic_reference(self):
-        assert abs(de.asymptotic_critical_value(math.e**math.e) - math.sqrt(2)) <= 1e-12
-
     def test_quantiles_monotone_in_alpha(self):
         table = de.critical_value(500, [0.05, 0.5], variant="ohc",
                                   num_null_reps=400, rng=RngStream(3, 0))
@@ -253,68 +244,34 @@ class TestCriticalValues:
         with pytest.raises(DomainError):
             de.critical_value(1, [0.05], num_null_reps=200, rng=RngStream(7, 0))
         with pytest.raises(DomainError):
-            de.critical_value(100, [0.05], "hcplus", 200, RngStream(7, 0), alpha0=0.7)
+            de.critical_value(100, [0.05], "hcplus", 200, rng=RngStream(7, 0), alpha0=0.7)
         table = de.critical_value(100, [0.05], num_null_reps=200, rng=RngStream(7, 0))
         with pytest.raises(DomainError):
             table.value(0.2)
 
 
 class TestIhcTest:
+    """The innovated test's threshold: the orthodox table value times the
+    maximum row-nonzero count of the precision matrix."""
+
     def test_identity_reduces_to_ohc_threshold(self):
-        p = 200
-        table = de.critical_value(p, [0.1], num_null_reps=300, rng=RngStream(8, 0))
-        om = mo.PrecisionModel.identity(p)
-        y = om.sample_noise(RngStream(8, 1))
-        res = de.ihc_test(y, om, 0.1, table)
-        assert res.threshold == pytest.approx(table.value(0.1))
-        assert res.reject == (res.statistic >= res.threshold)
+        table = de.critical_value(200, [0.1], num_null_reps=300, rng=RngStream(8, 0))
+        om = mo.PrecisionModel.identity(200)
+        assert de.variant_threshold(om, "ihc", 0.1, table) == table.value(0.1)
 
     def test_block_threshold_doubles(self):
-        p = 200
-        table = de.critical_value(p, [0.1], num_null_reps=300, rng=RngStream(9, 0))
-        om = mo.PrecisionModel.block2(p, 0.5)
-        y = om.sample_noise(RngStream(9, 1))
-        res = de.ihc_test(y, om, 0.1, table)
-        assert res.threshold == pytest.approx(2 * table.value(0.1))
+        table = de.critical_value(200, [0.1], num_null_reps=300, rng=RngStream(9, 0))
+        om = mo.PrecisionModel.block2(200, 0.5)
+        assert de.variant_threshold(om, "ihc", 0.1, table) == 2 * table.value(0.1)
+        assert de.variant_threshold(om, "whc", 0.1, table) == table.value(0.1)
 
     def test_wrong_table_rejected(self):
         table = de.critical_value(100, [0.1], variant="hcplus",
                                   num_null_reps=200, rng=RngStream(10, 0))
         om = mo.PrecisionModel.identity(100)
+        params = mo.ArwParams(p=100, vartheta=0.6, r=1.0)
         with pytest.raises(DomainError):
-            de.ihc_test(np.zeros(100), om, 0.1, table)
-
-
-class TestLrStatistic:
-    def test_zero_tau(self):
-        y = RngStream(11, 0).standard_normal(20)
-        assert abs(de.lr_statistic(y, 0.3, 0.0)) <= 1e-12
-
-    def test_balanced_single_point(self):
-        tau = 1.7
-        assert abs(de.lr_statistic(np.array([tau / 2]), 0.5, tau)) <= 1e-12
-
-    def test_three_term_oracle(self):
-        val = de.lr_statistic(np.array([0.0, 1.0, 2.0]), 0.1, 1.0)
-        assert abs(val - LR_EXAMPLE) <= 1e-12
-
-    def test_monotone_in_observations(self):
-        y = np.array([0.0, 1.0, -0.5])
-        base = de.lr_statistic(y, 0.2, 1.5)
-        for j in range(3):
-            bumped = y.copy()
-            bumped[j] += 0.3
-            assert de.lr_statistic(bumped, 0.2, 1.5) >= base
-
-    def test_no_overflow(self):
-        val = de.lr_statistic(np.array([500.0]), 0.1, 3.0)
-        assert math.isfinite(val)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            de.lr_statistic(np.zeros(3), 0.0, 1.0)
-        with pytest.raises(DomainError):
-            de.lr_statistic(np.zeros(3), 0.1, -1.0)
+            de.power_estimate(params, om, "ihc", 0.1, 50, RngStream(10, 1), table=table)
 
 
 class TestPowerEstimate:

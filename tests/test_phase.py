@@ -128,30 +128,6 @@ class TestRegions:
         for v in np.linspace(0.001, 0.999, 999):
             assert ph.rho_detect(v) < v < ph.rho_exact_identity(v)
 
-    def test_labels(self):
-        assert ph.classify_region(ph.PhasePoint(0.6, 0.05)) is ph.RegionLabel.UNDETECTABLE
-        assert (ph.classify_region(ph.PhasePoint(0.6, 0.3))
-                is ph.RegionLabel.DETECTABLE_NOT_RECOVERABLE)
-        assert (ph.classify_region(ph.PhasePoint(0.6, 1.5))
-                is ph.RegionLabel.ALMOST_FULLY_RECOVERABLE)
-        assert (ph.classify_region(ph.PhasePoint(0.6, 5.0))
-                is ph.RegionLabel.EXACTLY_RECOVERABLE)
-
-    def test_boundary_point_rejected(self):
-        with pytest.raises(DomainError):
-            ph.classify_region(ph.PhasePoint(0.6, 0.6))
-
-    def test_custom_boundary_handle(self):
-        label = ph.classify_region(ph.PhasePoint(0.6, 2.0),
-                                   exact_boundary=lambda v: 1.9)
-        assert label is ph.RegionLabel.EXACTLY_RECOVERABLE
-
-    def test_phase_point_validation(self):
-        with pytest.raises(DomainError):
-            ph.PhasePoint(0.0, 1.0)
-        with pytest.raises(DomainError):
-            ph.PhasePoint(0.5, 0.0)
-
 
 class TestGridExport:
     def test_rows_and_csv(self, tmp_path):

@@ -316,30 +316,10 @@ class TestGsEstimate:
                               RngStream(34, 0).child(k))
             gs = se.gs_estimate(inst.y, om, vartheta, r, m0=2, q=0.9)
             reg = mo.to_regression(inst)
-            us = se.univariate_screen(reg, se.ideal_threshold(p, vartheta, r))
+            us = se.hard_threshold(reg.xtw, se.ideal_threshold(p, vartheta, r))
             gs_err.append(se.hamming(gs.beta_hat, inst.beta))
             us_err.append(se.hamming(us.beta_hat, inst.beta))
         assert np.mean(gs_err) < np.mean(us_err)
-
-
-class TestUnivariateScreen:
-    def test_identity_equals_hard_threshold(self):
-        inst, om, reg = _identity_instance(300, 400)
-        t = 2.0
-        us = se.univariate_screen(reg, t)
-        ht = se.hard_threshold(inst.y, t)
-        assert np.array_equal(us.beta_hat, ht.beta_hat)
-
-    def test_zero_response(self):
-        om = mo.PrecisionModel.identity(10)
-        reg = mo.regression_from_y(np.zeros(10), om)
-        assert np.all(se.univariate_screen(reg, 1.0).beta_hat == 0)
-
-    def test_zero_threshold_keeps_nonzeros(self):
-        om = mo.PrecisionModel.identity(4)
-        reg = mo.regression_from_y(np.array([1.0, 0.0, -0.5, 0.0]), om)
-        res = se.univariate_screen(reg, 0.0)
-        assert list(res.support) == [0, 2]
 
 
 class TestReports:
