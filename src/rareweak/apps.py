@@ -47,19 +47,10 @@ def sample_cov_diagonal(samples: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x, x) / x.shape[0]
 
 
-@dataclass(frozen=True)
-class BandwidthEstimate:
-    b_hat: int
-    scores: np.ndarray
-    threshold: float
-    alpha: float
-    b0: int
-
-
 def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
                        null_table: CriticalValueTable,
-                       alpha0: float = HCPLUS_ALPHA0) -> BandwidthEstimate:
-    """HC bandwidth estimate from n rows of p-dimensional data.
+                       alpha0: float = HCPLUS_ALPHA0) -> int:
+    """HC bandwidth estimate b_hat from n rows of p-dimensional data.
 
     For each off-diagonal k = 1..b0 the entries of sqrt(n) * S_n^(k) get
     normal P-values and an HC+ score; the estimate is the largest k whose
@@ -74,6 +65,8 @@ def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
     this p and alpha0.
     """
     x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise DomainError(f"samples must be a 2-d (n, p) array, got {x.ndim}-d")
     n, p = x.shape
     if n < 2:
         raise DomainError("need at least two sample rows")
@@ -86,13 +79,13 @@ def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
     scores = np.empty(b0)
     sqrt_n = math.sqrt(n)
     diag = sample_cov_diagonal(x)
+    if not np.all(diag):
+        raise DomainError(f"column {np.flatnonzero(diag == 0)[0]} has zero sample variance")
     for k, xi in enumerate(sample_cov_offdiagonals(x, b0), start=1):
         z = sqrt_n * xi / np.sqrt(diag[: p - k] * diag[k:])
         scores[k - 1] = hc_plus_statistic(normal_sf(z), alpha0=alpha0).statistic
     qualifying = np.flatnonzero(scores >= threshold)
-    b_hat = int(qualifying[-1]) + 1 if qualifying.size else 0
-    return BandwidthEstimate(b_hat=b_hat, scores=scores, threshold=threshold,
-                             alpha=alpha, b0=b0)
+    return int(qualifying[-1]) + 1 if qualifying.size else 0
 
 
 # ---------------------------------------------------------------------------

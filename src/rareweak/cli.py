@@ -413,10 +413,9 @@ def run_bandwidth(cfg: dict) -> ResultTable:
         def one(k):
             rng = RngStream(root, _WORK_LANE).child(ci).child(k)
             samples, sigma = gen_banded_sample(p, n, [(eps, tau)] * b, rng)
-            est = apps.estimate_bandwidth(samples, b0, alpha, table,
-                                          alpha0=cfg["alpha0"])
-            truth = banded_true_bandwidth(sigma)
-            return est.b_hat, est.b_hat == truth
+            b_hat = apps.estimate_bandwidth(samples, b0, alpha, table,
+                                            alpha0=cfg["alpha0"])
+            return b_hat, b_hat == banded_true_bandwidth(sigma)
         results = _parallel_map(one, reps, cfg["threads"])
         for k, (b_hat, correct) in enumerate(results):
             rows.append((float(eps), float(tau), k, b_hat, int(correct)))

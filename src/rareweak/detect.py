@@ -16,14 +16,10 @@ import numpy as np
 
 from .errors import DomainError
 from .models import PrecisionModel, gen_arw
-from .numerics import RngStream, normal_sf
+from .numerics import BLOCK_VALUES, RngStream, normal_sf
 
 # P-values equal to 0 or 1 are clamped here to keep the HC denominator finite.
 PVALUE_CLAMP = 1e-15
-
-# Null tables are simulated in blocks of about this many uniforms, as many
-# whole rows as fit (at least one), sized to stay in cache.
-NULL_BLOCK_VALUES = 2**15
 
 TRANSFORMS = ("none", "whitened", "innovated")
 SIDES = ("upper", "two")
@@ -217,7 +213,7 @@ def critical_value(p: int, alphas, variant: str = "ohc",
         _check_alpha0(alpha0)
     frac, floor = (0.5, False) if variant == "ohc" else (alpha0, True)
     # Row blocks hold the values of consecutive uniform(p) draws, in order.
-    height = max(1, NULL_BLOCK_VALUES // p)
+    height = max(1, BLOCK_VALUES // p)
     stats = np.empty(num_null_reps)
     for k in range(0, num_null_reps, height):
         block = rng.uniform((min(height, num_null_reps - k), p))

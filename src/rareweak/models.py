@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from . import graph as graphmod
 from .errors import DomainError, FactorizationError, GenerationError
 from .numerics import (
+    BLOCK_VALUES,
     BandedSymmetric,
     RngStream,
     chol_banded,
@@ -403,6 +404,9 @@ def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream,
     matrix is not positive definite, all off-diagonals are shrunk by the
     factor `shrink` and the factorization retried up to max_retries times.
 
+    Rows are drawn and multiplied by the factor in cache-sized row blocks;
+    the draws and sums are those of one (n, p) draw, bit for bit.
+
     Returns (samples, sigma) with sigma a BandedSymmetric.
     """
     p, n = int(p), int(n)
@@ -416,6 +420,8 @@ def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream,
     for k, (eps, tau) in enumerate(band_spec, start=1):
         if not 0.0 <= eps <= 1.0:
             raise DomainError("band epsilon must lie in [0, 1]")
+        if not math.isfinite(tau):
+            raise DomainError(f"band tau must be finite, got {tau!r}")
         bands[k, : p - k] = np.where(rng.uniform(p - k) < eps, float(tau), 0.0)
     factor = None
     for _ in range(max_retries + 1):
@@ -435,8 +441,11 @@ def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream,
             f"covariance not positive definite after {max_retries} shrink retries "
             f"(min eigenvalue about {w[0]:.3e})"
         )
-    z = rng.standard_normal((n, p))
-    samples = factor.right_apply(z)
+    samples = np.empty((n, p))
+    height = max(1, BLOCK_VALUES // p)
+    for i in range(0, n, height):
+        h = min(height, n - i)
+        samples[i: i + h] = factor.right_apply(rng.standard_normal((h, p)))
     return samples, sigma
 
 

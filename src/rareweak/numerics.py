@@ -37,6 +37,9 @@ SPECIAL_FN_RTOL = 1e-10
 # Default cap on the size of a single connected component in sym_sqrt.
 SYM_SQRT_COMPONENT_CAP = 2000
 
+# Cache-sized row blocks (null tables, banded sampling): max(1, this // p) rows.
+BLOCK_VALUES = 2**15
+
 
 # ---------------------------------------------------------------------------
 # special functions

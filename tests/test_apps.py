@@ -34,8 +34,8 @@ class TestEstimateBandwidth:
         trials = 40
         for k in range(trials):
             x = RngStream(3, 0).child(k).standard_normal((300, 400))
-            est = apps.estimate_bandwidth(x, 5, 0.05, self.table)
-            hits += est.b_hat == 0
+            b_hat = apps.estimate_bandwidth(x, 5, 0.05, self.table)
+            hits += b_hat == 0
         assert hits / trials >= 1 - 0.05 - 2 * math.sqrt(0.05 * 0.95 / trials)
 
     def test_strong_bands_recovered(self):
@@ -43,15 +43,15 @@ class TestEstimateBandwidth:
         for k in range(10):
             samples, sigma = mo.gen_banded_sample(
                 400, 300, [(0.05, 0.4), (0.05, 0.4)], RngStream(4, 0).child(k))
-            est = apps.estimate_bandwidth(samples, 5, 0.05, self.table)
-            recovered += est.b_hat == mo.banded_true_bandwidth(sigma)
+            b_hat = apps.estimate_bandwidth(samples, 5, 0.05, self.table)
+            recovered += b_hat == mo.banded_true_bandwidth(sigma)
         assert recovered >= 8
 
     def test_b_hat_never_exceeds_b0(self):
         for k in range(5):
             x = RngStream(5, 0).child(k).standard_normal((50, 400))
-            est = apps.estimate_bandwidth(x, 5, 0.05, self.table)
-            assert 0 <= est.b_hat <= 5
+            b_hat = apps.estimate_bandwidth(x, 5, 0.05, self.table)
+            assert 0 <= b_hat <= 5
 
     def test_validation(self):
         x = np.zeros((1, 400))
@@ -61,6 +61,17 @@ class TestEstimateBandwidth:
                                           num_null_reps=200, rng=RngStream(6, 0))
         with pytest.raises(DomainError):
             apps.estimate_bandwidth(np.zeros((5, 400)), 3, 0.05, ohc_table)
+
+    @pytest.mark.parametrize("shape", [(400,), (2, 50, 400)])
+    def test_samples_not_2d_rejected(self, shape):
+        with pytest.raises(DomainError, match="2-d"):
+            apps.estimate_bandwidth(np.ones(shape), 5, 0.05, self.table)
+
+    def test_zero_variance_column_named(self):
+        x = RngStream(8, 0).standard_normal((50, 400))
+        x[:, 7] = 0.0
+        with pytest.raises(DomainError, match="column 7 "):
+            apps.estimate_bandwidth(x, 5, 0.05, self.table)
 
     def test_mismatched_table_rejected(self):
         # the table is checked against the sample's column count and alpha0

@@ -12,7 +12,8 @@ from scipy import stats
 from rareweak.errors import DomainError, FactorizationError, GenerationError
 from rareweak import models as mo
 from rareweak.graph import connected_components
-from rareweak.numerics import RngStream, restricted_quadform, sym_sqrt
+from rareweak.numerics import (BLOCK_VALUES, RngStream, chol_banded,
+                               restricted_quadform, sym_sqrt)
 
 
 class TestParams:
@@ -374,6 +375,14 @@ def _banded_dense(sigma):
     return out
 
 
+def _one_shot_sample(sigma, n, rng):
+    """One (n, p) draw times sigma's factor, taken from rng after the band
+    uniforms that gen_banded_sample draws first."""
+    for k in range(1, sigma.bandwidth + 1):
+        rng.uniform(sigma.p - k)
+    return chol_banded(sigma).right_apply(rng.standard_normal((n, sigma.p)))
+
+
 class TestBandedSample:
     def test_no_bands_identity(self):
         samples, sigma = mo.gen_banded_sample(50, 10, [], RngStream(18, 0))
@@ -411,6 +420,46 @@ class TestBandedSample:
         a, _ = mo.gen_banded_sample(100, 8, [(0.05, 0.2)], RngStream(23, 0))
         b, _ = mo.gen_banded_sample(100, 8, [(0.05, 0.2)], RngStream(23, 0))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p,n,band_spec", [
+        (1001, 70, [(0.1, 0.3)] * 3),        # odd p; n not a multiple of 32 rows
+        (1001, 5, [(0.1, 0.3)] * 2),         # n below one block
+        (BLOCK_VALUES + 3, 3, [(0.1, 0.3)]),  # one row per block
+        (5000, 200, []),                     # bandwidth 0
+        (5000, 13, [(0.02, 0.3)] * 3),       # the bench shape, 6 rows per block
+    ])
+    def test_blocked_rows_equal_one_shot_draw(self, p, n, band_spec):
+        # the row blocks draw and sum exactly what one (n, p) draw times the
+        # factor gives, on the same stream
+        samples, sigma = mo.gen_banded_sample(p, n, band_spec, RngStream(24, 1))
+        assert np.array_equal(samples, _one_shot_sample(sigma, n, RngStream(24, 1)))
+
+    def test_blocked_rows_equal_one_shot_draw_after_shrink(self):
+        # a tridiagonal coupling of 0.6 is not positive definite at p = 51;
+        # two shrinks by 0.9 make it so
+        samples, sigma = mo.gen_banded_sample(51, 40, [(1.0, 0.6)], RngStream(25, 0))
+        assert np.allclose(sigma.offdiagonal(1), 0.6 * 0.9**2)
+        assert np.array_equal(samples, _one_shot_sample(sigma, 40, RngStream(25, 0)))
+
+    @pytest.mark.parametrize("p,n", [(1001, 70), (5000, 200), (BLOCK_VALUES + 3, 3)])
+    def test_normals_drawn_in_blocks(self, p, n):
+        sizes = []
+
+        class Counting(RngStream):
+            def standard_normal(self, size=None):
+                sizes.append(size)
+                return super().standard_normal(size)
+
+        mo.gen_banded_sample(p, n, [(0.05, 0.3)] * 2, Counting(26, 0))
+        height = max(1, BLOCK_VALUES // p)
+        assert len(sizes) == math.ceil(n / height)
+        assert all(q == p and h * p <= max(BLOCK_VALUES, p) for h, q in sizes)
+        assert sum(np.prod(size) for size in sizes) == n * p
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(DomainError, match="tau must be finite"):
+            mo.gen_banded_sample(50, 10, [(0.1, 0.3), (0.1, tau)], RngStream(27, 0))
 
 
 class TestPairedDesign:
