@@ -79,6 +79,9 @@ def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
     scores = np.empty(b0)
     sqrt_n = math.sqrt(n)
     diag = sample_cov_diagonal(x)
+    if not np.all(np.isfinite(diag)):
+        raise DomainError(f"column {np.flatnonzero(~np.isfinite(diag))[0]} holds a "
+                          "non-finite entry or one too large to square")
     if not np.all(diag):
         raise DomainError(f"column {np.flatnonzero(diag == 0)[0]} has zero sample variance")
     for k, xi in enumerate(sample_cov_offdiagonals(x, b0), start=1):

@@ -70,8 +70,6 @@ class HctModel:
     """Trained rule: the clipped contrast estimate mu_hat (weights Omega mu_hat)."""
 
     mu_hat: np.ndarray
-    threshold: float
-    alpha0: float
     omega: PrecisionModel
     degenerate: bool
 
@@ -87,8 +85,7 @@ def train_hct(sample: ClassSample, omega: PrecisionModel,
     degenerate = not np.any(mu_hat)
     if degenerate:
         warnings.warn("HCT selected no features; classifier degenerates to +1")
-    return HctModel(mu_hat=mu_hat, threshold=threshold, alpha0=alpha0,
-                    omega=omega, degenerate=degenerate)
+    return HctModel(mu_hat=mu_hat, omega=omega, degenerate=degenerate)
 
 
 def classify_batch(model: HctModel, rows: np.ndarray,
@@ -119,7 +116,6 @@ class ClassificationErrorReport:
     mean_error: float
     se: float
     errors: np.ndarray
-    reps: int
 
 
 def classification_error(vartheta: float, r: float, theta: float, p: int,
@@ -154,4 +150,4 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
     errors = np.asarray(list(mapper(one_rep, range(reps))), dtype=float)
     mean = float(np.mean(errors))
     se = float(np.std(errors, ddof=1) / math.sqrt(reps))
-    return ClassificationErrorReport(mean_error=mean, se=se, errors=errors, reps=reps)
+    return ClassificationErrorReport(mean_error=mean, se=se, errors=errors)

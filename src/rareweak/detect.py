@@ -38,8 +38,6 @@ VARIANTS = tuple(_VARIANT_PVALUES)
 @dataclass(frozen=True)
 class DetectionResult:
     statistic: float
-    argmax_index: int
-    variant: str
     clamped: bool = False
 
 
@@ -95,13 +93,12 @@ def _hc_objective(sorted_p: np.ndarray, p: int,
 
 
 def _hc(rows: np.ndarray, frac: float, floor: bool):
-    """Maximize the HC objective of each row over i <= frac * p, ties to the
-    smallest i.
+    """Maximum of the HC objective of each row over i <= frac * p.
 
     rows is an (m, p) block of P-value rows. With floor, indices whose sorted
     P-value is at most 1/p are infeasible; an empty feasible set gives
-    statistic -inf and argmax index 0. Returns per-row statistics, argmax
-    indices and clamped flags (some P-value equal to 0 or 1).
+    statistic -inf. Returns per-row statistics and clamped flags (some
+    P-value equal to 0 or 1).
     """
     m, p = rows.shape
     srt = np.sort(rows, axis=1)
@@ -113,30 +110,22 @@ def _hc(rows: np.ndarray, frac: float, floor: bool):
     # clipping is monotone, so clipping the sorted head equals sorting the clipped row
     head = srt[:, : int(math.floor(frac * p))]
     if head.shape[1] == 0:
-        return np.full(m, -math.inf), np.zeros(m, dtype=int), clamped
+        return np.full(m, -math.inf), clamped
     np.clip(head, PVALUE_CLAMP, 1.0 - PVALUE_CLAMP, out=head)
     obj = _hc_objective(head, p)
     if floor:
         obj[head <= 1.0 / p] = -math.inf
-    index = np.argmax(obj, axis=1)
-    stat = obj[np.arange(m), index]
-    index += 1
-    index[stat == -math.inf] = 0
-    return stat, index, clamped
+    return obj.max(axis=1), clamped
 
 
-def _hc_result(pv, frac: float, floor: bool, variant: str) -> DetectionResult:
-    stat, index, clamped = _hc(_pvalue_array(pv)[None, :], frac, floor)
-    return DetectionResult(statistic=float(stat[0]), argmax_index=int(index[0]),
-                           variant=variant, clamped=bool(clamped[0]))
+def _hc_result(pv, frac: float, floor: bool) -> DetectionResult:
+    stat, clamped = _hc(_pvalue_array(pv)[None, :], frac, floor)
+    return DetectionResult(statistic=float(stat[0]), clamped=bool(clamped[0]))
 
 
-def hc_statistic(pv, variant: str = "ohc") -> DetectionResult:
-    """Orthodox HC: maximize the standardized rank discrepancy over i <= p/2.
-
-    Ties take the smallest index.
-    """
-    return _hc_result(pv, 0.5, False, variant)
+def hc_statistic(pv) -> DetectionResult:
+    """Orthodox HC: maximize the standardized rank discrepancy over i <= p/2."""
+    return _hc_result(pv, 0.5, False)
 
 
 def hc_plus_statistic(pv, alpha0: float = 0.5) -> DetectionResult:
@@ -146,7 +135,7 @@ def hc_plus_statistic(pv, alpha0: float = 0.5) -> DetectionResult:
     no threshold rejects.
     """
     _check_alpha0(alpha0)
-    return _hc_result(pv, alpha0, True, "hcplus")
+    return _hc_result(pv, alpha0, True)
 
 
 def _check_alpha0(alpha0: float):
@@ -167,7 +156,6 @@ class CriticalValueTable:
     alphas: tuple
     quantiles: tuple
     num_null_reps: int
-    seed: int
     alpha0: float = 0.5
 
     def value(self, alpha: float) -> float:
@@ -221,7 +209,7 @@ def critical_value(p: int, alphas, variant: str = "ohc",
     quantiles = tuple(float(np.quantile(stats, 1.0 - a)) for a in alphas)
     return CriticalValueTable(p=int(p), variant=variant, alphas=tuple(alphas),
                               quantiles=quantiles, num_null_reps=num_null_reps,
-                              seed=rng.root_seed, alpha0=alpha0)
+                              alpha0=alpha0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +221,7 @@ def _variant_statistic(y: np.ndarray, omega: PrecisionModel, variant: str,
     pv = pvalues(y, omega, *_VARIANT_PVALUES[variant])
     if variant == "hcplus":
         return hc_plus_statistic(pv, alpha0=alpha0)
-    return hc_statistic(pv, variant=variant)
+    return hc_statistic(pv)
 
 
 def variant_threshold(omega: PrecisionModel, variant: str, alpha: float,
@@ -250,8 +238,6 @@ class PowerEstimate:
     power: float
     size_se: float
     power_se: float
-    threshold: float
-    reps: int
 
 
 def power_estimate(params, omega: PrecisionModel, variant: str,
@@ -290,5 +276,4 @@ def power_estimate(params, omega: PrecisionModel, variant: str,
         size=size, power=power,
         size_se=math.sqrt(max(size * (1 - size), 1e-12) / reps),
         power_se=math.sqrt(max(power * (1 - power), 1e-12) / reps),
-        threshold=threshold, reps=reps,
     )

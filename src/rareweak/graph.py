@@ -105,15 +105,15 @@ def row_nonzero_max(g: DependencyGraph) -> int:
     return max_degree(g) + 1
 
 
-def enum_connected_subgraphs(g: DependencyGraph, m0: int, cap: int = SUBGRAPH_CAP):
+def enum_connected_subgraphs(g: DependencyGraph, m0: int):
     """All connected vertex subsets of size <= m0, each exactly once.
 
     Returned as sorted tuples, ordered by size with ties broken
     lexicographically. Singletons and pairs (the edges) come straight from
     the CSR arrays; subsets of three or more nodes grow from their minimum
     element with an exclusive-extension discipline, so no duplicates are
-    produced. The projected count p * (e * d)^m0 is checked against the cap
-    before any enumeration starts.
+    produced. The projected count p * (e * d)^m0 is checked against
+    SUBGRAPH_CAP before any enumeration starts.
     """
     if m0 < 1:
         raise DomainError("m0 must be >= 1")
@@ -125,16 +125,16 @@ def enum_connected_subgraphs(g: DependencyGraph, m0: int, cap: int = SUBGRAPH_CA
         projected = math.inf
     if p < 63:
         projected = min(projected, float(2**p))  # trivial exhaustive bound
-    if projected > cap:
+    if projected > SUBGRAPH_CAP:
         raise CapacityError(
-            f"projected subgraph count {projected:.3e} exceeds cap {cap:.3e}"
+            f"projected subgraph count {projected:.3e} exceeds cap {SUBGRAPH_CAP:.3e}"
         )
     out = [(v,) for v in range(p)]
     if m0 >= 2:
         ii, jj = g.upper_edges
         out += zip(ii.tolist(), jj.tolist())
-    if len(out) > cap:
-        raise CapacityError(f"subgraph count exceeded cap {cap}")
+    if len(out) > SUBGRAPH_CAP:
+        raise CapacityError(f"subgraph count exceeded cap {SUBGRAPH_CAP}")
     if m0 < 3:
         return out
     adj = g.adjacency
@@ -156,8 +156,8 @@ def enum_connected_subgraphs(g: DependencyGraph, m0: int, cap: int = SUBGRAPH_CA
         ext0 = [int(u) for u in adj[v] if u > v]
         closed0 = {v} | {int(u) for u in adj[v]}
         extend([v], ext0, closed0, v)
-        if len(out) + len(larger) > cap:
-            raise CapacityError(f"subgraph count exceeded cap {cap}")
+        if len(out) + len(larger) > SUBGRAPH_CAP:
+            raise CapacityError(f"subgraph count exceeded cap {SUBGRAPH_CAP}")
 
     larger.sort(key=lambda t: (len(t), t))
     return out + larger

@@ -26,7 +26,12 @@ from .numerics import (
     chol_banded,
     component_factors,
     restricted_quadform,
+    symmetric_array,
 )
+
+# gen_banded_sample's repair of a covariance that is not positive definite.
+SHRINK_RETRIES = 20
+SHRINK_FACTOR = 0.9
 
 
 def sparsity_level(p, vartheta: float) -> float:
@@ -122,11 +127,9 @@ class PrecisionModel:
             vals = np.concatenate([np.ones(self.p), np.full(self.p, float(h0))])
             self._omega = sp.csr_matrix((vals, (rows, cols)), shape=(self.p, self.p))
         elif kind == "custom":
-            a = np.asarray(matrix, dtype=float)
+            a = symmetric_array(matrix)
             if a.shape != (self.p, self.p):
                 raise DomainError("matrix shape must be (p, p)")
-            if np.max(np.abs(a - a.T)) > 1e-10:
-                raise DomainError("precision matrix must be symmetric")
             if np.max(np.abs(np.diag(a) - 1.0)) > 1e-8:
                 raise DomainError("precision matrix must have unit diagonal")
             a = np.where(np.abs(a) > graphmod.ZERO_TOL, a, 0.0)
@@ -368,19 +371,16 @@ def class_rows(mu: np.ndarray, labels: np.ndarray, omega: PrecisionModel,
 
 
 def gen_class_sample(p: int, vartheta: float, r: float, theta: float,
-                     omega: PrecisionModel, rng: RngStream,
-                     n: int | None = None) -> ClassSample:
+                     omega: PrecisionModel, rng: RngStream) -> ClassSample:
     """Two-class sample with contrast sqrt(n) * mu_i iid from the rare/weak mixture.
 
-    n defaults to round(p^theta). Draw order: contrast support, labels, noise.
+    n = round(p^theta) (sample_size). Draw order: contrast support, labels, noise.
     """
     if omega.p != p:
         raise DomainError("omega dimension must equal p")
     if not 0.0 < theta < 1.0:
         raise DomainError("theta must lie in (0, 1)")
-    if n is None:
-        n = sample_size(p, theta)
-    n = int(n)
+    n = sample_size(p, theta)
     if n < 1:
         raise DomainError(f"derived sample size n={n} is too small")
     eps = sparsity_level(p, vartheta)
@@ -395,14 +395,14 @@ def gen_class_sample(p: int, vartheta: float, r: float, theta: float,
 # banded covariance samples
 # ---------------------------------------------------------------------------
 
-def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream,
-                      max_retries: int = 20, shrink: float = 0.9):
+def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream):
     """Draw n rows of N(0, Sigma) where Sigma has unit diagonal and sparse bands.
 
     band_spec lists one (epsilon, tau) mixture per off-diagonal k = 1..b;
     each band entry is tau with probability epsilon, else 0. If the drawn
     matrix is not positive definite, all off-diagonals are shrunk by the
-    factor `shrink` and the factorization retried up to max_retries times.
+    factor SHRINK_FACTOR and the factorization retried up to SHRINK_RETRIES
+    times.
 
     Rows are drawn and multiplied by the factor in cache-sized row blocks;
     the draws and sums are those of one (n, p) draw, bit for bit.
@@ -424,21 +424,21 @@ def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream,
             raise DomainError(f"band tau must be finite, got {tau!r}")
         bands[k, : p - k] = np.where(rng.uniform(p - k) < eps, float(tau), 0.0)
     factor = None
-    for _ in range(max_retries + 1):
+    for _ in range(SHRINK_RETRIES + 1):
         sigma = BandedSymmetric(bands)
         try:
             factor = chol_banded(sigma)
             break
         except FactorizationError:
             bands = bands.copy()
-            bands[1:] *= shrink
+            bands[1:] *= SHRINK_FACTOR
     if factor is None:
         from scipy.linalg import eig_banded
 
         w = eig_banded(bands, lower=True, eigvals_only=True, select="i",
                        select_range=(0, 0))
         raise GenerationError(
-            f"covariance not positive definite after {max_retries} shrink retries "
+            f"covariance not positive definite after {SHRINK_RETRIES} shrink retries "
             f"(min eigenvalue about {w[0]:.3e})"
         )
     samples = np.empty((n, p))

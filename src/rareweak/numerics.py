@@ -22,7 +22,7 @@ from .errors import (
     FactorizationError,
     NotPositiveDefiniteError,
 )
-from .graph import ZERO_TOL, component_labels, graph_from_matrix
+from .graph import component_labels, graph_from_matrix
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -34,7 +34,7 @@ GRAM_RCOND = 1e-10
 # result is representable in double precision.
 SPECIAL_FN_RTOL = 1e-10
 
-# Default cap on the size of a single connected component in sym_sqrt.
+# Cap on the size of a single connected component in sym_sqrt.
 SYM_SQRT_COMPONENT_CAP = 2000
 
 # Cache-sized row blocks (null tables, banded sampling): max(1, this // p) rows.
@@ -165,24 +165,6 @@ class BandedSymmetric:
         self.p = bands.shape[1]
         self.bandwidth = bands.shape[0] - 1
 
-    @classmethod
-    def from_dense(cls, a: np.ndarray, bandwidth: int) -> "BandedSymmetric":
-        a = np.asarray(a, dtype=float)
-        p = a.shape[0]
-        if a.shape != (p, p):
-            raise DomainError("matrix must be square")
-        if np.max(np.abs(a - a.T)) > 1e-10:
-            raise DomainError("matrix must be symmetric")
-        if bandwidth < 0 or bandwidth >= p:
-            raise DomainError("bandwidth must satisfy 0 <= bandwidth < p")
-        for d in range(bandwidth + 1, p):
-            if np.any(np.abs(np.diag(a, -d)) > ZERO_TOL):
-                raise DomainError(f"entries outside the band are nonzero at offset {d}")
-        bands = np.zeros((bandwidth + 1, p))
-        for d in range(bandwidth + 1):
-            bands[d, : p - d] = np.diag(a, -d)
-        return cls(bands)
-
     def offdiagonal(self, k: int) -> np.ndarray:
         """The k-th off-diagonal as a length p - k vector (k = 0 is the diagonal)."""
         if k < 0 or k > self.bandwidth:
@@ -208,21 +190,15 @@ class BandedCholesky:
         return out
 
 
-def chol_banded(sigma, bandwidth: int | None = None) -> BandedCholesky:
-    """Cholesky factor of a symmetric positive-definite banded matrix.
+def chol_banded(sigma: BandedSymmetric) -> BandedCholesky:
+    """Cholesky factor of a symmetric positive-definite BandedSymmetric.
 
-    Accepts a dense symmetric matrix (bandwidth required, entries outside
-    the band must be zero) or a BandedSymmetric. Cost is O(p * bandwidth^2).
-    Raises FactorizationError naming the failing pivot when a leading minor
-    is not positive definite.
+    Cost is O(p * bandwidth^2). Raises FactorizationError naming the failing
+    pivot when a leading minor is not positive definite.
     """
-    if isinstance(sigma, BandedSymmetric):
-        banded = sigma
-    else:
-        if bandwidth is None:
-            raise DomainError("bandwidth is required for dense input")
-        banded = BandedSymmetric.from_dense(np.asarray(sigma, dtype=float), bandwidth)
-    ab = np.array(banded.bands, dtype=float, order="F")
+    if not isinstance(sigma, BandedSymmetric):
+        raise DomainError(f"chol_banded takes a BandedSymmetric, got {type(sigma).__name__}")
+    ab = np.array(sigma.bands, dtype=float, order="F")
     c, info = dpbtrf(ab, lower=1)
     if info > 0:
         pivot = int(info) - 1
@@ -297,27 +273,40 @@ def component_factors(a, label, order):
             sp.csr_matrix((isqrt_vals, (rows, cols)), shape=shape), inv_diag)
 
 
-def sym_sqrt(omega: np.ndarray, component_cap: int = SYM_SQRT_COMPONENT_CAP) -> np.ndarray:
+def symmetric_array(matrix) -> np.ndarray:
+    """matrix as a float array, checked square, finite and symmetric within
+    1e-10; the DomainError names the first offending entry (i, j)."""
+    a = np.asarray(matrix, dtype=float)
+    p = a.shape[0] if a.ndim else 0
+    if a.shape != (p, p):
+        raise DomainError(f"matrix must be square, got shape {a.shape}")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        i, j = bad[0]
+        raise DomainError(f"matrix entry ({i}, {j}) is {a[i, j]}, not finite")
+    bad = np.argwhere(np.abs(a - a.T) > 1e-10)
+    if bad.size:
+        i, j = bad[0]
+        raise DomainError(f"matrix must be symmetric: entry ({i}, {j}) differs from ({j}, {i})")
+    return a
+
+
+def sym_sqrt(omega: np.ndarray) -> np.ndarray:
     """Unique symmetric positive-definite square root of a symmetric PD matrix.
 
     A dense front end to component_factors: the root is computed per
     connected component of the sparsity graph, which keeps the cost near
     linear for block or banded matrices. Components larger than
-    component_cap raise CapacityError; a component whose smallest
+    SYM_SQRT_COMPONENT_CAP raise CapacityError; a component whose smallest
     eigenvalue is at most 1e-12 raises NotPositiveDefiniteError.
     """
-    a = np.asarray(omega, dtype=float)
-    p = a.shape[0]
-    if a.shape != (p, p):
-        raise DomainError("matrix must be square")
-    if np.max(np.abs(a - a.T)) > 1e-10:
-        raise DomainError("matrix must be symmetric")
+    a = symmetric_array(omega)
     label, order = component_labels(graph_from_matrix(a))
     big = np.bincount(label)
-    big = big[big > component_cap]
+    big = big[big > SYM_SQRT_COMPONENT_CAP]
     if big.size:
         raise CapacityError(
-            f"sparsity component of size {big[0]} exceeds cap {component_cap}"
+            f"sparsity component of size {big[0]} exceeds cap {SYM_SQRT_COMPONENT_CAP}"
         )
     return component_factors(a, label, order)[0].toarray()
 

@@ -60,25 +60,25 @@ def block_exponent(vartheta: float, r: float, h0: float) -> float:
     return min(term1, term2, term3)
 
 
-def rho_exact_block(vartheta: float, h0: float, tol: float = BISECT_TOL,
-                    r_max: float = R_BRACKET_MAX) -> float:
-    """Smallest r at which the block-model exponent reaches 1, by bisection.
+def rho_exact_block(vartheta: float, h0: float) -> float:
+    """Smallest r at which the block-model exponent reaches 1, by bisection
+    to BISECT_TOL.
 
     Valid because each exponent term is non-decreasing in r beyond
-    r = vartheta; the bracket is (vartheta, r_max].
+    r = vartheta; the bracket is (vartheta, R_BRACKET_MAX].
     """
     _check_vartheta(vartheta)
     if not -1.0 < h0 < 1.0:
         raise DomainError("|h0| < 1 required")
     lo = vartheta + BOUNDARY_EPS
-    hi = float(r_max)
+    hi = R_BRACKET_MAX
     f_lo = block_exponent(vartheta, lo, h0) - 1.0
     f_hi = block_exponent(vartheta, hi, h0) - 1.0
     if f_lo >= 0.0 or f_hi <= 0.0:
         raise SolverError(
             f"no sign change on ({lo:.3g}, {hi:.3g}] for vartheta={vartheta}, h0={h0}"
         )
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if block_exponent(vartheta, mid, h0) - 1.0 < 0.0:
             lo = mid

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,8 +28,6 @@ CLEAN_COMPONENT_CAP = 15
 @dataclass
 class SelectionResult:
     beta_hat: np.ndarray
-    method: str
-    tuning: dict = field(default_factory=dict)
 
     @property
     def support(self) -> np.ndarray:
@@ -38,7 +36,6 @@ class SelectionResult:
 
 @dataclass
 class HammingReport:
-    counts: np.ndarray
     mean: float
     se: float
 
@@ -47,7 +44,7 @@ def hamming_report(counts) -> HammingReport:
     counts = np.asarray(counts, dtype=float)
     mean = float(np.mean(counts))
     se = float(np.std(counts, ddof=1) / math.sqrt(counts.size)) if counts.size > 1 else 0.0
-    return HammingReport(counts=counts, mean=mean, se=se)
+    return HammingReport(mean=mean, se=se)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +57,7 @@ def hard_threshold(y: np.ndarray, t: float) -> SelectionResult:
         raise DomainError("threshold must be positive")
     y = np.asarray(y, dtype=float)
     beta = np.where(np.abs(y) >= t, y, 0.0)
-    return SelectionResult(beta_hat=beta, method="HT", tuning={"t": float(t)})
+    return SelectionResult(beta_hat=beta)
 
 
 def universal_threshold(p) -> float:
@@ -267,20 +264,21 @@ def _clean_component(instance: RegressionInstance, comp, tuning: GsTuning):
 
 
 def gs_clean(instance: RegressionInstance, graph: DependencyGraph, retained,
-             tuning: GsTuning, component_cap: int = CLEAN_COMPONENT_CAP) -> SelectionResult:
-    """Clean step: solve each retained component exactly; zeros elsewhere."""
+             tuning: GsTuning) -> SelectionResult:
+    """Clean step: solve each retained component exactly; zeros elsewhere.
+
+    A retained component larger than CLEAN_COMPONENT_CAP raises CapacityError.
+    """
     beta = np.zeros(instance.p)
     for comp in connected_components(graph, restrict_to=retained):
-        if len(comp) > component_cap:
+        if len(comp) > CLEAN_COMPONENT_CAP:
             raise CapacityError(
                 f"retained component {comp[:4]}... has size {len(comp)} "
-                f"above cap {component_cap}"
+                f"above cap {CLEAN_COMPONENT_CAP}"
             )
         for j, v in _clean_component(instance, comp, tuning).items():
             beta[j] = v
-    return SelectionResult(beta_hat=beta, method="GS",
-                           tuning={"m0": tuning.m0, "q": tuning.q,
-                                   "u": tuning.u, "v": tuning.v})
+    return SelectionResult(beta_hat=beta)
 
 
 def gs_estimate(y: np.ndarray, omega: PrecisionModel, vartheta: float, r: float,

@@ -73,6 +73,14 @@ class TestEstimateBandwidth:
         with pytest.raises(DomainError, match="column 7 "):
             apps.estimate_bandwidth(x, 5, 0.05, self.table)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
+    def test_non_finite_variance_column_named(self, value):
+        # 1e200 is finite, but its square overflows the sample variance
+        x = RngStream(8, 1).standard_normal((50, 400))
+        x[13, 123] = value
+        with pytest.raises(DomainError, match="column 123 "):
+            apps.estimate_bandwidth(x, 5, 0.05, self.table)
+
     def test_mismatched_table_rejected(self):
         # the table is checked against the sample's column count and alpha0
         with pytest.raises(DomainError):

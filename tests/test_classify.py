@@ -31,9 +31,9 @@ class TestZVector:
         assert np.array_equal(z, -row[0])
 
     def test_null_norm_concentrates(self):
-        p, n = 2000, 50
+        p = 2000  # n = round(p^0.5) = 45
         om = mo.PrecisionModel.identity(p)
-        sample = mo.gen_class_sample(p, 0.99, 0.001, 0.5, om, RngStream(1, 0), n=n)
+        sample = mo.gen_class_sample(p, 0.99, 0.001, 0.5, om, RngStream(1, 0))
         z = cl.z_vector(sample)
         assert abs(z @ z / p - 1.0) <= 5.0 / math.sqrt(p)
 
@@ -141,8 +141,7 @@ class TestTrainAndClassify:
         om = mo.PrecisionModel.identity(p)
         mu_hat = np.zeros(p, dtype=np.int8)
         mu_hat[3] = 1
-        model = cl.HctModel(mu_hat=mu_hat, threshold=1.0, alpha0=0.1, omega=om,
-                            degenerate=False)
+        model = cl.HctModel(mu_hat=mu_hat, omega=om, degenerate=False)
         rows = RngStream(7, 0).standard_normal((50, p))
         preds = cl.classify_batch(model, rows)
         expect = np.where(rows[:, 3] >= 0, 1, -1)
@@ -182,8 +181,8 @@ class TestTrainAndClassify:
         # mu_hat = 0 scores every row exactly 0 on the draw path too
         p = 40
         om = mo.PrecisionModel.block2(p, 0.5)
-        model = cl.HctModel(mu_hat=np.zeros(p, dtype=np.int8), threshold=1.0,
-                            alpha0=0.1, omega=om, degenerate=True)
+        model = cl.HctModel(mu_hat=np.zeros(p, dtype=np.int8), omega=om,
+                            degenerate=True)
         labels = np.array([1, -1, -1, 1, -1])
         mu = np.full(p, 0.7)
         draws = RngStream(6, 1).standard_normal((5, p))
@@ -192,8 +191,8 @@ class TestTrainAndClassify:
 
     def test_dimension_mismatch(self):
         om = mo.PrecisionModel.identity(8)
-        model = cl.HctModel(mu_hat=np.zeros(8, dtype=np.int8), threshold=1.0,
-                            alpha0=0.1, omega=om, degenerate=True)
+        model = cl.HctModel(mu_hat=np.zeros(8, dtype=np.int8), omega=om,
+                            degenerate=True)
         with pytest.raises(DomainError):
             cl.classify_batch(model, np.zeros((2, 9)))
 

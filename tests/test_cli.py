@@ -589,6 +589,18 @@ def test_block2_recover_bodies_match_recorded_digests_every_seed(tmp_path):
                                   seed) == recorded[seed]["recover"], seed
 
 
+def test_bandwidth_bodies_match_recorded_digests_two_threads(tmp_path):
+    # banded sampling and the HC+ scan feed every bandwidth body; beyond the
+    # one-thread seed-0 check above, two more recorded seeds run on two threads
+    checks = _load_perfbench("checks")
+    workload = _BENCH_WORKLOADS["bandwidth"]
+    config = dict(workload.experiments)["bandwidth"]
+    recorded = checks.load_digests()["bandwidth"]
+    for seed in ("0", "7"):
+        assert _bench_body_digest(checks, tmp_path, replace(workload, threads=2),
+                                  "bandwidth", config, seed) == recorded[seed]["bandwidth"], seed
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 def test_ranking_bodies_match_recorded_digests_every_seed(tmp_path, threads):
     # GS ranking scores features by closed-form chi-square tails, in blocks

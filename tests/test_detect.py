@@ -52,7 +52,6 @@ class TestHcStatistic:
         res = de.hc_statistic(np.array([0.01, 0.2, 0.5, 0.9]))
         expected = 2 * (0.25 - 0.01) / math.sqrt(0.01 * 0.99)
         assert abs(res.statistic - expected) <= 1e-12
-        assert res.argmax_index == 1
 
     def test_uniform_spacing_moderate(self):
         p = 40
@@ -63,7 +62,6 @@ class TestHcStatistic:
     def test_two_point(self):
         res = de.hc_statistic(np.array([0.5, 0.5]))
         assert res.statistic == 0.0
-        assert res.argmax_index == 1
 
     def test_permutation_invariance(self):
         rng = RngStream(2, 0)
@@ -71,7 +69,7 @@ class TestHcStatistic:
         a = de.hc_statistic(pv)
         perm = pv[np.argsort(rng.standard_normal(100))]
         b = de.hc_statistic(perm)
-        assert a.statistic == b.statistic and a.argmax_index == b.argmax_index
+        assert a.statistic == b.statistic
 
     def test_clamping_flag(self):
         res = de.hc_statistic(np.array([0.0, 0.4, 0.6, 0.9]))
@@ -87,20 +85,12 @@ class TestHcStatistic:
         with pytest.raises(DomainError):
             de.hc_plus_statistic(np.array(bad), alpha0=0.5)
 
-    def test_ties_take_smallest_index(self):
-        # symmetric spacing gives equal objective at i = 1, 2
-        pv = np.array([0.1, 0.35, 0.8, 0.9])
-        obj = de._hc_objective(np.sort(pv)[:2], 4)
-        if abs(obj[0] - obj[1]) < 1e-12:
-            assert de.hc_statistic(pv).argmax_index == 1
-
 
 class TestHcPlus:
     def test_hand_example(self):
         res = de.hc_plus_statistic(np.array([0.3, 0.4, 0.6, 0.9]), alpha0=0.5)
         expected = 2 * (0.5 - 0.4) / math.sqrt(0.4 * 0.6)
         assert abs(res.statistic - expected) <= 1e-12
-        assert res.argmax_index == 2
 
     def test_empty_feasible_set(self):
         res = de.hc_plus_statistic(np.array([0.1, 0.2, 0.6, 0.9]), alpha0=0.5)
@@ -126,10 +116,7 @@ def _reference_hc(vals, frac, floor):
     obj = math.sqrt(p) * (i / p - head) / np.sqrt(head * (1.0 - head))
     if floor:
         obj = np.where(head > 1.0 / p, obj, -math.inf)
-    if obj.size == 0 or obj.max() == -math.inf:
-        return -math.inf, 0
-    k = int(np.argmax(obj))
-    return float(obj[k]), k + 1
+    return float(obj.max()) if obj.size else -math.inf
 
 
 def _kernel_rows(p):
@@ -156,15 +143,14 @@ class TestHcKernel:
     def test_block_matches_rows(self, p, frac, floor):
         # (0.1, True) at p < 10 and (0.2, True) at p < 5 leave frac * p < 1
         rows = _kernel_rows(p)
-        stat, index, clamped = de._hc(rows, frac, floor)
+        stat, clamped = de._hc(rows, frac, floor)
         for k, row in enumerate(rows):
             if floor:
                 one = de.hc_plus_statistic(row, alpha0=frac)
             else:
                 one = de.hc_statistic(row)
-            assert (stat[k], index[k], clamped[k]) == (
-                one.statistic, one.argmax_index, one.clamped)
-            assert (one.statistic, one.argmax_index) == _reference_hc(row, frac, floor)
+            assert (stat[k], clamped[k]) == (one.statistic, one.clamped)
+            assert one.statistic == _reference_hc(row, frac, floor)
             assert one.clamped == bool(np.any(row <= 0.0) or np.any(row >= 1.0))
 
     def test_nan_row_in_block_rejected(self):
@@ -194,7 +180,7 @@ class TestHcKernel:
                                   alpha0=alpha0)
         rng = RngStream(22, p)
         frac, floor = (0.5, False) if variant == "ohc" else (alpha0, True)
-        stats = np.array([_reference_hc(rng.uniform(p), frac, floor)[0]
+        stats = np.array([_reference_hc(rng.uniform(p), frac, floor)
                           for _ in range(reps)])
         expected = tuple(float(np.quantile(stats, 1.0 - a)) for a in table.alphas)
         assert table.quantiles == expected

@@ -145,7 +145,7 @@ class TestEnumeration:
         edges = [(0, j) for j in range(1, p)]
         g = gr.DependencyGraph(p, edges)
         with pytest.raises(CapacityError):
-            gr.enum_connected_subgraphs(g, 6, cap=10_000)
+            gr.enum_connected_subgraphs(g, 6)
 
     def test_huge_m0_small_graph_uses_exhaustive_bound(self):
         # (e d)^m0 overflows a float; the 2**p bound still admits p = 20

@@ -79,6 +79,13 @@ class TestPrecisionModel:
         with pytest.raises(DomainError):
             mo.PrecisionModel.custom(asym)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_custom_non_finite_entry_named(self, value):
+        a = np.eye(4)
+        a[1, 2] = a[2, 1] = value
+        with pytest.raises(DomainError, match=r"entry \(1, 2\)"):
+            mo.PrecisionModel.custom(a)
+
     def test_matvec_matches_dense(self):
         om = mo.PrecisionModel.block2(8, -0.4)
         v = RngStream(2, 0).standard_normal(8)
@@ -394,13 +401,14 @@ class TestBandedSample:
         _, sigma = mo.gen_banded_sample(30, 5, [(0.0, 0.5)], RngStream(19, 0))
         assert np.allclose(_banded_dense(sigma), np.eye(30))
 
-    def test_pd_rate_without_repair(self):
+    def test_pd_rate_without_repair(self, monkeypatch):
+        monkeypatch.setattr(mo, "SHRINK_RETRIES", 0)
         ok = 0
         trials = 40
         for k in range(trials):
             try:
                 mo.gen_banded_sample(2000, 20, [(0.01, 0.275)] * 2,
-                                     RngStream(20, 0).child(k), max_retries=0)
+                                     RngStream(20, 0).child(k))
                 ok += 1
             except GenerationError:
                 pass

@@ -227,6 +227,15 @@ def _random_banded_pd(p, bw, rng):
     return a
 
 
+def _banded(a, bandwidth):
+    """The lower bands 0..bandwidth of a dense symmetric array."""
+    p = a.shape[0]
+    bands = np.zeros((bandwidth + 1, p))
+    for d in range(bandwidth + 1):
+        bands[d, : p - d] = np.diag(a, -d)
+    return nu.BandedSymmetric(bands)
+
+
 def _cholesky_dense(fac):
     """The lower-triangular factor L of a BandedCholesky as a dense array."""
     out = np.zeros((fac.p, fac.p))
@@ -239,26 +248,26 @@ def _cholesky_dense(fac):
 class TestCholBanded:
     def test_identity(self):
         eye = np.eye(6)
-        fac = nu.chol_banded(eye, 3)
+        fac = nu.chol_banded(_banded(eye, 3))
         assert np.allclose(_cholesky_dense(fac), eye)
 
     def test_two_by_two(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        fac = nu.chol_banded(sigma, 1)
+        fac = nu.chol_banded(_banded(sigma, 1))
         expected = np.array([[1.0, 0.0], [0.5, math.sqrt(0.75)]])
         assert np.allclose(_cholesky_dense(fac), expected)
 
     def test_random_banded_residual(self):
         rng = nu.RngStream(17, 0)
         sigma = _random_banded_pd(50, 3, rng)
-        fac = nu.chol_banded(sigma, 3)
+        fac = nu.chol_banded(_banded(sigma, 3))
         ll = _cholesky_dense(fac) @ _cholesky_dense(fac).T
         assert np.max(np.abs(ll - sigma)) <= 1e-8
 
     def test_right_apply_matches_dense(self):
         rng = nu.RngStream(18, 0)
         sigma = _random_banded_pd(20, 2, rng)
-        fac = nu.chol_banded(sigma, 2)
+        fac = nu.chol_banded(_banded(sigma, 2))
         dense = _cholesky_dense(fac)
         z = rng.standard_normal((5, 20))
         assert np.allclose(fac.right_apply(z), z @ dense.T)
@@ -268,7 +277,7 @@ class TestCholBanded:
         rng = nu.RngStream(19, bandwidth)
         p = 30
         sigma = _random_banded_pd(p, bandwidth, rng) + np.diag(rng.uniform(p))
-        fac = nu.chol_banded(sigma, bandwidth)
+        fac = nu.chol_banded(_banded(sigma, bandwidth))
         z = rng.standard_normal((7, p))
         expected = np.zeros_like(z)
         for d in range(bandwidth + 1):
@@ -278,14 +287,12 @@ class TestCholBanded:
     def test_non_pd_reports_pivot(self):
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(FactorizationError) as exc:
-            nu.chol_banded(sigma, 1)
+            nu.chol_banded(_banded(sigma, 1))
         assert exc.value.pivot == 1
 
-    def test_outside_band_rejected(self):
-        sigma = np.eye(4)
-        sigma[0, 3] = sigma[3, 0] = 0.2
-        with pytest.raises(DomainError):
-            nu.chol_banded(sigma, 1)
+    def test_dense_input_rejected(self):
+        with pytest.raises(DomainError, match="BandedSymmetric"):
+            nu.chol_banded(np.eye(4))
 
 
 def _block2_dense(p, h0):
@@ -325,10 +332,10 @@ class TestSymSqrt:
             assert brute <= d + 1e-10
             assert d <= 1.0 + 1e-10
 
-    def test_component_cap(self):
-        a = _block2_dense(8, 0.3)
+    def test_component_cap(self, monkeypatch):
+        monkeypatch.setattr(nu, "SYM_SQRT_COMPONENT_CAP", 1)
         with pytest.raises(CapacityError):
-            nu.sym_sqrt(a, component_cap=1)
+            nu.sym_sqrt(_block2_dense(8, 0.3))
 
     def test_not_pd(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -338,6 +345,13 @@ class TestSymSqrt:
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.2], [0.1, 1.0]])
         with pytest.raises(DomainError):
+            nu.sym_sqrt(a)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_named(self, value):
+        a = np.eye(4)
+        a[3, 0] = a[0, 3] = value
+        with pytest.raises(DomainError, match=r"entry \(0, 3\)"):
             nu.sym_sqrt(a)
 
     def test_singular_psd_component_named(self):

@@ -84,9 +84,10 @@ class TestRhoExactBlock:
         r = ph.rho_exact_block(0.75, 0.5)
         assert ph.block_exponent(0.75, r, 0.5) == pytest.approx(1.0, abs=1e-6)
 
-    def test_no_root_raises(self):
+    def test_no_root_raises(self, monkeypatch):
+        monkeypatch.setattr(ph, "R_BRACKET_MAX", 0.6)
         with pytest.raises(SolverError):
-            ph.rho_exact_block(0.5, 0.5, r_max=0.6)
+            ph.rho_exact_block(0.5, 0.5)
 
 
 class TestRhoChangepoint:

@@ -272,7 +272,8 @@ class TestGsClean:
         nz = res.beta_hat[res.beta_hat != 0]
         assert np.all(np.abs(nz) >= tuning.v - 1e-12)
 
-    def test_component_cap(self):
+    def test_component_cap(self, monkeypatch):
+        monkeypatch.setattr(se, "CLEAN_COMPONENT_CAP", 3)
         p = 6
         om = mo.PrecisionModel.custom(np.eye(p))
         from rareweak.graph import DependencyGraph
@@ -281,7 +282,7 @@ class TestGsClean:
         reg = mo.regression_from_y(np.ones(p), om)
         tuning = se.GsTuning(m0=2, q=0.5, u=1.0, v=1.0)
         with pytest.raises(CapacityError):
-            se.gs_clean(reg, g, np.arange(p), tuning, component_cap=3)
+            se.gs_clean(reg, g, np.arange(p), tuning)
 
 
 class TestGsEstimate:
