@@ -85,7 +85,13 @@ def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
     if not np.all(diag):
         raise DomainError(f"column {np.flatnonzero(diag == 0)[0]} has zero sample variance")
     for k, xi in enumerate(sample_cov_offdiagonals(x, b0), start=1):
-        z = sqrt_n * xi / np.sqrt(diag[: p - k] * diag[k:])
+        with np.errstate(over="ignore"):
+            scale = diag[: p - k] * diag[k:]
+        bad = np.flatnonzero(~np.isfinite(scale))
+        if bad.size:
+            raise DomainError(f"columns {bad[0]} and {bad[0] + k} have sample "
+                              "variances too large to multiply")
+        z = sqrt_n * xi / np.sqrt(scale)
         scores[k - 1] = hc_plus_statistic(normal_sf(z), alpha0=alpha0).statistic
     qualifying = np.flatnonzero(scores >= threshold)
     return int(qualifying[-1]) + 1 if qualifying.size else 0

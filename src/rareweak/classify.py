@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .detect import _check_alpha0, _hc_objective
 from .errors import DomainError
 from .models import PrecisionModel, gen_class_sample, ClassSample
-from .numerics import RngStream, normal_sf
+from .numerics import BLOCK_VALUES, RngStream, normal_sf
 
 DEFAULT_ALPHA0 = 0.10
 
@@ -88,9 +89,12 @@ def train_hct(sample: ClassSample, omega: PrecisionModel,
     return HctModel(mu_hat=mu_hat, omega=omega, degenerate=degenerate)
 
 
-def classify_batch(model: HctModel, rows: np.ndarray,
+def classify_batch(model: HctModel, rows,
                    mean: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Labels sign((mu_hat)' Omega x) per row x; exact zeros classify as +1.
+
+    rows is one (k, p) array, or an iterator over row blocks that are scored
+    in turn, so only one block need exist at a time.
 
     With mean = (labels, mu), rows holds instead the standard-normal draws G
     of the rows x_i = labels_i mu + Sigma^{1/2} g_i that class_rows would
@@ -98,16 +102,20 @@ def classify_batch(model: HctModel, rows: np.ndarray,
     labels_i (mu . w) + g_i . (Sigma^{1/2}' w), with w = Omega mu_hat.
     """
     omega = model.omega
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != omega.p:
-        raise DomainError(f"row dimension {rows.shape[1]} != p {omega.p}")
     w = omega.matvec(model.mu_hat.astype(float))
-    if mean is None:
-        scores = rows @ w
-    else:
+    v = w if mean is None else omega.sigma_sqrt_rmatvec(w)
+    scores = []
+    for block in rows if isinstance(rows, Iterator) else [rows]:
+        block = np.atleast_2d(np.asarray(block, dtype=float))
+        if block.shape[1] != omega.p:
+            raise DomainError(f"row dimension {block.shape[1]} != p {omega.p}")
+        scores.append(block @ v)
+    if not scores:
+        raise DomainError("no rows to classify")
+    scores = np.concatenate(scores)
+    if mean is not None:
         labels, mu = mean
-        scores = (np.asarray(labels, dtype=float) * (mu @ w)
-                  + rows @ omega.sigma_sqrt_rmatvec(w))
+        scores = np.asarray(labels, dtype=float) * (mu @ w) + scores
     return np.where(scores >= 0.0, 1, -1).astype(int)
 
 
@@ -127,7 +135,11 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
     Replicate k trains on a fresh sample (substream k.0) and evaluates on
     test_size fresh rows with the same contrast vector (substream k.1). The
     rule is linear, so the test rows are scored from their draws and never
-    formed: memory per replicate is one (test_size, p) draw.
+    formed. The draws are made and scored in cache-sized blocks, so memory
+    per replicate is the (n, p) training sample and one block of draws.
+    Block heights are a multiple of 4 rows and the last block takes the
+    remainder: OpenBLAS's dgemv_t sums rows in groups of four, so each row
+    scores as it would in one (test_size, p) product on one BLAS thread.
     map_fn may supply a parallel map; replicates seed themselves, so any
     execution order gives the same result.
     """
@@ -135,6 +147,9 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
         raise DomainError("reps must be at least 20")
     if test_size < 1:
         raise DomainError("test_size must be positive")
+    height = max(4, BLOCK_VALUES // p // 4 * 4)
+    blocks = max(1, test_size // height)
+    heights = [height] * (blocks - 1) + [test_size - (blocks - 1) * height]
 
     def one_rep(k):
         rep = rng.child(k)
@@ -142,7 +157,8 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
         model = train_hct(sample, omega, alpha0=alpha0)
         test_rng = rep.child(1)
         labels = np.where(test_rng.uniform(test_size) < 0.5, 1, -1).astype(int)
-        draws = test_rng.standard_normal((test_size, p))  # as class_rows draws them
+        # the draws class_rows would make, in the same order
+        draws = (test_rng.standard_normal((h, p)) for h in heights)
         pred = classify_batch(model, draws, mean=(labels, sample.mu))
         return float(np.mean(pred != labels))
 

@@ -155,6 +155,8 @@ class PrecisionModel:
     @classmethod
     def custom(cls, matrix) -> "PrecisionModel":
         matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2:  # __init__ checks the rest, once p is known
+            raise DomainError(f"matrix must be square, got shape {matrix.shape}")
         return cls("custom", matrix.shape[0], matrix=matrix)
 
     # -- structure ----------------------------------------------------------
@@ -232,17 +234,27 @@ class PrecisionModel:
         return self._sigma_diag
 
     def sample_noise(self, rng: RngStream, size: int | None = None) -> np.ndarray:
-        """Draw from N(0, Sigma): one vector, or size independent rows."""
+        """Draw from N(0, Sigma): one vector, or size independent rows.
+
+        Rows are drawn and multiplied by Sigma^{1/2} in cache-sized blocks of
+        max(1, BLOCK_VALUES // p) rows, written into one (size, p) output; the
+        draws and sums are those of one (size, p) draw, bit for bit.
+        """
         self._component_factors()
         if size is None:
             g = rng.standard_normal(self.p)
             if self.kind == "identity":
                 return g
             return self._sigma_sqrt @ g
-        g = rng.standard_normal((int(size), self.p))
+        n = int(size)
         if self.kind == "identity":
-            return g
-        return (self._sigma_sqrt @ g.T).T
+            return rng.standard_normal((n, self.p))
+        out = np.empty((n, self.p))
+        height = max(1, BLOCK_VALUES // self.p)
+        for i in range(0, n, height):
+            g = rng.standard_normal((min(height, n - i), self.p))
+            out[i: i + height] = (self._sigma_sqrt @ g.T).T
+        return out
 
     def __repr__(self):
         extra = f", h0={self.h0}" if self.kind == "block2" else ""
@@ -364,10 +376,17 @@ class ClassSample:
 
 def class_rows(mu: np.ndarray, labels: np.ndarray, omega: PrecisionModel,
                rng: RngStream) -> np.ndarray:
-    """Feature rows N(label_i * mu, Sigma) for given labels."""
+    """Feature rows N(label_i * mu, Sigma) for given labels.
+
+    The means are added into sample_noise's rows in place, in row blocks of
+    max(1, BLOCK_VALUES // p) rows, so no second (n, p) array is formed.
+    """
     labels = np.asarray(labels, dtype=float)
-    noise = omega.sample_noise(rng, size=labels.shape[0])
-    return labels[:, None] * mu[None, :] + noise
+    rows = omega.sample_noise(rng, size=labels.shape[0])
+    height = max(1, BLOCK_VALUES // omega.p)
+    for i in range(0, rows.shape[0], height):
+        rows[i: i + height] += labels[i: i + height, None] * mu
+    return rows
 
 
 def gen_class_sample(p: int, vartheta: float, r: float, theta: float,

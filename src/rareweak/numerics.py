@@ -37,7 +37,8 @@ SPECIAL_FN_RTOL = 1e-10
 # Cap on the size of a single connected component in sym_sqrt.
 SYM_SQRT_COMPONENT_CAP = 2000
 
-# Cache-sized row blocks (null tables, banded sampling): max(1, this // p) rows.
+# Cache-sized row blocks (null tables, banded and PrecisionModel sampling,
+# classify scoring): max(1, this // p) rows.
 BLOCK_VALUES = 2**15
 
 
@@ -154,15 +155,21 @@ class BandedSymmetric:
 
     bands has shape (bandwidth + 1, p); bands[d, i] holds A[i + d, i], so
     row 0 is the diagonal and row d the d-th subdiagonal (trailing d slots
-    of row d are ignored).
+    of row d are ignored). Every stored entry must be finite.
     """
 
     def __init__(self, bands: np.ndarray):
         bands = np.asarray(bands, dtype=float)
         if bands.ndim != 2 or bands.shape[0] < 1:
             raise DomainError("bands must be a 2-d array with at least one row")
+        p = bands.shape[1]
+        stored = np.arange(p) < p - np.arange(bands.shape[0])[:, None]
+        bad = np.argwhere(stored & ~np.isfinite(bands))
+        if bad.size:
+            d, i = bad[0]
+            raise DomainError(f"band entry ({d}, {i}) is {bands[d, i]}, not finite")
         self.bands = bands
-        self.p = bands.shape[1]
+        self.p = p
         self.bandwidth = bands.shape[0] - 1
 
     def offdiagonal(self, k: int) -> np.ndarray:

@@ -81,6 +81,15 @@ class TestEstimateBandwidth:
         with pytest.raises(DomainError, match="column 123 "):
             apps.estimate_bandwidth(x, 5, 0.05, self.table)
 
+    def test_variance_product_overflow_rejected(self):
+        # variances near 1e306 are finite, but their products are not; the
+        # estimate used to drop to 0 with only a RuntimeWarning
+        samples, _ = mo.gen_banded_sample(400, 50, [(0.05, 0.4)] * 2,
+                                          RngStream(9, 0))
+        apps.estimate_bandwidth(samples * 1e70, 5, 0.05, self.table)
+        with pytest.raises(DomainError, match="columns 0 and 1 have sample variances"):
+            apps.estimate_bandwidth(samples * 1e153, 5, 0.05, self.table)
+
     def test_mismatched_table_rejected(self):
         # the table is checked against the sample's column count and alpha0
         with pytest.raises(DomainError):

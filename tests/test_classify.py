@@ -228,11 +228,14 @@ class TestClassificationError:
         with pytest.raises(DomainError):
             cl.classification_error(0.4, 1.0, 0.4, 100, om, 5, 50, RngStream(13, 0))
 
-    def test_peak_memory_is_one_draw(self):
-        # the test rows are scored from their draws: beyond the one
-        # (test_size, p) draw per replicate, nothing of that size is built
+    def test_peak_memory_is_one_block(self):
+        # the test rows are drawn and scored in row blocks, and the training
+        # noise is drawn into its (40, p) sample in row blocks: the peak is
+        # the training sample plus blocks, under the 16 MB of one
+        # (test_size, p) draw
         p, test_size = 10**4, 200
         om = mo.PrecisionModel.block2(p, 0.5)
+        om.sigma_diag()
         tracemalloc.start()
         try:
             cl.classification_error(0.3, 1.2, 0.4, p, om, 20, test_size,
@@ -240,7 +243,28 @@ class TestClassificationError:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * test_size * p * 8
+        assert peak < 6e6
+
+    @pytest.mark.parametrize("p,test_size,heights", [
+        (10**4, 1, [1]), (10**4, 5, [5]), (10**4, 203, [4] * 49 + [7]),
+        (1000, 200, [32] * 5 + [40]), (40, 203, [203]),
+    ])
+    def test_test_rows_drawn_in_blocks_of_four(self, monkeypatch, p, test_size,
+                                               heights):
+        # held-out blocks are a multiple of 4 rows and the last one takes the
+        # remainder, so no block ends in a short tail of its own
+        sizes = []
+        draw = RngStream.standard_normal
+
+        def counting(self, size=None):
+            if self.path[-1] == 1:  # the held-out substream k.1
+                sizes.append(size)
+            return draw(self, size)
+
+        monkeypatch.setattr(RngStream, "standard_normal", counting)
+        cl.classification_error(0.3, 1.2, 0.4, p, mo.PrecisionModel.identity(p),
+                                20, test_size, RngStream(15, 0))
+        assert sizes == [(h, p) for h in heights] * 20
 
 
 def _custom_omega(p):
@@ -282,4 +306,35 @@ def test_classification_error_matches_row_oracle(kind, seed):
         om = mo.PrecisionModel.block2(p, float(kind.split("_")[1]))
     rep = cl.classification_error(0.5, 0.3, 0.5, p, om, 20, 60, RngStream(seed, 3))
     ref = _reference_errors(0.5, 0.3, 0.5, p, om, 20, 60, RngStream(seed, 3))
+    assert np.array_equal(rep.errors, ref)
+
+
+def _one_draw_errors(vartheta, r, theta, p, omega, reps, test_size, rng):
+    """classification_error's per-replicate errors with each replicate's
+    test rows scored from one (test_size, p) draw."""
+    errors = []
+    for k in range(reps):
+        rep = rng.child(k)
+        sample = mo.gen_class_sample(p, vartheta, r, theta, omega, rep.child(0))
+        model = cl.train_hct(sample, omega)
+        test_rng = rep.child(1)
+        labels = np.where(test_rng.uniform(test_size) < 0.5, 1, -1)
+        draws = test_rng.standard_normal((test_size, p))
+        w = omega.matvec(model.mu_hat.astype(float))
+        scores = labels * (sample.mu @ w) + draws @ omega.sigma_sqrt_rmatvec(w)
+        errors.append(np.mean(np.where(scores >= 0.0, 1, -1) != labels))
+    return np.asarray(errors)
+
+
+# At p = 10**4 only multiples of 4 rows: there, with more than one BLAS
+# thread, the one (test_size, p) product splits a test_size such as 203 into
+# row groups unlike the single-threaded sums that the 4-row blocks reproduce.
+@pytest.mark.filterwarnings("ignore:HCT selected no features")
+@pytest.mark.parametrize("p,test_size", [(40, 1), (40, 5), (40, 37), (40, 200),
+                                         (40, 203), (10**4, 8), (10**4, 200)])
+def test_classification_error_matches_one_draw(p, test_size):
+    om = mo.PrecisionModel.block2(p, 0.5)
+    rep = cl.classification_error(0.3, 1.2, 0.4, p, om, 20, test_size,
+                                  RngStream(16, 0))
+    ref = _one_draw_errors(0.3, 1.2, 0.4, p, om, 20, test_size, RngStream(16, 0))
     assert np.array_equal(rep.errors, ref)

@@ -589,6 +589,21 @@ def test_block2_recover_bodies_match_recorded_digests_every_seed(tmp_path):
                                   seed) == recorded[seed]["recover"], seed
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_block2_classify_bodies_match_recorded_digests(tmp_path, threads):
+    # held-out rows and training noise are drawn and scored in row blocks
+    # that must reproduce the one-shot sums; a changed last bit flips a
+    # mean_error only through a score at exactly zero, so three recorded
+    # seeds are checked, at one and two threads
+    checks = _load_perfbench("checks")
+    workload = _BENCH_WORKLOADS["block2"]
+    config = dict(workload.experiments)["classify"]
+    recorded = checks.load_digests()["block2"]
+    for seed in ("3", "7", "13"):
+        assert _bench_body_digest(checks, tmp_path, replace(workload, threads=threads),
+                                  "classify", config, seed) == recorded[seed]["classify"], seed
+
+
 def test_bandwidth_bodies_match_recorded_digests_two_threads(tmp_path):
     # banded sampling and the HC+ scan feed every bandwidth body; beyond the
     # one-thread seed-0 check above, two more recorded seeds run on two threads

@@ -79,6 +79,11 @@ class TestPrecisionModel:
         with pytest.raises(DomainError):
             mo.PrecisionModel.custom(asym)
 
+    @pytest.mark.parametrize("matrix", [5.0, np.ones(3), np.ones((2, 3))])
+    def test_custom_not_square_rejected(self, matrix):
+        with pytest.raises(DomainError, match="must be square"):
+            mo.PrecisionModel.custom(matrix)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_custom_non_finite_entry_named(self, value):
         a = np.eye(4)
@@ -213,6 +218,49 @@ class TestPrecisionModel:
         emp = draws.T @ draws / draws.shape[0]
         sigma = np.linalg.inv(om.dense())
         assert np.max(np.abs(emp - sigma)) <= 0.05
+
+    @pytest.mark.parametrize("kind,p,n", [
+        ("identity", 10**4, 7),
+        ("block2_0.5", 10**4, 7),     # 3 rows per block, a 1-row last block
+        ("block2_-0.8", 10**4, 8),
+        ("block2_0.5", 1000, 70),     # 32 rows per block
+        ("custom", 400, 170),         # 81 rows per block
+    ])
+    def test_noise_rows_equal_one_shot_draw(self, kind, p, n):
+        # the row blocks draw and sum exactly what one (n, p) draw times
+        # Sigma^{1/2} gives, on the same stream; class_rows adds the means
+        if kind == "identity":
+            om = mo.PrecisionModel.identity(p)
+        elif kind == "custom":
+            a = np.eye(p)
+            for i, j, v in ((0, 1, 0.4), (1, 2, -0.3), (10, 11, 0.6), (20, 35, -0.5)):
+                a[i, j] = a[j, i] = v
+            om = mo.PrecisionModel.custom(a)
+        else:
+            om = mo.PrecisionModel.block2(p, float(kind.split("_")[1]))
+        om.sigma_diag()
+        g = RngStream(5, 1).standard_normal((n, p))
+        ref = g if kind == "identity" else (om._sigma_sqrt @ g.T).T
+        assert np.array_equal(om.sample_noise(RngStream(5, 1), size=n), ref)
+        labels = np.where(RngStream(5, 2).uniform(n) < 0.5, 1.0, -1.0)
+        mu = np.where(RngStream(5, 3).uniform(p) < 0.1, 0.7, 0.0)
+        assert np.array_equal(mo.class_rows(mu, labels, om, RngStream(5, 1)),
+                              labels[:, None] * mu[None, :] + ref)
+
+    @pytest.mark.parametrize("p,n", [(10**4, 40), (1000, 70), (BLOCK_VALUES + 2, 3)])
+    def test_noise_rows_drawn_in_blocks(self, p, n):
+        sizes = []
+
+        class Counting(RngStream):
+            def standard_normal(self, size=None):
+                sizes.append(size)
+                return super().standard_normal(size)
+
+        mo.PrecisionModel.block2(p, 0.5).sample_noise(Counting(6, 0), size=n)
+        height = max(1, BLOCK_VALUES // p)
+        assert len(sizes) == math.ceil(n / height)
+        assert all(q == p and h * p <= max(BLOCK_VALUES, p) for h, q in sizes)
+        assert sum(np.prod(size) for size in sizes) == n * p
 
     @pytest.mark.parametrize("kind", ["identity", "block2", "custom"])
     def test_sigma_sqrt_rmatvec_scores_noise_rows(self, kind):

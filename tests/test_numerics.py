@@ -294,6 +294,21 @@ class TestCholBanded:
         with pytest.raises(DomainError, match="BandedSymmetric"):
             nu.chol_banded(np.eye(4))
 
+    @pytest.mark.parametrize("d,i,value", [(0, 1, math.nan), (1, 0, math.inf),
+                                           (1, 1, -math.inf)])
+    def test_non_finite_band_rejected(self, d, i, value):
+        # a NaN band used to give a NaN factor with LAPACK info 0
+        bands = np.array([[1.0, 1.0, 1.0], [0.1, 0.1, 0.0]])
+        bands[d, i] = value
+        with pytest.raises(DomainError, match=rf"band entry \({d}, {i}\) is"):
+            nu.BandedSymmetric(bands)
+
+    def test_ignored_band_slot_not_checked(self):
+        # the trailing slot of each subdiagonal is not part of the matrix
+        bands = np.array([[1.0, 1.0, 1.0], [0.1, 0.1, math.nan]])
+        fac = nu.chol_banded(nu.BandedSymmetric(bands))
+        assert np.all(np.isfinite(fac.bands[:, :2]))
+
 
 def _block2_dense(p, h0):
     a = np.eye(p)
