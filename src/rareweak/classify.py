@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .detect import _check_alpha0, _hc_objective
 from .errors import DomainError
 from .models import PrecisionModel, gen_class_sample, ClassSample
-from .numerics import BLOCK_VALUES, RngStream, normal_sf
+from .numerics import RngStream, normal_sf, row_blocks
 
 DEFAULT_ALPHA0 = 0.10
 
@@ -33,8 +32,8 @@ def z_vector(sample: ClassSample) -> np.ndarray:
 
 def clip_threshold(z: np.ndarray, t: float) -> np.ndarray:
     """Clipping rule sgn(z) * 1{|z| >= t}, entries in {-1, 0, +1}."""
-    if t <= 0:
-        raise DomainError("threshold must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"threshold must be positive and finite, got {t!r}")
     z = np.asarray(z, dtype=float)
     return np.where(np.abs(z) >= t, np.sign(z), 0.0).astype(np.int8)
 
@@ -89,33 +88,27 @@ def train_hct(sample: ClassSample, omega: PrecisionModel,
     return HctModel(mu_hat=mu_hat, omega=omega, degenerate=degenerate)
 
 
-def classify_batch(model: HctModel, rows,
-                   mean: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def classify_batch(model: HctModel, draws, labels: np.ndarray,
+                   mu: np.ndarray) -> np.ndarray:
     """Labels sign((mu_hat)' Omega x) per row x; exact zeros classify as +1.
 
-    rows is one (k, p) array, or an iterator over row blocks that are scored
-    in turn, so only one block need exist at a time.
-
-    With mean = (labels, mu), rows holds instead the standard-normal draws G
-    of the rows x_i = labels_i mu + Sigma^{1/2} g_i that class_rows would
-    build from them, and each is scored without forming it:
-    labels_i (mu . w) + g_i . (Sigma^{1/2}' w), with w = Omega mu_hat.
+    draws iterates over (k, p) blocks of the standard-normal draws G of the
+    rows x_i = labels_i mu + Sigma^{1/2} g_i that class_rows would build from
+    them. Each row is scored without forming it, as
+    labels_i (mu . w) + g_i . (Sigma^{1/2}' w) with w = Omega mu_hat, so only
+    one block of draws need exist at a time.
     """
     omega = model.omega
     w = omega.matvec(model.mu_hat.astype(float))
-    v = w if mean is None else omega.sigma_sqrt_rmatvec(w)
+    v = omega.sigma_sqrt_rmatvec(w)
     scores = []
-    for block in rows if isinstance(rows, Iterator) else [rows]:
-        block = np.atleast_2d(np.asarray(block, dtype=float))
+    for block in draws:
         if block.shape[1] != omega.p:
             raise DomainError(f"row dimension {block.shape[1]} != p {omega.p}")
         scores.append(block @ v)
     if not scores:
         raise DomainError("no rows to classify")
-    scores = np.concatenate(scores)
-    if mean is not None:
-        labels, mu = mean
-        scores = np.asarray(labels, dtype=float) * (mu @ w) + scores
+    scores = np.asarray(labels, dtype=float) * (mu @ w) + np.concatenate(scores)
     return np.where(scores >= 0.0, 1, -1).astype(int)
 
 
@@ -135,21 +128,16 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
     Replicate k trains on a fresh sample (substream k.0) and evaluates on
     test_size fresh rows with the same contrast vector (substream k.1). The
     rule is linear, so the test rows are scored from their draws and never
-    formed. The draws are made and scored in cache-sized blocks, so memory
-    per replicate is the (n, p) training sample and one block of draws.
-    Block heights are a multiple of 4 rows and the last block takes the
-    remainder: OpenBLAS's dgemv_t sums rows in groups of four, so each row
-    scores as it would in one (test_size, p) product on one BLAS thread.
-    map_fn may supply a parallel map; replicates seed themselves, so any
-    execution order gives the same result.
+    formed. The draws are made and scored in numerics.row_blocks, so memory
+    per replicate is the (n, p) training sample and one block of draws, and
+    each row scores as it would in one (test_size, p) product on one BLAS
+    thread. map_fn may supply a parallel map; replicates seed themselves, so
+    any execution order gives the same result.
     """
     if reps < 20:
         raise DomainError("reps must be at least 20")
     if test_size < 1:
         raise DomainError("test_size must be positive")
-    height = max(4, BLOCK_VALUES // p // 4 * 4)
-    blocks = max(1, test_size // height)
-    heights = [height] * (blocks - 1) + [test_size - (blocks - 1) * height]
 
     def one_rep(k):
         rep = rng.child(k)
@@ -158,8 +146,9 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
         test_rng = rep.child(1)
         labels = np.where(test_rng.uniform(test_size) < 0.5, 1, -1).astype(int)
         # the draws class_rows would make, in the same order
-        draws = (test_rng.standard_normal((h, p)) for h in heights)
-        pred = classify_batch(model, draws, mean=(labels, sample.mu))
+        draws = (test_rng.standard_normal((hi - lo, p))
+                 for lo, hi in row_blocks(test_size, p))
+        pred = classify_batch(model, draws, labels, sample.mu)
         return float(np.mean(pred != labels))
 
     mapper = map if map_fn is None else map_fn

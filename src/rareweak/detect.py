@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import PrecisionModel, gen_arw
-from .numerics import BLOCK_VALUES, RngStream, normal_sf
+from .numerics import RngStream, normal_sf, row_blocks
 
 # P-values equal to 0 or 1 are clamped here to keep the HC denominator finite.
 PVALUE_CLAMP = 1e-15
@@ -201,11 +201,9 @@ def critical_value(p: int, alphas, variant: str = "ohc",
         _check_alpha0(alpha0)
     frac, floor = (0.5, False) if variant == "ohc" else (alpha0, True)
     # Row blocks hold the values of consecutive uniform(p) draws, in order.
-    height = max(1, BLOCK_VALUES // p)
     stats = np.empty(num_null_reps)
-    for k in range(0, num_null_reps, height):
-        block = rng.uniform((min(height, num_null_reps - k), p))
-        stats[k: k + block.shape[0]] = _hc(block, frac, floor)[0]
+    for lo, hi in row_blocks(num_null_reps, p):
+        stats[lo:hi] = _hc(rng.uniform((hi - lo, p)), frac, floor)[0]
     quantiles = tuple(float(np.quantile(stats, 1.0 - a)) for a in alphas)
     return CriticalValueTable(p=int(p), variant=variant, alphas=tuple(alphas),
                               quantiles=quantiles, num_null_reps=num_null_reps,

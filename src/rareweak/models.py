@@ -20,12 +20,12 @@ import scipy.sparse as sp
 from . import graph as graphmod
 from .errors import DomainError, FactorizationError, GenerationError
 from .numerics import (
-    BLOCK_VALUES,
     BandedSymmetric,
     RngStream,
     chol_banded,
     component_factors,
     restricted_quadform,
+    row_blocks,
     symmetric_array,
 )
 
@@ -62,8 +62,8 @@ class ArwParams:
             raise DomainError("p must be >= 2")
         if not 0.0 < self.vartheta < 1.0:
             raise DomainError("vartheta must lie in (0, 1)")
-        if self.r <= 0.0:
-            raise DomainError("r must be positive")
+        if not 0.0 < self.r < math.inf:
+            raise DomainError(f"r must be positive and finite, got {self.r!r}")
 
     @property
     def epsilon(self) -> float:
@@ -91,8 +91,8 @@ class MixtureParams:
             raise DomainError("p must be >= 2")
         if not 0.0 <= self.epsilon < 1.0:
             raise DomainError("epsilon must lie in [0, 1)")
-        if self.tau < 0.0:
-            raise DomainError("tau must be non-negative")
+        if not 0.0 <= self.tau < math.inf:
+            raise DomainError(f"tau must be non-negative and finite, got {self.tau!r}")
 
 
 class PrecisionModel:
@@ -201,19 +201,13 @@ class PrecisionModel:
     # -- linear maps --------------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Omega @ v (also accepts stacked rows of shape (k, p), applied per row)."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            return self._omega @ v
-        return (self._omega @ v.T).T
+        """Omega @ v."""
+        return self._omega @ np.asarray(v, dtype=float)
 
     def sqrt_matvec(self, v: np.ndarray) -> np.ndarray:
         """Omega^{1/2} @ v."""
         self._component_factors()
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            return self._sqrt @ v
-        return (self._sqrt @ v.T).T
+        return self._sqrt @ np.asarray(v, dtype=float)
 
     def sigma_sqrt_rmatvec(self, v: np.ndarray) -> np.ndarray:
         """Sigma^{1/2}' @ v, for the factor sample_noise applies: the rows it
@@ -236,9 +230,9 @@ class PrecisionModel:
     def sample_noise(self, rng: RngStream, size: int | None = None) -> np.ndarray:
         """Draw from N(0, Sigma): one vector, or size independent rows.
 
-        Rows are drawn and multiplied by Sigma^{1/2} in cache-sized blocks of
-        max(1, BLOCK_VALUES // p) rows, written into one (size, p) output; the
-        draws and sums are those of one (size, p) draw, bit for bit.
+        Rows are drawn and multiplied by Sigma^{1/2} in numerics.row_blocks,
+        written into one (size, p) output; the draws and sums are those of
+        one (size, p) draw, bit for bit.
         """
         self._component_factors()
         if size is None:
@@ -250,10 +244,9 @@ class PrecisionModel:
         if self.kind == "identity":
             return rng.standard_normal((n, self.p))
         out = np.empty((n, self.p))
-        height = max(1, BLOCK_VALUES // self.p)
-        for i in range(0, n, height):
-            g = rng.standard_normal((min(height, n - i), self.p))
-            out[i: i + height] = (self._sigma_sqrt @ g.T).T
+        for lo, hi in row_blocks(n, self.p):
+            g = rng.standard_normal((hi - lo, self.p))
+            out[lo:hi] = (self._sigma_sqrt @ g.T).T
         return out
 
     def __repr__(self):
@@ -267,12 +260,7 @@ class ArwInstance:
 
     beta: np.ndarray
     y: np.ndarray
-    params: ArwParams
     omega: PrecisionModel
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.beta)
 
 
 def gen_arw(params, omega: PrecisionModel, rng: RngStream) -> ArwInstance:
@@ -287,7 +275,7 @@ def gen_arw(params, omega: PrecisionModel, rng: RngStream) -> ArwInstance:
     support = rng.uniform(params.p) < params.epsilon
     beta = np.where(support, params.tau, 0.0)
     y = beta + omega.sample_noise(rng)
-    return ArwInstance(beta=beta, y=y, params=params, omega=omega)
+    return ArwInstance(beta=beta, y=y, omega=omega)
 
 
 def gram_blocks(gram: sp.csr_matrix, sets) -> np.ndarray:
@@ -378,14 +366,13 @@ def class_rows(mu: np.ndarray, labels: np.ndarray, omega: PrecisionModel,
                rng: RngStream) -> np.ndarray:
     """Feature rows N(label_i * mu, Sigma) for given labels.
 
-    The means are added into sample_noise's rows in place, in row blocks of
-    max(1, BLOCK_VALUES // p) rows, so no second (n, p) array is formed.
+    The means are added into sample_noise's rows in place, in
+    numerics.row_blocks, so no second (n, p) array is formed.
     """
     labels = np.asarray(labels, dtype=float)
     rows = omega.sample_noise(rng, size=labels.shape[0])
-    height = max(1, BLOCK_VALUES // omega.p)
-    for i in range(0, rows.shape[0], height):
-        rows[i: i + height] += labels[i: i + height, None] * mu
+    for lo, hi in row_blocks(rows.shape[0], omega.p):
+        rows[lo:hi] += labels[lo:hi, None] * mu
     return rows
 
 
@@ -423,8 +410,8 @@ def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream):
     factor SHRINK_FACTOR and the factorization retried up to SHRINK_RETRIES
     times.
 
-    Rows are drawn and multiplied by the factor in cache-sized row blocks;
-    the draws and sums are those of one (n, p) draw, bit for bit.
+    Rows are drawn and multiplied by the factor in numerics.row_blocks; the
+    draws and sums are those of one (n, p) draw, bit for bit.
 
     Returns (samples, sigma) with sigma a BandedSymmetric.
     """
@@ -461,18 +448,16 @@ def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream):
             f"(min eigenvalue about {w[0]:.3e})"
         )
     samples = np.empty((n, p))
-    height = max(1, BLOCK_VALUES // p)
-    for i in range(0, n, height):
-        h = min(height, n - i)
-        samples[i: i + h] = factor.right_apply(rng.standard_normal((h, p)))
+    for lo, hi in row_blocks(n, p):
+        samples[lo:hi] = factor.right_apply(rng.standard_normal((hi - lo, p)))
     return samples, sigma
 
 
-def banded_true_bandwidth(sigma: BandedSymmetric, tol: float = graphmod.ZERO_TOL) -> int:
-    """Largest k whose off-diagonal holds any entry above tol, else 0."""
+def banded_true_bandwidth(sigma: BandedSymmetric) -> int:
+    """Largest k whose off-diagonal holds any entry above graph.ZERO_TOL, else 0."""
     b = 0
     for k in range(1, sigma.bandwidth + 1):
-        if np.any(np.abs(sigma.offdiagonal(k)) > tol):
+        if np.any(np.abs(sigma.offdiagonal(k)) > graphmod.ZERO_TOL):
             b = k
     return b
 
@@ -487,6 +472,8 @@ def draw_paired_beta(p: int, epsilon: float, tau: float, rng: RngStream) -> np.n
         raise DomainError("paired design requires even p")
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError("epsilon must lie in [0, 1]")
+    if not math.isfinite(tau):
+        raise DomainError(f"tau must be finite, got {tau!r}")
     u = rng.uniform(p // 2)
     beta = np.zeros(p)
     both = u < epsilon / 2.0

@@ -30,16 +30,31 @@ _SQRT2 = math.sqrt(2.0)
 # eigenvalue must exceed GRAM_RCOND times the largest.
 GRAM_RCOND = 1e-10
 
-# Relative accuracy the tail functions are expected to deliver wherever the
-# result is representable in double precision.
-SPECIAL_FN_RTOL = 1e-10
-
 # Cap on the size of a single connected component in sym_sqrt.
 SYM_SQRT_COMPONENT_CAP = 2000
 
-# Cache-sized row blocks (null tables, banded and PrecisionModel sampling,
-# classify scoring): max(1, this // p) rows.
+# About this many values per row block; row_blocks sets the heights.
 BLOCK_VALUES = 2**15
+
+
+def row_blocks(n: int, p: int) -> list[tuple[int, int]]:
+    """Half-open row ranges (lo, hi) that tile range(n) in cache-sized blocks
+    of rows of p values: null tables, banded and PrecisionModel sampling,
+    class rows and classify scoring all draw and use their rows block by block.
+
+    Each block holds max(4, BLOCK_VALUES // p // 4 * 4) rows and the last one
+    also takes the remainder, so n below one full height gives one block.
+    Classify's scores are the reason for the rule: OpenBLAS's dgemv_t sums
+    rows in groups of four and a short tail takes another path, so only
+    blocks of whole groups score each row as one (n, p) product does on one
+    BLAS thread. Every other blocked loop gives the same bytes at any
+    height: the HC statistic works row by row, a CSR product sums the same
+    terms for each output entry, and the banded factor and added means work
+    element by element.
+    """
+    height = max(4, BLOCK_VALUES // p // 4 * 4)
+    starts = list(range(0, n - height + 1, height)) or [0]
+    return [(lo, hi) for lo, hi in zip(starts, starts[1:] + [n]) if hi > lo]
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +64,9 @@ BLOCK_VALUES = 2**15
 def normal_sf(x):
     """Standard normal survival function P(N(0,1) >= x).
 
-    Accepts scalars or arrays. Relative error is below SPECIAL_FN_RTOL
-    wherever the result is representable; in the extreme tail (x > ~38)
-    the true value underflows double precision and 0.0 is returned.
+    Accepts scalars or arrays. Relative error is below 1e-10 wherever the
+    result is representable; in the extreme tail (x > ~38) the true value
+    underflows double precision and 0.0 is returned.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):

@@ -49,8 +49,8 @@ def block_exponent(vartheta: float, r: float, h0: float) -> float:
     miss next to a cancelling partner, and a double miss of a signal pair.
     """
     _check_vartheta(vartheta)
-    if r <= 0.0:
-        raise DomainError("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r!r}")
     if not -1.0 < h0 < 1.0:
         raise DomainError("|h0| < 1 required")
     term1 = (vartheta + r) ** 2 / (4.0 * r)

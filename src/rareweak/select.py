@@ -53,8 +53,8 @@ def hamming_report(counts) -> HammingReport:
 
 def hard_threshold(y: np.ndarray, t: float) -> SelectionResult:
     """Keep-or-kill: beta_hat_i = Y_i when |Y_i| >= t, else 0."""
-    if t <= 0:
-        raise DomainError("threshold must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"threshold must be positive and finite, got {t!r}")
     y = np.asarray(y, dtype=float)
     beta = np.where(np.abs(y) >= t, y, 0.0)
     return SelectionResult(beta_hat=beta)
@@ -73,8 +73,8 @@ def ideal_q(vartheta: float, r: float) -> float:
     """
     if not 0.0 < vartheta < 1.0:
         raise DomainError("vartheta must lie in (0, 1)")
-    if r <= 0.0:
-        raise DomainError("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r!r}")
     if r > vartheta:
         return (vartheta + r) ** 2 / (4.0 * r)
     return vartheta
@@ -110,13 +110,19 @@ class GsTuning:
     def __post_init__(self):
         if self.m0 < 1:
             raise DomainError("m0 must be >= 1")
-        if self.q <= 0 or self.u <= 0 or self.v <= 0:
-            raise DomainError("q, u, v must all be positive")
+        for name in ("q", "u", "v"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 def default_gs_tuning(p, vartheta: float, r: float, m0: int = 1,
                       q: float = DEFAULT_SCREEN_Q) -> GsTuning:
     """u = sqrt(2 vartheta log p), v = sqrt(2 r log p), q a small constant."""
+    if not 0.0 < vartheta < 1.0:
+        raise DomainError("vartheta must lie in (0, 1)")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r!r}")
     return GsTuning(m0=m0, q=q,
                     u=math.sqrt(2.0 * vartheta * math.log(p)),
                     v=math.sqrt(2.0 * r * math.log(p)))

@@ -8,7 +8,7 @@ from scipy.stats import norm
 from rareweak.errors import DomainError
 from rareweak import classify as cl
 from rareweak import models as mo
-from rareweak.numerics import RngStream
+from rareweak.numerics import RngStream, row_blocks
 
 
 def make_sample(features, labels, mu=None):
@@ -17,6 +17,13 @@ def make_sample(features, labels, mu=None):
     if mu is None:
         mu = np.zeros(features.shape[1])
     return mo.ClassSample(features=features, labels=labels, mu=mu)
+
+
+def classify_rows(model, rows):
+    """classify_batch on given rows: with mu = 0 under the identity Omega,
+    the draws are the rows."""
+    k, p = rows.shape
+    return cl.classify_batch(model, [rows], np.ones(k), np.zeros(p))
 
 
 class TestZVector:
@@ -133,7 +140,7 @@ class TestTrainAndClassify:
         with pytest.warns(UserWarning):
             model = cl.train_hct(sample, om)
         assert model.degenerate
-        preds = cl.classify_batch(model, RngStream(6, 0).standard_normal((7, p)))
+        preds = classify_rows(model, RngStream(6, 0).standard_normal((7, p)))
         assert np.all(preds == 1)
 
     def test_single_feature_rule(self):
@@ -143,7 +150,7 @@ class TestTrainAndClassify:
         mu_hat[3] = 1
         model = cl.HctModel(mu_hat=mu_hat, omega=om, degenerate=False)
         rows = RngStream(7, 0).standard_normal((50, p))
-        preds = cl.classify_batch(model, rows)
+        preds = classify_rows(model, rows)
         expect = np.where(rows[:, 3] >= 0, 1, -1)
         assert np.array_equal(preds, expect)
 
@@ -159,8 +166,8 @@ class TestTrainAndClassify:
         rows = RngStream(8, 1).standard_normal((40, p))
         s = rows @ om.matvec(model.mu_hat.astype(float))
         nz = np.abs(s) > 1e-12
-        a = cl.classify_batch(model, rows)
-        b = cl.classify_batch(model_f, rows)
+        a = classify_rows(model, rows)
+        b = classify_rows(model_f, rows)
         assert np.array_equal(a[nz], -b[nz])
 
     def test_negating_row_flips_label(self):
@@ -173,8 +180,8 @@ class TestTrainAndClassify:
         row = RngStream(9, 1).standard_normal(p)
         score = row @ om.matvec(model.mu_hat.astype(float))
         if abs(score) > 1e-12:
-            a = cl.classify_batch(model, row[None, :])[0]
-            b = cl.classify_batch(model, -row[None, :])[0]
+            a = classify_rows(model, row[None, :])[0]
+            b = classify_rows(model, -row[None, :])[0]
             assert a == -b
 
     def test_degenerate_rule_predicts_plus_one_from_draws(self):
@@ -186,7 +193,7 @@ class TestTrainAndClassify:
         labels = np.array([1, -1, -1, 1, -1])
         mu = np.full(p, 0.7)
         draws = RngStream(6, 1).standard_normal((5, p))
-        preds = cl.classify_batch(model, draws, mean=(labels, mu))
+        preds = cl.classify_batch(model, [draws], labels, mu)
         assert np.array_equal(preds, np.ones(5, dtype=int))
 
     def test_dimension_mismatch(self):
@@ -194,7 +201,7 @@ class TestTrainAndClassify:
         model = cl.HctModel(mu_hat=np.zeros(8, dtype=np.int8), omega=om,
                             degenerate=True)
         with pytest.raises(DomainError):
-            cl.classify_batch(model, np.zeros((2, 9)))
+            classify_rows(model, np.zeros((2, 9)))
 
 
 class TestClassificationError:
@@ -265,6 +272,7 @@ class TestClassificationError:
         cl.classification_error(0.3, 1.2, 0.4, p, mo.PrecisionModel.identity(p),
                                 20, test_size, RngStream(15, 0))
         assert sizes == [(h, p) for h in heights] * 20
+        assert sizes == [(hi - lo, p) for lo, hi in row_blocks(test_size, p)] * 20
 
 
 def _custom_omega(p):

@@ -630,3 +630,31 @@ def test_ranking_bodies_match_recorded_digests_every_seed(tmp_path, threads):
     for seed in sorted(recorded, key=int):
         assert _bench_body_digest(checks, tmp_path, replace(workload, threads=threads),
                                   "ranking", config, seed) == recorded[seed]["ranking"], seed
+
+
+# CSV body digests of the desk presets at seed 0 and one thread. Desk
+# detect, recover and classify run the identity model, which no bench
+# workload covers. Desk classify's default grid gives a body of zero errors
+# at every seed tried, so it runs a separable and a null point instead.
+DESK_DIGESTS = {
+    "detect": (None, "7ff196f9b577c010a715fd4e09de008f0961528f7c959c9e9137849f37baa3f2"),
+    "recover": (None, "cf39e384b44c60624c502c4bef55fe30306cf023d9fc1936236fd919a2ac3117"),
+    "bandwidth": (None, "c9aae98d8561a2ce9b0ac152fed059d10d6d94312a61e14393ca754bc4166770"),
+    "ranking": (None, "453ec49993befd478ac3ed1b4ca15297e050aa004887d4f5a83228aeffbbaf18"),
+    "classify": ({"grid": [[0.3, 0.6], [0.5, 0.02]]},
+                 "dac7974e695a655d0e9a495f70e732fdda485e1121aa444e9abd1c2ec1214745"),
+    "phase": (None, "fbffe17a767ffa09e0bc871605d53cb6f783a7f65fd8fbdcbc4ae02d3b6a887b"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DESK_DIGESTS))
+def test_desk_bodies_match_recorded_digests(tmp_path, experiment):
+    checks = _load_perfbench("checks")
+    config, recorded = DESK_DIGESTS[experiment]
+    args = [experiment, "--seed", "0", "--threads", "1", "--out", str(tmp_path)]
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        args += ["--config", str(config_path)]
+    assert cli.main(args) == 0
+    assert checks.digest(checks.read_csv(tmp_path / f"{experiment}.csv")[2]) == recorded

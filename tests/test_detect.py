@@ -6,7 +6,7 @@ import pytest
 from rareweak.errors import DomainError
 from rareweak import detect as de
 from rareweak import models as mo
-from rareweak.numerics import BLOCK_VALUES, RngStream, normal_sf
+from rareweak.numerics import RngStream, normal_sf, row_blocks
 
 class TestPValues:
     def test_zero_data_upper(self):
@@ -195,9 +195,7 @@ class TestHcKernel:
                 return super().uniform(size)
 
         de.critical_value(p, [0.05], "hcplus", reps, rng=Counting(23, 0))
-        height = max(1, BLOCK_VALUES // p)
-        assert len(calls) <= math.ceil(reps / height)
-        assert sum(np.prod(size) for size in calls) == reps * p
+        assert calls == [(hi - lo, p) for lo, hi in row_blocks(reps, p)]
 
 
 class TestCriticalValues:

@@ -10,10 +10,11 @@ import scipy.sparse as sp
 from scipy import stats
 
 from rareweak.errors import DomainError, FactorizationError, GenerationError
+from rareweak import classify, phase, select
 from rareweak import models as mo
 from rareweak.graph import connected_components
 from rareweak.numerics import (BLOCK_VALUES, RngStream, chol_banded,
-                               restricted_quadform, sym_sqrt)
+                               restricted_quadform, row_blocks, sym_sqrt)
 
 
 class TestParams:
@@ -36,6 +37,26 @@ class TestParams:
             mo.ArwParams(p=100, vartheta=0.5, r=0.0)
         with pytest.raises(DomainError):
             mo.MixtureParams(p=100, epsilon=1.0, tau=1.0)
+
+    @pytest.mark.parametrize("field,build", [
+        ("r", lambda x: mo.ArwParams(p=100, vartheta=0.5, r=x)),
+        ("tau", lambda x: mo.MixtureParams(p=100, epsilon=0.1, tau=x)),
+        ("threshold", lambda x: select.hard_threshold(np.ones(4), x)),
+        ("threshold", lambda x: classify.clip_threshold(np.ones(4), x)),
+        ("r", lambda x: select.ideal_q(0.5, x)),
+        ("q", lambda x: select.GsTuning(m0=1, q=x, u=1.0, v=1.0)),
+        ("v", lambda x: select.GsTuning(m0=1, q=1.0, u=1.0, v=x)),
+        ("r", lambda x: select.default_gs_tuning(100, 0.5, x)),
+        ("tau", lambda x: mo.draw_paired_beta(10, 0.5, x, RngStream(1, 0))),
+        ("r", lambda x: phase.block_exponent(0.5, x, 0.5)),
+    ], ids=["ArwParams", "MixtureParams", "hard_threshold", "clip_threshold",
+            "ideal_q", "GsTuning.q", "GsTuning.v", "default_gs_tuning",
+            "draw_paired_beta", "block_exponent"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected_by_name(self, field, build, value):
+        # NaN and inf pass a positivity check written as x <= 0
+        with pytest.raises(DomainError, match=rf"^{field} must"):
+            build(value)
 
     def test_sample_size_rounding(self):
         assert mo.sample_size(10**4, 0.5) == 100
@@ -257,10 +278,7 @@ class TestPrecisionModel:
                 return super().standard_normal(size)
 
         mo.PrecisionModel.block2(p, 0.5).sample_noise(Counting(6, 0), size=n)
-        height = max(1, BLOCK_VALUES // p)
-        assert len(sizes) == math.ceil(n / height)
-        assert all(q == p and h * p <= max(BLOCK_VALUES, p) for h, q in sizes)
-        assert sum(np.prod(size) for size in sizes) == n * p
+        assert sizes == [(hi - lo, p) for lo, hi in row_blocks(n, p)]
 
     @pytest.mark.parametrize("kind", ["identity", "block2", "custom"])
     def test_sigma_sqrt_rmatvec_scores_noise_rows(self, kind):
@@ -308,8 +326,9 @@ class TestGenArw:
         params = mo.ArwParams(p=10**4, vartheta=0.5, r=1.0)
         inst = mo.gen_arw(params, mo.PrecisionModel.identity(10**4), RngStream(6, 0))
         expect = params.p * params.epsilon
-        assert abs(inst.support.size - expect) <= 4 * math.sqrt(expect)
-        assert np.all(inst.beta[inst.support] == params.tau)
+        support = np.flatnonzero(inst.beta)
+        assert abs(support.size - expect) <= 4 * math.sqrt(expect)
+        assert np.all(inst.beta[support] == params.tau)
 
     def test_deterministic(self):
         params = mo.ArwParams(p=50, vartheta=0.5, r=1.0)
@@ -321,7 +340,7 @@ class TestGenArw:
     def test_epsilon_zero_mixture(self):
         mix = mo.MixtureParams(p=40, epsilon=0.0, tau=3.0)
         inst = mo.gen_arw(mix, mo.PrecisionModel.identity(40), RngStream(8, 0))
-        assert inst.support.size == 0
+        assert not inst.beta.any()
 
     def test_dimension_mismatch(self):
         params = mo.ArwParams(p=10, vartheta=0.5, r=1.0)
@@ -480,9 +499,9 @@ class TestBandedSample:
     @pytest.mark.parametrize("p,n,band_spec", [
         (1001, 70, [(0.1, 0.3)] * 3),        # odd p; n not a multiple of 32 rows
         (1001, 5, [(0.1, 0.3)] * 2),         # n below one block
-        (BLOCK_VALUES + 3, 3, [(0.1, 0.3)]),  # one row per block
+        (BLOCK_VALUES + 3, 3, [(0.1, 0.3)]),  # one block under four rows
         (5000, 200, []),                     # bandwidth 0
-        (5000, 13, [(0.02, 0.3)] * 3),       # the bench shape, 6 rows per block
+        (5000, 13, [(0.02, 0.3)] * 3),       # the bench shape, 4 rows per block
     ])
     def test_blocked_rows_equal_one_shot_draw(self, p, n, band_spec):
         # the row blocks draw and sum exactly what one (n, p) draw times the
@@ -507,10 +526,7 @@ class TestBandedSample:
                 return super().standard_normal(size)
 
         mo.gen_banded_sample(p, n, [(0.05, 0.3)] * 2, Counting(26, 0))
-        height = max(1, BLOCK_VALUES // p)
-        assert len(sizes) == math.ceil(n / height)
-        assert all(q == p and h * p <= max(BLOCK_VALUES, p) for h, q in sizes)
-        assert sum(np.prod(size) for size in sizes) == n * p
+        assert sizes == [(hi - lo, p) for lo, hi in row_blocks(n, p)]
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_tau_rejected(self, tau):

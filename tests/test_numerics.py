@@ -245,6 +245,24 @@ def _cholesky_dense(fac):
     return out
 
 
+class TestRowBlocks:
+    @given(st.integers(1, 3000), st.integers(1, 3 * nu.BLOCK_VALUES))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_tile_rows_in_fours(self, n, p):
+        # full blocks of a multiple of 4 rows; the last one takes the
+        # remainder, and is short only when n is below one full block
+        full = max(4, nu.BLOCK_VALUES // p // 4 * 4)
+        blocks = nu.row_blocks(n, p)
+        assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n))
+        heights = [hi - lo for lo, hi in blocks]
+        assert full % 4 == 0 and all(h == full for h in heights[:-1])
+        assert min(n, full) <= heights[-1] < 2 * full
+
+    def test_one_row_is_one_block(self):
+        assert nu.row_blocks(1, 10**4) == [(0, 1)]
+        assert nu.row_blocks(1, 1) == [(0, 1)]
+
+
 class TestCholBanded:
     def test_identity(self):
         eye = np.eye(6)
