@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -39,7 +40,7 @@ from .models import (
     gen_arw,
     gen_banded_sample,
 )
-from .numerics import RngStream, sym_sqrt
+from .numerics import RngStream, row_blocks, sym_sqrt
 
 EXPERIMENTS = ("detect", "recover", "bandwidth", "ranking", "classify", "phase")
 
@@ -256,10 +257,19 @@ _SCHEMA = {
     },
 }
 
-# The rules that relate fields, checked once every field has passed its own.
+# The rules that relate fields, checked once every field has passed its own,
+# so that a config a runner would reject fails before any simulation.
+_EVEN_BLOCK2 = _Check(
+    "an even p under a block2 omega",
+    lambda c: c["omega"] == _IDENTITY
+    or all(p % 2 == 0 for p in c.get("p_grid", [c.get("p")])))
 _CROSS_CHECKS = {
-    "bandwidth": _Check("b <= b0 < p", lambda c: c["b"] <= c["b0"] < c["p"]),
-    "ranking": _Check("an even p", lambda c: c["p"] % 2 == 0),
+    "detect": (_EVEN_BLOCK2,),
+    "recover": (_EVEN_BLOCK2,),
+    "bandwidth": (_Check("b <= b0 < p", lambda c: c["b"] <= c["b0"] < c["p"]),),
+    "ranking": (_Check("an even p", lambda c: c["p"] % 2 == 0),),
+    "classify": (_EVEN_BLOCK2, _Check("alpha0 * p >= 1",
+                                      lambda c: math.floor(c["alpha0"] * c["p"]) >= 1)),
 }
 
 
@@ -300,9 +310,8 @@ def resolve_config(experiment: str, raw: dict | None, overrides: dict | None = N
         value = overrides.get(key, raw.get(key, default))
         _require(check.ok(value), f"{key} must be {check.what}, got {value!r}")
         cfg[key] = value
-    cross = _CROSS_CHECKS.get(experiment)
-    if cross and not cross.ok(cfg):
-        raise ConfigError(f"{experiment} config needs {cross.what}")
+    for cross in _CROSS_CHECKS.get(experiment, ()):
+        _require(cross.ok(cfg), f"{experiment} config needs {cross.what}")
     return cfg
 
 
@@ -310,16 +319,16 @@ def resolve_config(experiment: str, raw: dict | None, overrides: dict | None = N
 # deterministic replicate mapping
 # ---------------------------------------------------------------------------
 
-def _parallel_map(fn, count: int, threads: int):
-    """Map fn over range(count) preserving order; thread pool when asked.
+def _parallel_map(fn, items, threads: int) -> list:
+    """list(map(fn, items)), on a pool of this many threads when above one.
 
-    Every task derives its randomness from its own index, so the result is
+    Every task derives its randomness from its own item, so the result is
     identical whatever the worker count.
     """
-    if threads <= 1 or count <= 1:
-        return [fn(k) for k in range(count)]
+    if threads <= 1:
+        return list(map(fn, items))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +341,24 @@ def run_detect_power(cfg: dict) -> ResultTable:
     p = cfg["p"]
     omega = _build_omega(cfg["omega"], p)
     table_rng = RngStream(root, _TABLE_LANE)
-    tables = {}
-    needed = {"hcplus" if v == "hcplus" else "ohc" for v in cfg["variants"]}
-    for functional in sorted(needed):
-        tables[functional] = detect.critical_value(
-            p, [cfg["alpha"]], variant=functional,
-            num_null_reps=cfg["null_reps"], rng=table_rng.child(len(tables)),
-            alpha0=cfg["alpha0"])
+    needed = sorted({detect.TABLE_FUNCTIONAL[v] for v in cfg["variants"]})
+    tables = {functional: detect.critical_value(
+        p, [cfg["alpha"]], variant=functional, num_null_reps=cfg["null_reps"],
+        rng=table_rng.child(i), alpha0=cfg["alpha0"])
+        for i, functional in enumerate(needed)}
 
     jobs = [(v, r, variant) for v, r in cfg["grid"] for variant in cfg["variants"]]
 
-    def one(k):
-        v, r, variant = jobs[k]
+    def one(job):
+        v, r, variant = job
         params = ArwParams(p=p, vartheta=float(v), r=float(r))
-        functional = "hcplus" if variant == "hcplus" else "ohc"
         est = detect.power_estimate(
             params, omega, variant, cfg["alpha"], cfg["reps"],
-            RngStream(root, _WORK_LANE), table=tables[functional],
-            alpha0=cfg["alpha0"])
+            RngStream(root, _WORK_LANE),
+            table=tables[detect.TABLE_FUNCTIONAL[variant]], alpha0=cfg["alpha0"])
         return (float(v), float(r), variant, est.size, est.power, est.power_se)
 
-    rows = _parallel_map(one, len(jobs), cfg["threads"])
+    rows = _parallel_map(one, jobs, cfg["threads"])
     return ResultTable("detect", ["vartheta", "r", "variant", "size", "power", "se"],
                        rows, cfg)
 
@@ -361,7 +367,6 @@ def run_recover(cfg: dict) -> ResultTable:
     """Mean Hamming distance versus dimension for the recovery methods."""
     root = cfg["seed"]
     vartheta, r = float(cfg["vartheta"]), float(cfg["r"])
-    reps = cfg["reps"]
     methods = list(cfg["methods"])
     rows = []
     for p in cfg["p_grid"]:
@@ -387,7 +392,7 @@ def run_recover(cfg: dict) -> ResultTable:
                 out[method] = select.hamming(est.beta_hat, inst.beta)
             return out
 
-        per_rep = _parallel_map(one, reps, cfg["threads"])
+        per_rep = _parallel_map(one, range(cfg["reps"]), cfg["threads"])
         for method in methods:
             counts = np.array([d[method] for d in per_rep], dtype=float)
             report = select.hamming_report(counts)
@@ -416,7 +421,7 @@ def run_bandwidth(cfg: dict) -> ResultTable:
             b_hat = apps.estimate_bandwidth(samples, b0, alpha, table,
                                             alpha0=cfg["alpha0"])
             return b_hat, b_hat == banded_true_bandwidth(sigma)
-        results = _parallel_map(one, reps, cfg["threads"])
+        results = _parallel_map(one, range(reps), cfg["threads"])
         for k, (b_hat, correct) in enumerate(results):
             rows.append((float(eps), float(tau), k, b_hat, int(correct)))
         error_rate = 1.0 - sum(c for _, c in results) / reps
@@ -443,13 +448,6 @@ def _ranking_case_operators(p: int, h0: float):
     return tiled(block), tiled(sym_sqrt(block))
 
 
-# Ranking scores consecutive replicates of a case together, in blocks of
-# about this many values (8 rows at p = 1000): one pair of Sigma products and
-# one US, GS and ROC pass per block. Blocks stay small enough that their
-# arrays sit in cache and below the allocator's mmap threshold.
-RANKING_BLOCK_VALUES = 2**13
-
-
 def run_ranking(cfg: dict) -> ResultTable:
     """Feature-ranking AUC contrast between marginal and graph-guided scores.
 
@@ -460,14 +458,13 @@ def run_ranking(cfg: dict) -> ResultTable:
 
     Each replicate draws from its own stream, and a replicate whose support
     is empty or everything draws no noise and gets NaN AUCs. The others are
-    scored in blocks of RANKING_BLOCK_VALUES // p rows, each row equal to
-    scoring its replicate alone.
+    scored together in the consecutive replicates of numerics.row_blocks(reps,
+    p): one pair of Sigma products and one US, GS and ROC pass per block,
+    each row equal to scoring its replicate alone.
     """
     root = cfg["seed"]
     p = cfg["p"]
     eps = float(cfg["epsilon"])
-    reps = cfg["reps"]
-    height = max(1, RANKING_BLOCK_VALUES // p)
     work_rng = RngStream(root, _WORK_LANE)
     rows = []
     for ci, (h0, tau) in enumerate(cfg["cases"]):
@@ -476,8 +473,8 @@ def run_ranking(cfg: dict) -> ResultTable:
                               cfg["m0"])
         case_rng = work_rng.child(ci)
 
-        def block(i):
-            ks = range(i * height, min((i + 1) * height, reps))
+        def block(span):
+            ks = range(*span)
             aucs = [(math.nan, math.nan)] * len(ks)
             scored, beta_rows, noise_rows = [], [], []
             for row, k in enumerate(ks):
@@ -499,7 +496,7 @@ def run_ranking(cfg: dict) -> ResultTable:
                 aucs[row] = (u.auc, g.auc)
             return aucs
 
-        blocks = _parallel_map(block, math.ceil(reps / height), cfg["threads"])
+        blocks = _parallel_map(block, row_blocks(cfg["reps"], p), cfg["threads"])
         results = [auc for aucs in blocks for auc in aucs]
         for k, (auc_us, auc_gs) in enumerate(results):
             rows.append((float(h0), float(tau), k, auc_us, auc_gs))
@@ -518,11 +515,8 @@ def run_classify(cfg: dict) -> ResultTable:
     theta = float(cfg["theta"])
     omega = _build_omega(cfg["omega"], p)
     rows = []
-    threads = cfg["threads"]
+    map_fn = functools.partial(_parallel_map, threads=cfg["threads"])
     for v, r in cfg["grid"]:
-        def map_fn(fn, xs):
-            items = list(xs)
-            return _parallel_map(lambda k: fn(items[k]), len(items), threads)
         report = classify.classification_error(
             float(v), float(r), theta, p, omega, cfg["reps"],
             cfg["test_size"], RngStream(root, _WORK_LANE),

@@ -24,15 +24,17 @@ PVALUE_CLAMP = 1e-15
 TRANSFORMS = ("none", "whitened", "innovated")
 SIDES = ("upper", "two")
 
-# Each HC variant is a P-value pipeline: variant -> (transform, side).
+# Each HC variant is a P-value pipeline scored by an HC functional, whose
+# null table it needs: variant -> (transform, side, functional).
 _VARIANT_PVALUES = {
-    "ohc": ("none", "upper"),
-    "hcplus": ("none", "upper"),
-    "bhc": ("none", "two"),
-    "whc": ("whitened", "two"),
-    "ihc": ("innovated", "two"),
+    "ohc": ("none", "upper", "ohc"),
+    "hcplus": ("none", "upper", "hcplus"),
+    "bhc": ("none", "two", "ohc"),
+    "whc": ("whitened", "two", "ohc"),
+    "ihc": ("innovated", "two", "ohc"),
 }
 VARIANTS = tuple(_VARIANT_PVALUES)
+TABLE_FUNCTIONAL = {v: spec[2] for v, spec in _VARIANT_PVALUES.items()}
 
 
 @dataclass(frozen=True)
@@ -216,8 +218,9 @@ def critical_value(p: int, alphas, variant: str = "ohc",
 
 def _variant_statistic(y: np.ndarray, omega: PrecisionModel, variant: str,
                        alpha0: float = 0.5) -> DetectionResult:
-    pv = pvalues(y, omega, *_VARIANT_PVALUES[variant])
-    if variant == "hcplus":
+    transform, side, functional = _VARIANT_PVALUES[variant]
+    pv = pvalues(y, omega, transform, side)
+    if functional == "hcplus":
         return hc_plus_statistic(pv, alpha0=alpha0)
     return hc_statistic(pv)
 
@@ -244,8 +247,8 @@ def power_estimate(params, omega: PrecisionModel, variant: str,
     """Monte Carlo size and power at a shared simulated critical value.
 
     params is an ArwParams or MixtureParams; only (p, epsilon, tau) are used.
-    table must be simulated at p for the variant's functional: 'hcplus' for
-    HC+, at this alpha0, and 'ohc' for every other variant.
+    table must be simulated at p for the variant's TABLE_FUNCTIONAL ('hcplus'
+    for HC+, at this alpha0, and 'ohc' for every other variant).
 
     Replicate k draws its null and alternative data from substreams
     rng.child(1).child(k), so calls sharing a root stream are paired draw
@@ -255,7 +258,7 @@ def power_estimate(params, omega: PrecisionModel, variant: str,
         raise DomainError("reps must be at least 50")
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
-    table.check(params.p, "hcplus" if variant == "hcplus" else "ohc", alpha0)
+    table.check(params.p, TABLE_FUNCTIONAL[variant], alpha0)
     threshold = variant_threshold(omega, variant, alpha, table)
     null_rejects = 0
     alt_rejects = 0

@@ -33,14 +33,16 @@ GRAM_RCOND = 1e-10
 # Cap on the size of a single connected component in sym_sqrt.
 SYM_SQRT_COMPONENT_CAP = 2000
 
-# About this many values per row block; row_blocks sets the heights.
-BLOCK_VALUES = 2**15
+# About this many values (64 KiB) per row block, so blocks stay in cache and
+# below the allocator's mmap threshold; row_blocks sets the heights.
+BLOCK_VALUES = 2**13
 
 
 def row_blocks(n: int, p: int) -> list[tuple[int, int]]:
     """Half-open row ranges (lo, hi) that tile range(n) in cache-sized blocks
     of rows of p values: null tables, banded and PrecisionModel sampling,
-    class rows and classify scoring all draw and use their rows block by block.
+    class rows, classify scoring and ranking's replicates all draw and use
+    their rows block by block.
 
     Each block holds max(4, BLOCK_VALUES // p // 4 * 4) rows and the last one
     also takes the remainder, so n below one full height gives one block.
@@ -49,8 +51,8 @@ def row_blocks(n: int, p: int) -> list[tuple[int, int]]:
     blocks of whole groups score each row as one (n, p) product does on one
     BLAS thread. Every other blocked loop gives the same bytes at any
     height: the HC statistic works row by row, a CSR product sums the same
-    terms for each output entry, and the banded factor and added means work
-    element by element.
+    terms for each output entry, the banded factor and added means work
+    element by element, and ranking scores each replicate as if alone.
     """
     height = max(4, BLOCK_VALUES // p // 4 * 4)
     starts = list(range(0, n - height + 1, height)) or [0]

@@ -254,7 +254,7 @@ class TestClassificationError:
 
     @pytest.mark.parametrize("p,test_size,heights", [
         (10**4, 1, [1]), (10**4, 5, [5]), (10**4, 203, [4] * 49 + [7]),
-        (1000, 200, [32] * 5 + [40]), (40, 203, [203]),
+        (1000, 200, [8] * 25), (40, 203, [203]),
     ])
     def test_test_rows_drawn_in_blocks_of_four(self, monkeypatch, p, test_size,
                                                heights):

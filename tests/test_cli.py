@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rareweak.errors import ConfigError
-from rareweak import apps, cli, phase, select
+from rareweak import apps, cli, detect, phase, select
 from rareweak.models import PrecisionModel
-from rareweak.numerics import RngStream, sym_sqrt
+from rareweak.numerics import RngStream, row_blocks, sym_sqrt
 
 
 TINY = {
@@ -133,6 +133,36 @@ class TestConfigResolution:
                          "--out", str(tmp_path)]) == 2
         assert "alpha0 must be a finite number in (0, 0.5]" in capsys.readouterr().err
         assert not (tmp_path / f"{experiment}.csv").exists()
+
+    @pytest.mark.parametrize("experiment,raw,rule", [
+        ("detect", {"omega": {"kind": "block2", "h0": 0.5}, "p": 301},
+         "an even p under a block2 omega"),
+        ("classify", {"omega": {"kind": "block2", "h0": 0.5}, "p": 301},
+         "an even p under a block2 omega"),
+        ("recover", {"omega": {"kind": "block2", "h0": 0.5}, "p_grid": [64, 65],
+                     "reps": 2}, "an even p under a block2 omega"),
+        ("classify", {"p": 10, "alpha0": 0.05}, "alpha0 * p >= 1"),
+    ], ids=["odd_p_block2_detect", "odd_p_block2_classify", "odd_p_block2_recover",
+            "classify_alpha0_p_below_one"])
+    def test_config_the_runner_rejects_exit_code(self, tmp_path, capsys,
+                                                 experiment, raw, rule):
+        # rules that relate fields fail when the config is resolved, before
+        # any simulation, not as a runner error after part of the run
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(raw))
+        assert cli.main([experiment, "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {experiment} config needs {rule}\n"
+        assert not (tmp_path / f"{experiment}.csv").exists()
+
+    @pytest.mark.parametrize("experiment,raw", [
+        ("detect", {"p": 301}), ("classify", {"p": 301}),
+        ("recover", {"p_grid": [64, 65]}), ("classify", {"p": 10, "alpha0": 0.1}),
+    ])
+    def test_cross_checks_accept_their_boundary(self, experiment, raw):
+        # an odd p is fine under the identity, and alpha0 * p = 1 is enough
+        assert cli.resolve_config(experiment, raw)["omega"] == {"kind": "identity"}
 
     @pytest.mark.parametrize("overrides", [
         {"threads": 0}, {"seed": -1}, {"seed": 2**64}, {"seed": 3.0},
@@ -273,6 +303,21 @@ class TestRunners:
         v, r, variant, size, power, se = table.rows[0]
         assert variant == "ohc" and 0 <= size <= 1 and 0 <= power <= 1
 
+    def test_detect_tables_follow_sorted_functionals(self, monkeypatch):
+        # one table per functional the variants need: table i is simulated
+        # from lane 0's child(i), over the functionals in sorted order
+        seen = []
+        simulate = detect.critical_value
+
+        def recording(p, alphas, variant, *args, rng, **kwargs):
+            seen.append((variant, rng.path))
+            return simulate(p, alphas, variant, *args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(detect, "critical_value", recording)
+        raw = dict(TINY["detect"], variants=["ihc", "hcplus", "bhc", "ohc"])
+        cli.run_detect_power(cli.resolve_config("detect", raw))
+        assert seen == [("hcplus", (0, 0)), ("ohc", (0, 1))]
+
     def test_recover_duplicate_grid_rows_identical(self):
         cfg = cli.resolve_config(
             "recover", dict(TINY["recover"], p_grid=[64, 64], methods=["ht_ideal"]))
@@ -342,7 +387,7 @@ class TestRunners:
         assert bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("raw, blocks", [
-        ({"p": 1000, "reps": 20}, 6),              # 8, 8 and 4 rows per case
+        ({"p": 1000, "reps": 28}, 6),              # 8, 8 and 12 rows per case
         (dict(TINY["ranking"], reps=12), 2),        # some rows have no support
         (dict(TINY["ranking"], epsilon=0.0), 0),    # no row has support
     ])
@@ -359,6 +404,10 @@ class TestRunners:
         for name in ("rank_features_us", "rank_features_gs", "roc_curve"):
             monkeypatch.setattr(apps, name, counting(name, getattr(apps, name)))
         raw = dict(raw, cases=[[-0.8, 4.0], [0.8, 1.5]])
+        cfg = cli.resolve_config("ranking", raw)
+        # blocks of consecutive replicates follow numerics.row_blocks
+        per_case = len(row_blocks(cfg["reps"], cfg["p"]))
+        assert blocks in (0, len(cfg["cases"]) * per_case)
         bodies = []
         for threads in (1, 2, 3, 4):
             calls.clear()
@@ -370,9 +419,9 @@ class TestRunners:
         assert all(body == bodies[0] for body in bodies)
         assert ("nan" in "".join(bodies[0])) == (blocks != 6)
         # scoring one replicate at a time gives the same bytes
-        monkeypatch.setattr(cli, "RANKING_BLOCK_VALUES", 1)
+        monkeypatch.setattr(cli, "row_blocks", lambda n, p: [(k, k + 1) for k in range(n)])
         calls.clear()
-        assert cli.run_ranking(cli.resolve_config("ranking", raw)).body_lines() == bodies[0]
+        assert cli.run_ranking(cfg).body_lines() == bodies[0]
         scored = [row for row in (line.split(",") for line in bodies[0][1:])
                   if row[2] != "-1" and row[3] != "nan"]
         assert len(calls) == 4 * len(scored)

@@ -6,7 +6,7 @@ import pytest
 from rareweak.errors import DomainError
 from rareweak import detect as de
 from rareweak import models as mo
-from rareweak.numerics import RngStream, normal_sf, row_blocks
+from rareweak.numerics import BLOCK_VALUES, RngStream, normal_sf, row_blocks
 
 class TestPValues:
     def test_zero_data_upper(self):
@@ -165,14 +165,15 @@ class TestHcKernel:
             seq = RngStream(21, m)
             assert np.array_equal(block, np.array([seq.uniform(p) for _ in range(m)]))
 
-    # Blocks hold 65 rows at p = 500 and 98 at p = 333, which divide neither
-    # reps count; p = 2**15 + 3 exceeds the block budget (one row per block).
+    # Blocks hold 16 rows at p = 500 and 24 at p = 333, which divide neither
+    # reps count; p = 4 * BLOCK_VALUES + 3 (32,771) exceeds the block budget
+    # in one row, so blocks take the 4-row floor.
     @pytest.mark.parametrize("p,variant,alpha0,reps", [
         (500, "ohc", 0.5, 201),
         (500, "hcplus", 0.5, 201),
         (333, "hcplus", 0.1, 150),
-        (2**15 + 3, "ohc", 0.5, 100),
-        (2**15 + 3, "hcplus", 0.1, 100),
+        (4 * BLOCK_VALUES + 3, "ohc", 0.5, 100),
+        (4 * BLOCK_VALUES + 3, "hcplus", 0.1, 100),
     ])
     def test_table_matches_per_replicate_loop(self, p, variant, alpha0, reps):
         alphas = np.linspace(0.01, 0.99, 99)
@@ -185,7 +186,8 @@ class TestHcKernel:
         expected = tuple(float(np.quantile(stats, 1.0 - a)) for a in table.alphas)
         assert table.quantiles == expected
 
-    @pytest.mark.parametrize("p,reps", [(500, 201), (5000, 300), (2**15 + 3, 100)])
+    @pytest.mark.parametrize("p,reps", [(500, 201), (5000, 300),
+                                        (4 * BLOCK_VALUES + 3, 100)])
     def test_table_draws_one_block_per_call(self, p, reps):
         calls = []
 

@@ -242,10 +242,11 @@ class TestPrecisionModel:
 
     @pytest.mark.parametrize("kind,p,n", [
         ("identity", 10**4, 7),
-        ("block2_0.5", 10**4, 7),     # 3 rows per block, a 1-row last block
-        ("block2_-0.8", 10**4, 8),
-        ("block2_0.5", 1000, 70),     # 32 rows per block
-        ("custom", 400, 170),         # 81 rows per block
+        ("block2_0.5", 10**4, 7),     # one 7-row block
+        ("block2_-0.8", 10**4, 8),    # two 4-row blocks
+        ("block2_0.5", 10**4, 9),     # 4 rows, then a last block of 5
+        ("block2_0.5", 1000, 70),     # 8 rows per block, a last block of 14
+        ("custom", 400, 170),         # 20 rows per block, a last block of 30
     ])
     def test_noise_rows_equal_one_shot_draw(self, kind, p, n):
         # the row blocks draw and sum exactly what one (n, p) draw times
@@ -268,7 +269,7 @@ class TestPrecisionModel:
         assert np.array_equal(mo.class_rows(mu, labels, om, RngStream(5, 1)),
                               labels[:, None] * mu[None, :] + ref)
 
-    @pytest.mark.parametrize("p,n", [(10**4, 40), (1000, 70), (BLOCK_VALUES + 2, 3)])
+    @pytest.mark.parametrize("p,n", [(10**4, 40), (1000, 70), (4 * BLOCK_VALUES + 2, 3)])
     def test_noise_rows_drawn_in_blocks(self, p, n):
         sizes = []
 
@@ -497,9 +498,9 @@ class TestBandedSample:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("p,n,band_spec", [
-        (1001, 70, [(0.1, 0.3)] * 3),        # odd p; n not a multiple of 32 rows
+        (1001, 70, [(0.1, 0.3)] * 3),        # odd p; n not a multiple of 8 rows
         (1001, 5, [(0.1, 0.3)] * 2),         # n below one block
-        (BLOCK_VALUES + 3, 3, [(0.1, 0.3)]),  # one block under four rows
+        (4 * BLOCK_VALUES + 3, 3, [(0.1, 0.3)]),  # one block under four rows
         (5000, 200, []),                     # bandwidth 0
         (5000, 13, [(0.02, 0.3)] * 3),       # the bench shape, 4 rows per block
     ])
@@ -516,7 +517,7 @@ class TestBandedSample:
         assert np.allclose(sigma.offdiagonal(1), 0.6 * 0.9**2)
         assert np.array_equal(samples, _one_shot_sample(sigma, 40, RngStream(25, 0)))
 
-    @pytest.mark.parametrize("p,n", [(1001, 70), (5000, 200), (BLOCK_VALUES + 3, 3)])
+    @pytest.mark.parametrize("p,n", [(1001, 70), (5000, 200), (4 * BLOCK_VALUES + 3, 3)])
     def test_normals_drawn_in_blocks(self, p, n):
         sizes = []
 
