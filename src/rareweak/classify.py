@@ -17,9 +17,11 @@ import numpy as np
 from .detect import _check_alpha0, _hc_objective
 from .errors import DomainError
 from .models import PrecisionModel, gen_class_sample, ClassSample
-from .numerics import RngStream, normal_sf, row_blocks
+from .numerics import RngStream, normal_sf
 
 DEFAULT_ALPHA0 = 0.10
+
+DOT_SLICE = 10**4  # OpenBLAS threads a longer ddot, which moves its last bits
 
 
 def z_vector(sample: ClassSample) -> np.ndarray:
@@ -88,17 +90,27 @@ def train_hct(sample: ClassSample, omega: PrecisionModel,
     return HctModel(mu_hat=mu_hat, omega=omega, degenerate=degenerate)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed left to right over DOT_SLICE-entry slices, the same at any
+    BLAS thread count; at len(a) <= DOT_SLICE it is exactly a @ b."""
+    return sum(np.dot(a[i:i + DOT_SLICE], b[i:i + DOT_SLICE])
+               for i in range(0, len(a), DOT_SLICE))
+
+
 def classify_batch(model: HctModel, draws, labels: np.ndarray,
                    mu: np.ndarray) -> np.ndarray:
     """Labels sign((mu_hat)' Omega x) per row x; exact zeros classify as +1.
 
     draws iterates over (k, p) blocks of the standard-normal draws G of the
     rows x_i = labels_i mu + Sigma^{1/2} g_i that class_rows would build from
-    them. Each row is scored without forming it, as
-    labels_i (mu . w) + g_i . (Sigma^{1/2}' w) with w = Omega mu_hat, so only
-    one block of draws need exist at a time.
+    them, as PrecisionModel.noise_blocks yields them. Each row is scored
+    without forming it, as labels_i (mu . w) + g_i . (Sigma^{1/2}' w) with
+    w = Omega mu_hat, so only one block of draws need exist at a time.
+    labels holds one entry per row and mu has length p.
     """
     omega = model.omega
+    if np.shape(mu) != (omega.p,):
+        raise DomainError(f"mu has shape {np.shape(mu)}, not ({omega.p},)")
     w = omega.matvec(model.mu_hat.astype(float))
     v = omega.sigma_sqrt_rmatvec(w)
     scores = []
@@ -108,7 +120,10 @@ def classify_batch(model: HctModel, draws, labels: np.ndarray,
         scores.append(block @ v)
     if not scores:
         raise DomainError("no rows to classify")
-    scores = np.asarray(labels, dtype=float) * (mu @ w) + np.concatenate(scores)
+    scores = np.concatenate(scores)
+    if np.shape(labels) != scores.shape:
+        raise DomainError(f"labels have shape {np.shape(labels)}, not {scores.shape}")
+    scores += np.asarray(labels, dtype=float) * _dot(mu, w)
     return np.where(scores >= 0.0, 1, -1).astype(int)
 
 
@@ -128,11 +143,11 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
     Replicate k trains on a fresh sample (substream k.0) and evaluates on
     test_size fresh rows with the same contrast vector (substream k.1). The
     rule is linear, so the test rows are scored from their draws and never
-    formed. The draws are made and scored in numerics.row_blocks, so memory
-    per replicate is the (n, p) training sample and one block of draws, and
-    each row scores as it would in one (test_size, p) product on one BLAS
-    thread. map_fn may supply a parallel map; replicates seed themselves, so
-    any execution order gives the same result.
+    formed. The draws come from omega.noise_blocks and are scored block by
+    block, so memory per replicate is the (n, p) training sample and one
+    block of draws, and each row scores as it would in one (test_size, p)
+    product on one BLAS thread. map_fn may supply a parallel map; replicates
+    seed themselves, so any execution order gives the same result.
     """
     if reps < 20:
         raise DomainError("reps must be at least 20")
@@ -146,9 +161,8 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
         test_rng = rep.child(1)
         labels = np.where(test_rng.uniform(test_size) < 0.5, 1, -1).astype(int)
         # the draws class_rows would make, in the same order
-        draws = (test_rng.standard_normal((hi - lo, p))
-                 for lo, hi in row_blocks(test_size, p))
-        pred = classify_batch(model, draws, labels, sample.mu)
+        pred = classify_batch(model, omega.noise_blocks(test_rng, test_size),
+                              labels, sample.mu)
         return float(np.mean(pred != labels))
 
     mapper = map if map_fn is None else map_fn

@@ -138,9 +138,7 @@ class PrecisionModel:
             raise DomainError(f"unknown precision kind {kind!r}")
         self._graph = None
         self._factor_lock = threading.Lock()
-        self._sqrt = None  # set last: marks the factors below as ready
-        self._sigma_sqrt = None
-        self._sigma_diag = None
+        self._factor_cache = None
 
     # -- constructors -------------------------------------------------------
 
@@ -177,26 +175,19 @@ class PrecisionModel:
     def row_nonzero_max(self) -> int:
         return graphmod.row_nonzero_max(self.graph())
 
-    def _component_factors(self):
-        """Factor once per instance, also when threads share the model.
-
-        Concurrent first callers wait on a lock; self._sqrt is published
-        after the other factors, so a caller that sees it sees them all.
+    def _factors(self):
+        """(Omega^{1/2}, Sigma^{1/2} = Omega^{-1/2}, the diagonal of Sigma) from
+        numerics.component_factors; the identity's singleton components give
+        factors of exactly 1.0. Factored once per instance, also when threads
+        share the model: first callers wait on a lock, and the three are
+        published together as one tuple.
         """
-        if self._sqrt is not None:
-            return
-        with self._factor_lock:
-            if self._sqrt is None:
-                sqrt, self._sigma_sqrt, self._sigma_diag = self._factor()
-                self._sqrt = sqrt
-
-    def _factor(self):
-        """Omega^{1/2}, Sigma^{1/2} = Omega^{-1/2} and the diagonal of Sigma,
-        from numerics.component_factors over the components of Omega."""
-        if self.kind == "identity":
-            eye = sp.identity(self.p, format="csr")
-            return eye, eye, np.ones(self.p)
-        return component_factors(self._omega, *graphmod.component_labels(self.graph()))
+        if self._factor_cache is None:
+            with self._factor_lock:
+                if self._factor_cache is None:
+                    self._factor_cache = component_factors(
+                        self._omega, *graphmod.component_labels(self.graph()))
+        return self._factor_cache
 
     # -- linear maps --------------------------------------------------------
 
@@ -206,48 +197,39 @@ class PrecisionModel:
 
     def sqrt_matvec(self, v: np.ndarray) -> np.ndarray:
         """Omega^{1/2} @ v."""
-        self._component_factors()
-        return self._sqrt @ np.asarray(v, dtype=float)
+        return self._factors()[0] @ np.asarray(v, dtype=float)
 
     def sigma_sqrt_rmatvec(self, v: np.ndarray) -> np.ndarray:
         """Sigma^{1/2}' @ v, for the factor sample_noise applies: the rows it
         returns for draws G score against v as G @ (Sigma^{1/2}' v)."""
-        v = np.asarray(v, dtype=float)
-        if self.kind == "identity":
-            return v
-        self._component_factors()
-        return self._sigma_sqrt.T @ v
+        return self._factors()[1].T @ np.asarray(v, dtype=float)
 
     def sqrt_matrix(self) -> sp.csr_matrix:
-        self._component_factors()
-        return self._sqrt
+        return self._factors()[0]
 
     def sigma_diag(self) -> np.ndarray:
         """Diagonal of Sigma = Omega^{-1}."""
-        self._component_factors()
-        return self._sigma_diag
+        return self._factors()[2]
+
+    def noise_blocks(self, rng: RngStream, n: int):
+        """The standard-normal draws G of n noise rows, in (h, p) blocks of
+        numerics.row_blocks; sample_noise's rows are (Sigma^{1/2} G')'."""
+        for lo, hi in row_blocks(n, self.p):
+            yield rng.standard_normal((hi - lo, self.p))
 
     def sample_noise(self, rng: RngStream, size: int | None = None) -> np.ndarray:
         """Draw from N(0, Sigma): one vector, or size independent rows.
 
-        Rows are drawn and multiplied by Sigma^{1/2} in numerics.row_blocks,
+        The noise_blocks draws are multiplied by Sigma^{1/2} block by block,
         written into one (size, p) output; the draws and sums are those of
-        one (size, p) draw, bit for bit.
+        one (size, p) draw, bit for bit. One vector is row 0 of size 1.
         """
-        self._component_factors()
-        if size is None:
-            g = rng.standard_normal(self.p)
-            if self.kind == "identity":
-                return g
-            return self._sigma_sqrt @ g
-        n = int(size)
-        if self.kind == "identity":
-            return rng.standard_normal((n, self.p))
+        sigma_sqrt = self._factors()[1]
+        n = 1 if size is None else int(size)
         out = np.empty((n, self.p))
-        for lo, hi in row_blocks(n, self.p):
-            g = rng.standard_normal((hi - lo, self.p))
-            out[lo:hi] = (self._sigma_sqrt @ g.T).T
-        return out
+        for (lo, hi), g in zip(row_blocks(n, self.p), self.noise_blocks(rng, n)):
+            out[lo:hi] = (sigma_sqrt @ g.T).T
+        return out[0] if size is None else out
 
     def __repr__(self):
         extra = f", h0={self.h0}" if self.kind == "block2" else ""

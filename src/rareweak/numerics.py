@@ -41,7 +41,8 @@ BLOCK_VALUES = 2**13
 def row_blocks(n: int, p: int) -> list[tuple[int, int]]:
     """Half-open row ranges (lo, hi) that tile range(n) in cache-sized blocks
     of rows of p values: null tables, banded and PrecisionModel sampling,
-    class rows, classify scoring and ranking's replicates all draw and use
+    class rows, classify scoring (its held-out draws come through
+    PrecisionModel.noise_blocks) and ranking's replicates all draw and use
     their rows block by block.
 
     Each block holds max(4, BLOCK_VALUES // p // 4 * 4) rows and the last one

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -202,6 +206,69 @@ class TestTrainAndClassify:
                             degenerate=True)
         with pytest.raises(DomainError):
             classify_rows(model, np.zeros((2, 9)))
+
+    @pytest.mark.parametrize("labels", [[1], [1, -1], [1, -1, 1, 1]])
+    def test_labels_one_per_scored_row(self, labels):
+        # a single label is not broadcast over the rows, and a wrong count
+        # is a DomainError, not a numpy ValueError
+        om = mo.PrecisionModel.identity(6)
+        model = cl.HctModel(mu_hat=np.ones(6, dtype=np.int8), omega=om,
+                            degenerate=False)
+        draws = RngStream(17, 0).standard_normal((3, 6))
+        with pytest.raises(DomainError, match="labels"):
+            cl.classify_batch(model, [draws[:2], draws[2:]], labels, np.zeros(6))
+
+    @pytest.mark.parametrize("mu", [np.zeros(5), np.zeros(7), np.zeros((1, 6)), 0.0])
+    def test_mu_has_length_p(self, mu):
+        om = mo.PrecisionModel.identity(6)
+        model = cl.HctModel(mu_hat=np.ones(6, dtype=np.int8), omega=om,
+                            degenerate=False)
+        draws = RngStream(17, 1).standard_normal((3, 6))
+        with pytest.raises(DomainError, match="mu"):
+            cl.classify_batch(model, [draws], np.ones(3), mu)
+
+
+_DOT_SCRIPT = """
+import numpy as np
+from rareweak import classify as cl
+from rareweak import models as mo
+from rareweak.numerics import RngStream
+p = 20000
+om = mo.PrecisionModel.block2(p, 0.5)
+mu = RngStream(18, 0).standard_normal(p)
+mu_hat = np.where(RngStream(18, 1).uniform(p) < 0.5, 1, -1).astype(np.int8)
+model = cl.HctModel(mu_hat=mu_hat, omega=om, degenerate=False)
+labels = np.where(RngStream(18, 2).uniform(8) < 0.5, 1, -1)
+pred = cl.classify_batch(model, om.noise_blocks(RngStream(18, 3), 8), labels, mu)
+print(float(cl._dot(mu, om.matvec(mu_hat.astype(float)))).hex(), pred.tolist())
+"""
+
+
+def test_mu_dot_w_same_at_any_blas_thread_count():
+    # OpenBLAS threads a ddot longer than DOT_SLICE; mu . w is summed over
+    # slices no longer than that, so one and two BLAS threads agree bit for bit
+    src = str(pathlib.Path(cl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        result = subprocess.run([sys.executable, "-c", _DOT_SCRIPT], capture_output=True,
+                                text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        out.append(result.stdout)
+    assert out[0] == out[1]
+    mu = RngStream(18, 0).standard_normal(20000)
+    w = mo.PrecisionModel.block2(20000, 0.5).matvec(
+        np.where(RngStream(18, 1).uniform(20000) < 0.5, 1.0, -1.0))
+    assert out[0].split()[0] == float(mu[:10**4] @ w[:10**4] + mu[10**4:] @ w[10**4:]).hex()
+
+
+def test_mu_dot_w_is_one_dot_up_to_one_slice():
+    # at p <= DOT_SLICE the sum is the single product it replaced
+    for p in (7, cl.DOT_SLICE):
+        a, b = RngStream(19, 0).standard_normal(p), RngStream(19, 1).standard_normal(p)
+        assert cl._dot(a, b) == a @ b
 
 
 class TestClassificationError:

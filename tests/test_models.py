@@ -68,7 +68,15 @@ class TestPrecisionModel:
         om = mo.PrecisionModel.identity(5)
         assert np.allclose(om.dense(), np.eye(5))
         assert om.row_nonzero_max() == 1
-        assert np.allclose(om.sigma_diag(), 1.0)
+        # factored like the other kinds: singleton components give exact 1.0s
+        root = om.sqrt_matrix()
+        assert np.array_equal(root.toarray(), np.eye(5))
+        assert root.nnz == 5 and np.all(root.data == 1.0)
+        assert np.array_equal(om.sigma_diag(), np.ones(5))
+        v = RngStream(8, 0).standard_normal(5)
+        assert np.array_equal(om.sigma_sqrt_rmatvec(v), v)
+        assert np.array_equal(om.sample_noise(RngStream(8, 1), size=3),
+                              RngStream(8, 1).standard_normal((3, 5)))
 
     def test_block2_structure(self):
         om = mo.PrecisionModel.block2(6, 0.5)
@@ -176,14 +184,14 @@ class TestPrecisionModel:
             om.sigma_diag()
 
     def test_reader_never_sees_half_published_factors(self):
-        # the reader starts once the "factored" mark is set, and the factoring
-        # thread pauses right after setting it until the reader is done
+        # the reader starts once the factors are published, and the factoring
+        # thread pauses right after publishing them until the reader is done
         done = threading.Event()
 
         class Paused(mo.PrecisionModel):
             def __setattr__(self, name, value):
                 super().__setattr__(name, value)
-                if name == "_sqrt" and value is not None:
+                if name == "_factor_cache" and value is not None:
                     done.wait(timeout=30)
 
         om = Paused.block2(1000, 0.5)
@@ -191,7 +199,7 @@ class TestPrecisionModel:
 
         def reader():
             try:
-                while om._sqrt is None:
+                while om._factor_cache is None:
                     time.sleep(1e-4)
                 om.sample_noise(RngStream(4, 0))
             except Exception as exc:
@@ -260,9 +268,10 @@ class TestPrecisionModel:
             om = mo.PrecisionModel.custom(a)
         else:
             om = mo.PrecisionModel.block2(p, float(kind.split("_")[1]))
-        om.sigma_diag()
         g = RngStream(5, 1).standard_normal((n, p))
-        ref = g if kind == "identity" else (om._sigma_sqrt @ g.T).T
+        ref = (om._factors()[1] @ g.T).T
+        if kind == "identity":
+            assert np.array_equal(ref, g)
         assert np.array_equal(om.sample_noise(RngStream(5, 1), size=n), ref)
         labels = np.where(RngStream(5, 2).uniform(n) < 0.5, 1.0, -1.0)
         mu = np.where(RngStream(5, 3).uniform(p) < 0.1, 0.7, 0.0)
@@ -278,8 +287,41 @@ class TestPrecisionModel:
                 sizes.append(size)
                 return super().standard_normal(size)
 
-        mo.PrecisionModel.block2(p, 0.5).sample_noise(Counting(6, 0), size=n)
-        assert sizes == [(hi - lo, p) for lo, hi in row_blocks(n, p)]
+        heights = [(hi - lo, p) for lo, hi in row_blocks(n, p)]
+        for om in (mo.PrecisionModel.identity(p), mo.PrecisionModel.block2(p, 0.5)):
+            sizes.clear()
+            om.sample_noise(Counting(6, 0), size=n)
+            assert sizes == heights
+            # noise_blocks yields the same blocks: one (n, p) draw, in order
+            blocks = list(om.noise_blocks(RngStream(6, 0), n))
+            assert [b.shape for b in blocks] == heights
+            assert np.array_equal(np.concatenate(blocks),
+                                  RngStream(6, 0).standard_normal((n, p)))
+
+    @pytest.mark.parametrize("kind", ["identity", "block2", "custom"])
+    def test_single_draw_is_row_zero_of_one_row(self, kind):
+        # one vector is row 0 of the size-1 draw: the same stream values and
+        # the same CSR row sums as Sigma^{1/2} @ g
+        if kind == "identity":
+            om = mo.PrecisionModel.identity(40)
+        elif kind == "block2":
+            om = mo.PrecisionModel.block2(40, -0.8)
+        else:
+            a = np.eye(40)
+            for i, j, v in ((0, 1, 0.4), (1, 2, -0.3), (10, 11, 0.6), (20, 35, -0.5)):
+                a[i, j] = a[j, i] = v
+            om = mo.PrecisionModel.custom(a)
+        one = om.sample_noise(RngStream(7, 0))
+        assert one.shape == (40,)
+        assert np.array_equal(one, om.sample_noise(RngStream(7, 0), size=1)[0])
+        assert np.array_equal(one, om._factors()[1] @ RngStream(7, 0).standard_normal(40))
+
+    @pytest.mark.parametrize("size", [None, 1, 9, 70])
+    def test_block2_h0_zero_noise_is_identity_noise(self, size):
+        p = 1000
+        a = mo.PrecisionModel.block2(p, 0.0).sample_noise(RngStream(9, 0), size=size)
+        b = mo.PrecisionModel.identity(p).sample_noise(RngStream(9, 0), size=size)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", ["identity", "block2", "custom"])
     def test_sigma_sqrt_rmatvec_scores_noise_rows(self, kind):
