@@ -160,7 +160,6 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
         model = train_hct(sample, omega, alpha0=alpha0)
         test_rng = rep.child(1)
         labels = np.where(test_rng.uniform(test_size) < 0.5, 1, -1).astype(int)
-        # the draws class_rows would make, in the same order
         pred = classify_batch(model, omega.noise_blocks(test_rng, test_size),
                               labels, sample.mu)
         return float(np.mean(pred != labels))

@@ -113,8 +113,12 @@ class PrecisionModel:
         self.h0 = h0
         if self.p < 1:
             raise DomainError("p must be >= 1")
+        self._graph = None
+        self._factor_lock = threading.Lock()
+        self._factor_cache = None
         if kind == "identity":
-            self._omega = sp.identity(self.p, format="csr")
+            self._omega = sp.identity(self.p, format="csr")  # its own root, in closed form
+            self._factor_cache = (self._omega, self._omega, np.ones(self.p))
         elif kind == "block2":
             if self.p % 2 != 0:
                 raise DomainError("block2 requires even p")
@@ -136,9 +140,6 @@ class PrecisionModel:
             self._omega = sp.csr_matrix(a)
         else:
             raise DomainError(f"unknown precision kind {kind!r}")
-        self._graph = None
-        self._factor_lock = threading.Lock()
-        self._factor_cache = None
 
     # -- constructors -------------------------------------------------------
 
@@ -176,12 +177,9 @@ class PrecisionModel:
         return graphmod.row_nonzero_max(self.graph())
 
     def _factors(self):
-        """(Omega^{1/2}, Sigma^{1/2} = Omega^{-1/2}, the diagonal of Sigma) from
-        numerics.component_factors; the identity's singleton components give
-        factors of exactly 1.0. Factored once per instance, also when threads
-        share the model: first callers wait on a lock, and the three are
-        published together as one tuple.
-        """
+        """(Omega^{1/2}, Sigma^{1/2} = Omega^{-1/2}, diag Sigma) by numerics.component_factors
+        (the identity's are set in __init__), once per instance, also when threads
+        share the model: first callers wait on a lock, and the tuple is published whole."""
         if self._factor_cache is None:
             with self._factor_lock:
                 if self._factor_cache is None:
@@ -220,15 +218,19 @@ class PrecisionModel:
     def sample_noise(self, rng: RngStream, size: int | None = None) -> np.ndarray:
         """Draw from N(0, Sigma): one vector, or size independent rows.
 
-        The noise_blocks draws are multiplied by Sigma^{1/2} block by block,
-        written into one (size, p) output; the draws and sums are those of
-        one (size, p) draw, bit for bit. One vector is row 0 of size 1.
+        The rows are (Sigma^{1/2} G')' for the noise_blocks draws G, made block
+        by block into one (size, p) output, bit for bit one (size, p) draw; one
+        vector is row 0 of size 1. The identity's rows are G, drawn in one call.
         """
+        if self.kind == "identity":
+            return rng.standard_normal(self.p if size is None else (int(size), self.p))
         sigma_sqrt = self._factors()[1]
         n = 1 if size is None else int(size)
         out = np.empty((n, self.p))
-        for (lo, hi), g in zip(row_blocks(n, self.p), self.noise_blocks(rng, n)):
-            out[lo:hi] = (sigma_sqrt @ g.T).T
+        lo = 0
+        for g in self.noise_blocks(rng, n):
+            out[lo:lo + len(g)] = (sigma_sqrt @ g.T).T
+            lo += len(g)
         return out[0] if size is None else out
 
     def __repr__(self):

@@ -12,8 +12,8 @@ from scipy import stats
 from rareweak.errors import DomainError, FactorizationError, GenerationError
 from rareweak import classify, phase, select
 from rareweak import models as mo
-from rareweak.graph import connected_components
-from rareweak.numerics import (BLOCK_VALUES, RngStream, chol_banded,
+from rareweak.graph import component_labels, connected_components
+from rareweak.numerics import (BLOCK_VALUES, RngStream, chol_banded, component_factors,
                                restricted_quadform, row_blocks, sym_sqrt)
 
 
@@ -68,11 +68,16 @@ class TestPrecisionModel:
         om = mo.PrecisionModel.identity(5)
         assert np.allclose(om.dense(), np.eye(5))
         assert om.row_nonzero_max() == 1
-        # factored like the other kinds: singleton components give exact 1.0s
+        # the closed-form factors are what component_factors gives the
+        # identity's singleton components: stored 1.0s
         root = om.sqrt_matrix()
         assert np.array_equal(root.toarray(), np.eye(5))
         assert root.nnz == 5 and np.all(root.data == 1.0)
         assert np.array_equal(om.sigma_diag(), np.ones(5))
+        factored = component_factors(om.omega, *component_labels(om.graph()))
+        for mine, theirs in zip(om._factors()[:2], factored[:2]):
+            assert np.array_equal(mine.toarray(), theirs.toarray())
+        assert np.array_equal(factored[2], np.ones(5))
         v = RngStream(8, 0).standard_normal(5)
         assert np.array_equal(om.sigma_sqrt_rmatvec(v), v)
         assert np.array_equal(om.sample_noise(RngStream(8, 1), size=3),
@@ -288,11 +293,10 @@ class TestPrecisionModel:
                 return super().standard_normal(size)
 
         heights = [(hi - lo, p) for lo, hi in row_blocks(n, p)]
+        mo.PrecisionModel.block2(p, 0.5).sample_noise(Counting(6, 0), size=n)
+        assert sizes == heights
         for om in (mo.PrecisionModel.identity(p), mo.PrecisionModel.block2(p, 0.5)):
-            sizes.clear()
-            om.sample_noise(Counting(6, 0), size=n)
-            assert sizes == heights
-            # noise_blocks yields the same blocks: one (n, p) draw, in order
+            # noise_blocks yields the row_blocks blocks of one (n, p) draw
             blocks = list(om.noise_blocks(RngStream(6, 0), n))
             assert [b.shape for b in blocks] == heights
             assert np.array_equal(np.concatenate(blocks),
