@@ -25,32 +25,61 @@ HCPLUS_ALPHA0 = 0.5
 # covariance bandwidth estimation
 # ---------------------------------------------------------------------------
 
-def sample_cov_offdiagonals(samples: np.ndarray, max_k: int):
-    """Off-diagonals 1..max_k of S_n = (1/n) X'X without forming S_n.
+def sample_cov_bands(blocks, b0: int):
+    """Diagonals 0..b0 of S_n = (1/n) X'X from X's row blocks, without
+    forming X or S_n.
 
-    Returns a list of length max_k; entry k-1 holds the (p-k)-vector of
-    S_n(i, i+k).
+    blocks is an iterable of 2-d (h, p) row blocks of X, all of width p; an
+    (n, p) array passes as [x]. Returns (n, bands) with bands a (b0 + 1, p)
+    array whose row k holds S_n(i, i + k) in its first p - k entries (the rest
+    is zero). Each block's products are summed over its rows and added to the
+    running sums in block order, so only one block, a zero-padded copy of it
+    and the O(b0 * p) sums are held at a time.
     """
-    x = np.asarray(samples, dtype=float)
-    n, p = x.shape
-    if not 1 <= max_k <= p - 1:
-        raise DomainError(f"max_k must lie in [1, p-1], got {max_k}")
-    out = []
-    for k in range(1, max_k + 1):
-        out.append(np.einsum("ij,ij->j", x[:, : p - k], x[:, k:]) / n)
-    return out
+    sums = part = pad = lagged = None
+    n = 0
+    # a non-finite or overflowing entry shows up in the diagonal, which the
+    # caller checks; the running sums must not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            x = np.asarray(block, dtype=float)
+            if x.ndim != 2:
+                raise DomainError(f"sample blocks must be 2-d (rows, p) arrays, "
+                                  f"got {x.ndim}-d")
+            h, p = x.shape
+            if sums is None:
+                if not 1 <= b0 <= p - 1:
+                    raise DomainError(f"b0 must lie in [1, p-1], got {b0}")
+                sums, part = np.zeros((b0 + 1, p)), np.empty((b0 + 1, p))
+            elif p != sums.shape[1]:
+                raise DomainError(f"sample blocks must all have {sums.shape[1]} "
+                                  f"columns, got {p}")
+            if pad is None or h > pad.shape[0]:
+                # lagged[i, k, j] = x[i, j + k], zero past column p - 1
+                pad = np.zeros((h, p + b0))
+                row, col = pad.strides
+                lagged = np.lib.stride_tricks.as_strided(
+                    pad, (h, b0 + 1, p), (row, col, col), writeable=False)
+            pad[:h, :p] = x
+            np.einsum("ij,ikj->kj", pad[:h, :p], lagged[:h], out=part)
+            sums += part
+            n += h
+            del block, x  # free this block before the next one is drawn
+    if n < 2:
+        raise DomainError("need at least two sample rows")
+    sums /= n
+    return n, sums
 
 
-def sample_cov_diagonal(samples: np.ndarray) -> np.ndarray:
-    """Diagonal of S_n = (1/n) X'X."""
-    x = np.asarray(samples, dtype=float)
-    return np.einsum("ij,ij->j", x, x) / x.shape[0]
-
-
-def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
+def estimate_bandwidth(blocks, b0: int, alpha: float,
                        null_table: CriticalValueTable,
                        alpha0: float = HCPLUS_ALPHA0) -> int:
     """HC bandwidth estimate b_hat from n rows of p-dimensional data.
+
+    blocks is an iterable of the data's 2-d row blocks, as
+    models.gen_banded_sample yields them (an (n, p) array passes as [x]);
+    S_n's diagonals 0..b0 are summed block by block (sample_cov_bands), so
+    memory is O(b0 * p) plus one block.
 
     For each off-diagonal k = 1..b0 the entries of sqrt(n) * S_n^(k) get
     normal P-values and an HC+ score; the estimate is the largest k whose
@@ -64,34 +93,28 @@ def estimate_bandwidth(samples: np.ndarray, b0: int, alpha: float,
     are positive point masses. null_table must be an HC+ table simulated at
     this p and alpha0.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 2:
-        raise DomainError(f"samples must be a 2-d (n, p) array, got {x.ndim}-d")
-    n, p = x.shape
-    if n < 2:
-        raise DomainError("need at least two sample rows")
-    if b0 < 1:
-        raise DomainError("b0 must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
+    n, bands = sample_cov_bands(blocks, b0)
+    p = bands.shape[1]
     null_table.check(p, "hcplus", alpha0)
     threshold = null_table.value(alpha / b0)
     scores = np.empty(b0)
     sqrt_n = math.sqrt(n)
-    diag = sample_cov_diagonal(x)
+    diag = bands[0]
     if not np.all(np.isfinite(diag)):
         raise DomainError(f"column {np.flatnonzero(~np.isfinite(diag))[0]} holds a "
                           "non-finite entry or one too large to square")
     if not np.all(diag):
         raise DomainError(f"column {np.flatnonzero(diag == 0)[0]} has zero sample variance")
-    for k, xi in enumerate(sample_cov_offdiagonals(x, b0), start=1):
+    for k in range(1, b0 + 1):
         with np.errstate(over="ignore"):
             scale = diag[: p - k] * diag[k:]
         bad = np.flatnonzero(~np.isfinite(scale))
         if bad.size:
             raise DomainError(f"columns {bad[0]} and {bad[0] + k} have sample "
                               "variances too large to multiply")
-        z = sqrt_n * xi / np.sqrt(scale)
+        z = sqrt_n * bands[k, : p - k] / np.sqrt(scale)
         scores[k - 1] = hc_plus_statistic(normal_sf(z), alpha0=alpha0).statistic
     qualifying = np.flatnonzero(scores >= threshold)
     return int(qualifying[-1]) + 1 if qualifying.size else 0

@@ -375,6 +375,8 @@ def run_recover(cfg: dict) -> ResultTable:
         params = ArwParams(p=p, vartheta=vartheta, r=r)
         t_ideal = select.ideal_threshold(p, vartheta, r)
         t_univ = select.universal_threshold(p)
+        plan = (select.gs_plan(omega.omega, omega.graph(), cfg["m0"])
+                if "gs" in methods else None)
 
         def one(k):
             # streams key on the grid value, so duplicate grid entries replay
@@ -387,8 +389,8 @@ def run_recover(cfg: dict) -> ResultTable:
                 elif method == "ht_universal":
                     est = select.hard_threshold(inst.y, t_univ)
                 else:
-                    est = select.gs_estimate(inst.y, omega, vartheta, r,
-                                             m0=cfg["m0"], q=float(cfg["q"]))
+                    est = select.gs_estimate(inst.y, omega, plan, vartheta, r,
+                                             q=float(cfg["q"]))
                 out[method] = select.hamming(est.beta_hat, inst.beta)
             return out
 
@@ -417,8 +419,8 @@ def run_bandwidth(cfg: dict) -> ResultTable:
     for ci, (eps, tau) in enumerate(cfg["cases"]):
         def one(k):
             rng = RngStream(root, _WORK_LANE).child(ci).child(k)
-            samples, sigma = gen_banded_sample(p, n, [(eps, tau)] * b, rng)
-            b_hat = apps.estimate_bandwidth(samples, b0, alpha, table,
+            blocks, sigma = gen_banded_sample(p, n, [(eps, tau)] * b, rng)
+            b_hat = apps.estimate_bandwidth(blocks, b0, alpha, table,
                                             alpha0=cfg["alpha0"])
             return b_hat, b_hat == banded_true_bandwidth(sigma)
         results = _parallel_map(one, range(reps), cfg["threads"])

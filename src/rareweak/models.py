@@ -386,18 +386,20 @@ def gen_class_sample(p: int, vartheta: float, r: float, theta: float,
 # ---------------------------------------------------------------------------
 
 def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream):
-    """Draw n rows of N(0, Sigma) where Sigma has unit diagonal and sparse bands.
+    """n rows of N(0, Sigma) where Sigma has unit diagonal and sparse bands.
 
     band_spec lists one (epsilon, tau) mixture per off-diagonal k = 1..b;
     each band entry is tau with probability epsilon, else 0. If the drawn
     matrix is not positive definite, all off-diagonals are shrunk by the
     factor SHRINK_FACTOR and the factorization retried up to SHRINK_RETRIES
-    times.
+    times. The bands are drawn and Sigma factored here, so a bad spec or a
+    GenerationError surfaces at the call.
 
-    Rows are drawn and multiplied by the factor in numerics.row_blocks; the
-    draws and sums are those of one (n, p) draw, bit for bit.
-
-    Returns (samples, sigma) with sigma a BandedSymmetric.
+    Returns (blocks, sigma) with sigma a BandedSymmetric. blocks is a
+    one-pass iterator over the (h, p) row blocks of numerics.row_blocks(n, p):
+    each block's normals are drawn from rng when the block is reached and
+    multiplied by the factor, so only one block is held at a time. Stacked,
+    the blocks equal one (n, p) draw times the factor, bit for bit.
     """
     p, n = int(p), int(n)
     if p < 2 or n < 1:
@@ -431,10 +433,9 @@ def gen_banded_sample(p: int, n: int, band_spec, rng: RngStream):
             f"covariance not positive definite after {SHRINK_RETRIES} shrink retries "
             f"(min eigenvalue about {w[0]:.3e})"
         )
-    samples = np.empty((n, p))
-    for lo, hi in row_blocks(n, p):
-        samples[lo:hi] = factor.right_apply(rng.standard_normal((hi - lo, p)))
-    return samples, sigma
+    blocks = (factor.right_apply(rng.standard_normal((hi - lo, p)))
+              for lo, hi in row_blocks(n, p))
+    return blocks, sigma
 
 
 def banded_true_bandwidth(sigma: BandedSymmetric) -> int:

@@ -40,8 +40,9 @@ BLOCK_VALUES = 2**13
 
 def row_blocks(n: int, p: int) -> list[tuple[int, int]]:
     """Half-open row ranges (lo, hi) that tile range(n) in cache-sized blocks
-    of rows of p values: null tables, banded and PrecisionModel sampling,
-    class rows, classify scoring (its held-out draws come through
+    of rows of p values: null tables, banded and PrecisionModel sampling
+    (the bandwidth scan sums the banded sample's blocks as they come), class
+    rows, classify scoring (its held-out draws come through
     PrecisionModel.noise_blocks) and ranking's replicates all draw and use
     their rows block by block.
 
@@ -50,10 +51,12 @@ def row_blocks(n: int, p: int) -> list[tuple[int, int]]:
     Classify's scores are the reason for the rule: OpenBLAS's dgemv_t sums
     rows in groups of four and a short tail takes another path, so only
     blocks of whole groups score each row as one (n, p) product does on one
-    BLAS thread. Every other blocked loop gives the same bytes at any
-    height: the HC statistic works row by row, a CSR product sums the same
-    terms for each output entry, the banded factor and added means work
-    element by element, and ranking scores each replicate as if alone.
+    BLAS thread. The bandwidth scan's S_n adds per-block sums, so its last
+    bits follow the heights too. Every other blocked loop gives the same
+    bytes at any height: the HC statistic works row by row, a CSR product
+    sums the same terms for each output entry, the banded factor and added
+    means work element by element, and ranking scores each replicate as if
+    alone.
     """
     height = max(4, BLOCK_VALUES // p // 4 * 4)
     starts = list(range(0, n - height + 1, height)) or [0]

@@ -135,10 +135,12 @@ class GsPlan:
 
     Built once per design by gs_plan and shared by every response screened or
     ranked under it: the singletons' Gram diagonal, the pairs with their 2x2
-    Gram blocks and degeneracy, and the subgraphs of three or more nodes.
+    Gram blocks and degeneracy, and the subgraphs of three or more nodes, all
+    of size at most m0.
     """
 
     p: int
+    m0: int
     single_diag: np.ndarray  # gram[v, v] for every node v
     ii: np.ndarray           # pair (ii[k], jj[k]), ii[k] < jj[k], in lex order
     jj: np.ndarray
@@ -164,7 +166,7 @@ def gs_plan(gram, graph: DependencyGraph, m0: int) -> GsPlan:
     if m0 < 2:
         ii, jj = ii[:0], jj[:0]
     pair_grams = gram_blocks(gram, np.column_stack([ii, jj]))
-    return GsPlan(p=p, single_diag=gram.diagonal(),
+    return GsPlan(p=p, m0=m0, single_diag=gram.diagonal(),
                   ii=ii, jj=jj, pair_grams=pair_grams,
                   pair_ok=~gram_rank_deficient(np.linalg.eigvalsh(pair_grams)),
                   larger=tuple(subsets[p + ii.size:]))
@@ -184,13 +186,16 @@ def _screen_step(instance: RegressionInstance, sub, retained: list, gate: float)
             retained[j] = True
 
 
-def gs_screen(instance: RegressionInstance, graph: DependencyGraph,
+def gs_screen(instance: RegressionInstance, plan: GsPlan | DependencyGraph,
               tuning: GsTuning) -> np.ndarray:
     """Screen step: sweep connected subgraphs in size-then-lex order.
 
     A subgraph joins the retained set when its projection energy gain over
     the already-retained part reaches 2 q log p. Degenerate projections are
     skipped with a warning.
+
+    plan is gs_plan's plan of the instance's Gram matrix at tuning.m0, built
+    once per design; a DependencyGraph is planned here, for this call only.
 
     Singletons and pairs are scored in stacked calls with the arithmetic of
     RegressionInstance.quadform (b*b/g for one column, solve and then dot for
@@ -199,9 +204,11 @@ def gs_screen(instance: RegressionInstance, graph: DependencyGraph,
     singleton or pair, and every larger subgraph, goes through quadform.
     """
     p = instance.p
-    if graph.num_nodes != p:
-        raise DomainError("graph size must match instance dimension")
-    plan = gs_plan(instance.gram, graph, tuning.m0)
+    if isinstance(plan, DependencyGraph):
+        plan = gs_plan(instance.gram, plan, tuning.m0)
+    if (plan.p, plan.m0) != (p, tuning.m0):
+        raise DomainError(f"plan is for p={plan.p}, m0={plan.m0}; the screen has "
+                          f"p={p}, m0={tuning.m0}")
     gate = 2.0 * tuning.q * math.log(p)
     b = np.asarray(instance.xtw, dtype=float)
 
@@ -287,12 +294,15 @@ def gs_clean(instance: RegressionInstance, graph: DependencyGraph, retained,
     return SelectionResult(beta_hat=beta)
 
 
-def gs_estimate(y: np.ndarray, omega: PrecisionModel, vartheta: float, r: float,
-                m0: int = 1, q: float = DEFAULT_SCREEN_Q) -> SelectionResult:
-    """Full screen + clean pipeline with the standard exponent-based tuning."""
+def gs_estimate(y: np.ndarray, omega: PrecisionModel, plan: GsPlan, vartheta: float,
+                r: float, q: float = DEFAULT_SCREEN_Q) -> SelectionResult:
+    """Full screen + clean pipeline with the standard exponent-based tuning.
+
+    plan is gs_plan(omega.omega, omega.graph(), m0), built once per design
+    and shared by every response; its m0 caps the subgraph size.
+    """
     instance = regression_from_y(y, omega)
-    g = omega.graph()
-    tuning = default_gs_tuning(omega.p, vartheta, r, m0=m0, q=q)
-    retained = gs_screen(instance, g, tuning)
-    return gs_clean(instance, g, retained, tuning)
+    tuning = default_gs_tuning(omega.p, vartheta, r, m0=plan.m0, q=q)
+    retained = gs_screen(instance, plan, tuning)
+    return gs_clean(instance, omega.graph(), retained, tuning)
 

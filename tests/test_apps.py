@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,34 @@ from rareweak.numerics import (RngStream, check_gram, chisq_sf, gram_rank_defici
 
 class TestOffdiagonals:
     def test_sample_offdiagonals_match_dense(self):
+        # one block, and splits into several blocks of equal and unequal
+        # heights (one of a single row), all give the bands of dense X'X / n
         x = RngStream(1, 0).standard_normal((20, 6))
         s = x.T @ x / 20
-        fast = apps.sample_cov_offdiagonals(x, 3)
-        for k in range(1, 4):
-            assert np.allclose(fast[k - 1], np.diagonal(s, offset=k))
-        assert np.allclose(apps.sample_cov_diagonal(x), np.diag(s))
+        for cuts in ([], [1], [4, 8, 12, 16], [3, 4, 11]):
+            n, bands = apps.sample_cov_bands(np.split(x, cuts), 3)
+            assert n == 20 and bands.shape == (4, 6)
+            for k in range(4):
+                assert np.allclose(bands[k, : 6 - k], np.diagonal(s, offset=k))
+                assert np.all(bands[k, 6 - k:] == 0.0)
+
+    def test_block_sums_close_to_one_array(self):
+        # per-block sums added in block order differ from one (n, p) sum in
+        # the last bits only, on the scale sqrt(S_ii S_jj) that studentizes
+        # each entry
+        x = RngStream(1, 1).standard_normal((200, 500))
+        _, one = apps.sample_cov_bands([x], 10)
+        _, blocked = apps.sample_cov_bands(np.split(x, range(4, 200, 4)), 10)
+        diag = one[0]
+        for k in range(11):
+            scale = np.sqrt(diag[: 500 - k] * diag[k:])
+            gap = np.abs(blocked[k, : 500 - k] - one[k, : 500 - k]) / scale
+            assert gap.max() <= 1e-14
+
+    @pytest.mark.parametrize("b0", [0, 6])
+    def test_b0_outside_columns_rejected(self, b0):
+        with pytest.raises(DomainError, match=r"b0 must lie in \[1, p-1\]"):
+            apps.sample_cov_bands([np.ones((5, 6))], b0)
 
 
 class TestEstimateBandwidth:
@@ -34,44 +57,44 @@ class TestEstimateBandwidth:
         trials = 40
         for k in range(trials):
             x = RngStream(3, 0).child(k).standard_normal((300, 400))
-            b_hat = apps.estimate_bandwidth(x, 5, 0.05, self.table)
+            b_hat = apps.estimate_bandwidth([x], 5, 0.05, self.table)
             hits += b_hat == 0
         assert hits / trials >= 1 - 0.05 - 2 * math.sqrt(0.05 * 0.95 / trials)
 
     def test_strong_bands_recovered(self):
         recovered = 0
         for k in range(10):
-            samples, sigma = mo.gen_banded_sample(
+            blocks, sigma = mo.gen_banded_sample(
                 400, 300, [(0.05, 0.4), (0.05, 0.4)], RngStream(4, 0).child(k))
-            b_hat = apps.estimate_bandwidth(samples, 5, 0.05, self.table)
+            b_hat = apps.estimate_bandwidth(blocks, 5, 0.05, self.table)
             recovered += b_hat == mo.banded_true_bandwidth(sigma)
         assert recovered >= 8
 
     def test_b_hat_never_exceeds_b0(self):
         for k in range(5):
             x = RngStream(5, 0).child(k).standard_normal((50, 400))
-            b_hat = apps.estimate_bandwidth(x, 5, 0.05, self.table)
+            b_hat = apps.estimate_bandwidth([x], 5, 0.05, self.table)
             assert 0 <= b_hat <= 5
 
     def test_validation(self):
         x = np.zeros((1, 400))
         with pytest.raises(DomainError):
-            apps.estimate_bandwidth(x, 3, 0.05, self.table)
+            apps.estimate_bandwidth([x], 3, 0.05, self.table)
         ohc_table = detect.critical_value(400, [0.01], variant="ohc",
                                           num_null_reps=200, rng=RngStream(6, 0))
         with pytest.raises(DomainError):
-            apps.estimate_bandwidth(np.zeros((5, 400)), 3, 0.05, ohc_table)
+            apps.estimate_bandwidth([np.zeros((5, 400))], 3, 0.05, ohc_table)
 
     @pytest.mark.parametrize("shape", [(400,), (2, 50, 400)])
     def test_samples_not_2d_rejected(self, shape):
         with pytest.raises(DomainError, match="2-d"):
-            apps.estimate_bandwidth(np.ones(shape), 5, 0.05, self.table)
+            apps.estimate_bandwidth([np.ones(shape)], 5, 0.05, self.table)
 
     def test_zero_variance_column_named(self):
         x = RngStream(8, 0).standard_normal((50, 400))
         x[:, 7] = 0.0
         with pytest.raises(DomainError, match="column 7 "):
-            apps.estimate_bandwidth(x, 5, 0.05, self.table)
+            apps.estimate_bandwidth([x], 5, 0.05, self.table)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
     def test_non_finite_variance_column_named(self, value):
@@ -79,24 +102,77 @@ class TestEstimateBandwidth:
         x = RngStream(8, 1).standard_normal((50, 400))
         x[13, 123] = value
         with pytest.raises(DomainError, match="column 123 "):
-            apps.estimate_bandwidth(x, 5, 0.05, self.table)
+            apps.estimate_bandwidth([x], 5, 0.05, self.table)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200, 1e154])
+    def test_non_finite_variance_column_named_across_blocks(self, value):
+        # +inf in one block and -inf in another make a NaN sum, and 1e154
+        # squares to a finite block sum that overflows only when two blocks
+        # are added; either way the column is named and nothing warns first
+        x = RngStream(8, 2).standard_normal((50, 400))
+        x[13, 123], x[40, 123] = value, -value
+        with pytest.raises(DomainError, match="column 123 "):
+            apps.estimate_bandwidth(np.split(x, [20, 30]), 5, 0.05, self.table)
+
+    def test_one_dimensional_block_rejected(self):
+        blocks = [np.ones((3, 400)), np.ones(400)]
+        with pytest.raises(DomainError, match="2-d"):
+            apps.estimate_bandwidth(blocks, 5, 0.05, self.table)
+
+    def test_unequal_block_widths_rejected(self):
+        x = RngStream(8, 3).standard_normal((6, 400))
+        with pytest.raises(DomainError, match="must all have 400 columns, got 399"):
+            apps.estimate_bandwidth([x[:3], x[3:, :399]], 5, 0.05, self.table)
+
+    @pytest.mark.parametrize("heights", [[], [1], [1, 0], [0, 1, 0]])
+    def test_fewer_than_two_rows_rejected(self, heights):
+        blocks = [np.ones((h, 400)) for h in heights]
+        with pytest.raises(DomainError, match="at least two sample rows"):
+            apps.estimate_bandwidth(blocks, 5, 0.05, self.table)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_streamed_blocks_estimate_as_one_array(self, seed):
+        # the estimate from gen_banded_sample's stream equals the estimate
+        # from the same rows stacked into one block
+        spec = [(0.05, 0.25), (0.05, 0.25)]
+        blocks, _ = mo.gen_banded_sample(400, 60, spec, RngStream(10, seed))
+        stacked, _ = mo.gen_banded_sample(400, 60, spec, RngStream(10, seed))
+        assert (apps.estimate_bandwidth(blocks, 5, 0.05, self.table)
+                == apps.estimate_bandwidth([np.vstack(list(stacked))], 5, 0.05,
+                                           self.table))
+
+    def test_peak_memory_is_bands_and_one_block(self):
+        # one paper-shape replicate holds S_n's b0 + 1 bands and one row
+        # block, under the 8 MB of its (n, p) sample
+        p, n, b0 = 5000, 200, 10
+        table = detect.critical_value(p, [0.05 / b0], variant="hcplus",
+                                      num_null_reps=100, rng=RngStream(11, 0))
+        tracemalloc.start()
+        try:
+            blocks, _ = mo.gen_banded_sample(p, n, [(0.02, 0.3)] * 2, RngStream(11, 1))
+            apps.estimate_bandwidth(blocks, b0, 0.05, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_variance_product_overflow_rejected(self):
         # variances near 1e306 are finite, but their products are not; the
         # estimate used to drop to 0 with only a RuntimeWarning
-        samples, _ = mo.gen_banded_sample(400, 50, [(0.05, 0.4)] * 2,
-                                          RngStream(9, 0))
-        apps.estimate_bandwidth(samples * 1e70, 5, 0.05, self.table)
+        blocks, _ = mo.gen_banded_sample(400, 50, [(0.05, 0.4)] * 2,
+                                         RngStream(9, 0))
+        samples = np.vstack(list(blocks))
+        apps.estimate_bandwidth([samples * 1e70], 5, 0.05, self.table)
         with pytest.raises(DomainError, match="columns 0 and 1 have sample variances"):
-            apps.estimate_bandwidth(samples * 1e153, 5, 0.05, self.table)
+            apps.estimate_bandwidth([samples * 1e153], 5, 0.05, self.table)
 
     def test_mismatched_table_rejected(self):
         # the table is checked against the sample's column count and alpha0
         with pytest.raises(DomainError):
-            apps.estimate_bandwidth(RngStream(7, 0).standard_normal((50, 300)),
+            apps.estimate_bandwidth([RngStream(7, 0).standard_normal((50, 300))],
                                     5, 0.05, self.table)
         with pytest.raises(DomainError):
-            apps.estimate_bandwidth(RngStream(7, 1).standard_normal((50, 400)),
+            apps.estimate_bandwidth([RngStream(7, 1).standard_normal((50, 400))],
                                     5, 0.05, self.table, alpha0=0.2)
 
 

@@ -330,6 +330,23 @@ class TestRunners:
         methods = {row[1] for row in table.rows}
         assert methods == {"ht_ideal", "ht_universal", "gs"}
 
+    @pytest.mark.parametrize("methods,plans", [(["ht_ideal", "gs"], [64, 128]),
+                                               (["ht_ideal"], [])])
+    def test_recover_plans_once_per_p(self, monkeypatch, methods, plans):
+        # the screening plan depends on Omega alone: one per grid value,
+        # shared by every replicate, and none without gs
+        seen = []
+        plan = select.gs_plan
+
+        def recording(gram, graph, m0):
+            seen.append(gram.shape[0])
+            return plan(gram, graph, m0)
+
+        monkeypatch.setattr(select, "gs_plan", recording)
+        cli.run_recover(cli.resolve_config("recover", dict(TINY["recover"],
+                                                           methods=methods)))
+        assert seen == plans
+
     def test_bandwidth_summary_rows(self):
         cfg = cli.resolve_config("bandwidth", TINY["bandwidth"])
         table = cli.run_bandwidth(cfg)

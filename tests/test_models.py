@@ -506,8 +506,8 @@ def _one_shot_sample(sigma, n, rng):
 
 class TestBandedSample:
     def test_no_bands_identity(self):
-        samples, sigma = mo.gen_banded_sample(50, 10, [], RngStream(18, 0))
-        assert samples.shape == (10, 50)
+        blocks, sigma = mo.gen_banded_sample(50, 10, [], RngStream(18, 0))
+        assert np.vstack(list(blocks)).shape == (10, 50)
         assert np.allclose(_banded_dense(sigma), np.eye(50))
         assert mo.banded_true_bandwidth(sigma) == 0
 
@@ -534,14 +534,15 @@ class TestBandedSample:
         assert mo.banded_true_bandwidth(sigma) == 2
 
     def test_sample_covariance_tracks_sigma(self):
-        samples, sigma = mo.gen_banded_sample(40, 4000, [(0.3, 0.3)], RngStream(22, 0))
+        blocks, sigma = mo.gen_banded_sample(40, 4000, [(0.3, 0.3)], RngStream(22, 0))
+        samples = np.vstack(list(blocks))
         emp = samples.T @ samples / samples.shape[0]
         assert np.max(np.abs(emp - _banded_dense(sigma))) <= 0.12
 
     def test_deterministic(self):
         a, _ = mo.gen_banded_sample(100, 8, [(0.05, 0.2)], RngStream(23, 0))
         b, _ = mo.gen_banded_sample(100, 8, [(0.05, 0.2)], RngStream(23, 0))
-        assert np.array_equal(a, b)
+        assert np.array_equal(np.vstack(list(a)), np.vstack(list(b)))
 
     @pytest.mark.parametrize("p,n,band_spec", [
         (1001, 70, [(0.1, 0.3)] * 3),        # odd p; n not a multiple of 8 rows
@@ -553,15 +554,17 @@ class TestBandedSample:
     def test_blocked_rows_equal_one_shot_draw(self, p, n, band_spec):
         # the row blocks draw and sum exactly what one (n, p) draw times the
         # factor gives, on the same stream
-        samples, sigma = mo.gen_banded_sample(p, n, band_spec, RngStream(24, 1))
-        assert np.array_equal(samples, _one_shot_sample(sigma, n, RngStream(24, 1)))
+        blocks, sigma = mo.gen_banded_sample(p, n, band_spec, RngStream(24, 1))
+        assert np.array_equal(np.vstack(list(blocks)),
+                              _one_shot_sample(sigma, n, RngStream(24, 1)))
 
     def test_blocked_rows_equal_one_shot_draw_after_shrink(self):
         # a tridiagonal coupling of 0.6 is not positive definite at p = 51;
         # two shrinks by 0.9 make it so
-        samples, sigma = mo.gen_banded_sample(51, 40, [(1.0, 0.6)], RngStream(25, 0))
+        blocks, sigma = mo.gen_banded_sample(51, 40, [(1.0, 0.6)], RngStream(25, 0))
         assert np.allclose(sigma.offdiagonal(1), 0.6 * 0.9**2)
-        assert np.array_equal(samples, _one_shot_sample(sigma, 40, RngStream(25, 0)))
+        assert np.array_equal(np.vstack(list(blocks)),
+                              _one_shot_sample(sigma, 40, RngStream(25, 0)))
 
     @pytest.mark.parametrize("p,n", [(1001, 70), (5000, 200), (4 * BLOCK_VALUES + 3, 3)])
     def test_normals_drawn_in_blocks(self, p, n):
@@ -572,8 +575,11 @@ class TestBandedSample:
                 sizes.append(size)
                 return super().standard_normal(size)
 
-        mo.gen_banded_sample(p, n, [(0.05, 0.3)] * 2, Counting(26, 0))
-        assert sizes == [(hi - lo, p) for lo, hi in row_blocks(n, p)]
+        blocks, _ = mo.gen_banded_sample(p, n, [(0.05, 0.3)] * 2, Counting(26, 0))
+        assert sizes == []  # each block's normals are drawn when it is reached
+        shapes = [block.shape for block in blocks]
+        assert sizes == shapes == [(hi - lo, p) for lo, hi in row_blocks(n, p)]
+        assert list(blocks) == []  # one pass
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_tau_rejected(self, tau):

@@ -217,6 +217,31 @@ class TestGsScreenBatched:
         kept = se.gs_screen(mo.to_regression(inst), om.graph(), tuning)
         assert kept.size > 0 and calls == []
 
+    @pytest.mark.parametrize("m0", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["sparse", "dense", "degenerate", "asymmetric"])
+    def test_plan_screens_as_graph(self, case, m0):
+        # one plan shared by several responses screens each as its graph does
+        inst, graph = _screen_case(case, 0)
+        tuning = se.GsTuning(m0=m0, q=0.9, u=1.0, v=1.0)
+        plan = se.gs_plan(inst.gram, graph, m0)
+        for seed in range(4):
+            w = 3.0 * RngStream(36, seed).standard_normal(inst.p)
+            one = mo.RegressionInstance(gram=inst.gram, xtw=w)
+            got, got_warnings = _recorded(se.gs_screen, one, plan, tuning)
+            ref, ref_warnings = _recorded(se.gs_screen, one, graph, tuning)
+            assert np.array_equal(got, ref) and got_warnings == ref_warnings
+
+    def test_plan_mismatch_rejected(self):
+        inst, graph = _screen_case("sparse", 0)
+        tuning = se.GsTuning(m0=2, q=0.9, u=1.0, v=1.0)
+        with pytest.raises(DomainError, match="plan is for p=24, m0=1"):
+            se.gs_screen(inst, se.gs_plan(inst.gram, graph, 1), tuning)
+        small, small_graph = _screen_case("sparse", 0, p=20)
+        with pytest.raises(DomainError, match="plan is for p=20, m0=2"):
+            se.gs_screen(inst, se.gs_plan(small.gram, small_graph, 2), tuning)
+        with pytest.raises(DomainError, match="graph has 20 nodes"):
+            se.gs_screen(inst, small_graph, tuning)
+
 
 class TestGsClean:
     def test_empty_retained(self):
@@ -289,19 +314,21 @@ class TestGsEstimate:
     def test_pure_noise_keeps_almost_nothing(self):
         om = mo.PrecisionModel.identity(2000)
         mix = mo.MixtureParams(p=2000, epsilon=0.0, tau=0.0)
+        plan = se.gs_plan(om.omega, om.graph(), 1)
         sizes = []
         for k in range(20):
             inst = mo.gen_arw(mix, om, RngStream(32, 0).child(k))
-            sizes.append(se.gs_estimate(inst.y, om, 0.5, 4.0, m0=1, q=0.9).support.size)
+            sizes.append(se.gs_estimate(inst.y, om, plan, 0.5, 4.0, q=0.9).support.size)
         assert np.mean(np.asarray(sizes) <= 10) >= 0.95
 
     def test_beats_universal_hard_threshold(self):
         om = mo.PrecisionModel.identity(2000)
         params = mo.ArwParams(p=2000, vartheta=0.5, r=4.0)
+        plan = se.gs_plan(om.omega, om.graph(), 1)
         gs_err, ht_err = [], []
         for k in range(40):
             inst = mo.gen_arw(params, om, RngStream(33, 0).child(k))
-            gs = se.gs_estimate(inst.y, om, 0.5, 4.0, m0=1, q=0.9)
+            gs = se.gs_estimate(inst.y, om, plan, 0.5, 4.0, q=0.9)
             ht = se.hard_threshold(inst.y, se.universal_threshold(2000))
             gs_err.append(se.hamming(gs.beta_hat, inst.beta))
             ht_err.append(se.hamming(ht.beta_hat, inst.beta))
@@ -311,11 +338,12 @@ class TestGsEstimate:
         p, h0 = 400, -0.8
         om = mo.PrecisionModel.block2(p, h0)
         vartheta, r = 0.45, 3.5
+        plan = se.gs_plan(om.omega, om.graph(), 2)
         gs_err, us_err = [], []
         for k in range(40):
             inst = mo.gen_arw(mo.ArwParams(p=p, vartheta=vartheta, r=r), om,
                               RngStream(34, 0).child(k))
-            gs = se.gs_estimate(inst.y, om, vartheta, r, m0=2, q=0.9)
+            gs = se.gs_estimate(inst.y, om, plan, vartheta, r, q=0.9)
             reg = mo.to_regression(inst)
             us = se.hard_threshold(reg.xtw, se.ideal_threshold(p, vartheta, r))
             gs_err.append(se.hamming(gs.beta_hat, inst.beta))
