@@ -1,9 +1,10 @@
 """HC-thresholded linear classification.
 
-Aggregates training rows into a feature z-vector, estimates the contrast
-direction by clipping the innovated transform at a data-driven Higher
-Criticism threshold, and classifies fresh rows with the resulting linear
-rule. Includes Monte Carlo misclassification estimation.
+Reads the training rows' z-vector (models.gen_class_sample sums it block by
+block, never holding the rows), estimates the contrast direction by clipping
+the innovated transform at a data-driven Higher Criticism threshold, and
+classifies fresh rows with the resulting linear rule. Includes Monte Carlo
+misclassification estimation.
 """
 
 from __future__ import annotations
@@ -22,14 +23,6 @@ from .numerics import RngStream, normal_sf
 DEFAULT_ALPHA0 = 0.10
 
 DOT_SLICE = 10**4  # OpenBLAS threads a longer ddot, which moves its last bits
-
-
-def z_vector(sample: ClassSample) -> np.ndarray:
-    """Z = (1/sqrt(n)) sum_i label_i * row_i, distributed N(sqrt(n) mu, Sigma)."""
-    n = sample.n
-    if n < 1:
-        raise DomainError("need at least one training row")
-    return sample.features.T @ sample.labels.astype(float) / math.sqrt(n)
 
 
 def clip_threshold(z: np.ndarray, t: float) -> np.ndarray:
@@ -79,7 +72,7 @@ class HctModel:
 def train_hct(sample: ClassSample, omega: PrecisionModel,
               alpha0: float = DEFAULT_ALPHA0) -> HctModel:
     """Fit the HC-thresholded rule: mu_hat = clip(Omega Z) at the HCT."""
-    threshold, wz = hct_threshold(z_vector(sample), omega, alpha0)
+    threshold, wz = hct_threshold(sample.z, omega, alpha0)
     if threshold > 0.0:
         mu_hat = clip_threshold(wz, threshold)
     else:
@@ -105,8 +98,9 @@ def classify_batch(model: HctModel, draws, labels: np.ndarray,
     rows x_i = labels_i mu + Sigma^{1/2} g_i that class_rows would build from
     them, as PrecisionModel.noise_blocks yields them. Each row is scored
     without forming it, as labels_i (mu . w) + g_i . (Sigma^{1/2}' w) with
-    w = Omega mu_hat, so only one block of draws need exist at a time.
-    labels holds one entry per row and mu has length p.
+    w = Omega mu_hat, so only one block of draws need exist at a time; mu . w
+    is summed in DOT_SLICE slices, the same at any BLAS thread count. labels
+    holds one entry per row and mu has length p.
     """
     omega = model.omega
     if np.shape(mu) != (omega.p,):
@@ -144,10 +138,11 @@ def classification_error(vartheta: float, r: float, theta: float, p: int,
     test_size fresh rows with the same contrast vector (substream k.1). The
     rule is linear, so the test rows are scored from their draws and never
     formed. The draws come from omega.noise_blocks and are scored block by
-    block, so memory per replicate is the (n, p) training sample and one
-    block of draws, and each row scores as it would in one (test_size, p)
-    product on one BLAS thread. map_fn may supply a parallel map; replicates
-    seed themselves, so any execution order gives the same result.
+    block, and the training rows are summed into Z as they are drawn, so
+    memory per replicate is O(p) plus one block of rows, and each row scores
+    as it would in one (test_size, p) product on one BLAS thread. map_fn may
+    supply a parallel map; replicates seed themselves, so any execution
+    order gives the same result.
     """
     if reps < 20:
         raise DomainError("reps must be at least 20")

@@ -198,8 +198,8 @@ class PrecisionModel:
         return self._factors()[0] @ np.asarray(v, dtype=float)
 
     def sigma_sqrt_rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """Sigma^{1/2}' @ v, for the factor sample_noise applies: the rows it
-        returns for draws G score against v as G @ (Sigma^{1/2}' v)."""
+        """Sigma^{1/2}' @ v, for the factor noise_rows applies: the rows it
+        yields for draws G score against v as G @ (Sigma^{1/2}' v)."""
         return self._factors()[1].T @ np.asarray(v, dtype=float)
 
     def sqrt_matrix(self) -> sp.csr_matrix:
@@ -211,27 +211,25 @@ class PrecisionModel:
 
     def noise_blocks(self, rng: RngStream, n: int):
         """The standard-normal draws G of n noise rows, in (h, p) blocks of
-        numerics.row_blocks; sample_noise's rows are (Sigma^{1/2} G')'."""
+        numerics.row_blocks; noise_rows' rows are (Sigma^{1/2} G')'."""
         for lo, hi in row_blocks(n, self.p):
             yield rng.standard_normal((hi - lo, self.p))
 
-    def sample_noise(self, rng: RngStream, size: int | None = None) -> np.ndarray:
-        """Draw from N(0, Sigma): one vector, or size independent rows.
-
-        The rows are (Sigma^{1/2} G')' for the noise_blocks draws G, made block
-        by block into one (size, p) output, bit for bit one (size, p) draw; one
-        vector is row 0 of size 1. The identity's rows are G, drawn in one call.
-        """
+    def noise_rows(self, rng: RngStream, n: int):
+        """n rows from N(0, Sigma) as C-ordered (h, p) blocks of
+        numerics.row_blocks, one held at a time: (Sigma^{1/2} G')' for each
+        noise_blocks draw G, the identity's rows being G. Stacked, the blocks
+        equal one (n, p) draw's rows bit for bit."""
         if self.kind == "identity":
-            return rng.standard_normal(self.p if size is None else (int(size), self.p))
+            yield from self.noise_blocks(rng, n)
+            return
         sigma_sqrt = self._factors()[1]
-        n = 1 if size is None else int(size)
-        out = np.empty((n, self.p))
-        lo = 0
         for g in self.noise_blocks(rng, n):
-            out[lo:lo + len(g)] = (sigma_sqrt @ g.T).T
-            lo += len(g)
-        return out[0] if size is None else out
+            yield np.ascontiguousarray((sigma_sqrt @ g.T).T)
+
+    def sample_noise(self, rng: RngStream) -> np.ndarray:
+        """One draw from N(0, Sigma): row 0 of noise_rows(rng, 1)."""
+        return next(self.noise_rows(rng, 1))[0]
 
     def __repr__(self):
         extra = f", h0={self.h0}" if self.kind == "block2" else ""
@@ -331,33 +329,70 @@ def regression_from_y(y: np.ndarray, omega: PrecisionModel) -> RegressionInstanc
 
 @dataclass
 class ClassSample:
-    """Two-class training data: rows distributed N(label * mu, Sigma)."""
+    """Two-class training data, rows x_i distributed N(labels_i * mu, Sigma),
+    kept as all the HCT rule reads of them: Z = (1/sqrt(n)) sum_i labels_i x_i."""
 
-    features: np.ndarray
+    z: np.ndarray
     labels: np.ndarray
     mu: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.features.shape[1]
+        return self.labels.shape[0]
 
 
 def class_rows(mu: np.ndarray, labels: np.ndarray, omega: PrecisionModel,
-               rng: RngStream) -> np.ndarray:
-    """Feature rows N(label_i * mu, Sigma) for given labels.
+               rng: RngStream):
+    """Feature rows N(label_i * mu, Sigma) for given labels, as a one-pass
+    iterator over omega.noise_rows' C-ordered (h, p) blocks: each block is
+    drawn when reached and its means are added in place, so one block is
+    held at a time."""
+    labels = np.asarray(labels, dtype=float)
+    lo = 0
+    for rows in omega.noise_rows(rng, labels.shape[0]):
+        rows += labels[lo:lo + len(rows), None] * mu
+        lo += len(rows)
+        yield rows
 
-    The means are added into sample_noise's rows in place, in
-    numerics.row_blocks, so no second (n, p) array is formed.
+
+def z_vector(blocks, labels) -> np.ndarray:
+    """Z = (1/sqrt(n)) sum_i labels_i x_i over the rows x_i of 2-d (h, p) row
+    blocks, without stacking them; an (n, p) array passes as [x]. For
+    class_rows' blocks Z is distributed N(sqrt(n) mu, Sigma).
+
+    The sums follow OpenBLAS's dgemv_n on one thread: each block adds
+    rows.T @ labels over groups of 4 rows, then 2, then 1 at its tail, and
+    the last p % 4 entries add row by row. So when every block but the last
+    has a multiple of 4 rows, as in numerics.row_blocks, Z equals one
+    C-ordered (n, p) array's x.T @ labels / sqrt(n) bit for bit (p >= 4).
     """
     labels = np.asarray(labels, dtype=float)
-    rows = omega.sample_noise(rng, size=labels.shape[0])
-    for lo, hi in row_blocks(rows.shape[0], omega.p):
-        rows[lo:hi] += labels[lo:hi, None] * mu
-    return rows
+    z, n = None, 0
+    for block in blocks:
+        x = np.ascontiguousarray(block, dtype=float)
+        if x.ndim != 2 or (z is not None and x.shape[1] != z.shape[0]):
+            raise DomainError(f"row blocks must be 2-d and of one width, got shape {x.shape}")
+        if z is None:
+            z = np.zeros(x.shape[1])
+            m = x.shape[1] // 4 * 4
+        h = x.shape[0]
+        l = labels[n:n + h]
+        if l.shape[0] != h:
+            raise DomainError(f"labels have {labels.shape[0]} entries, fewer than the rows")
+        a = 0
+        while a < h:
+            b = a + (4 if h - a >= 4 else 2 if h - a >= 2 else 1)
+            z[:m] += x[a:b, :m].T @ l[a:b]
+            a = b
+        if m < z.shape[0]:
+            for row, sign in zip(x[:, m:], l):
+                z[m:] += row * sign
+        n += h
+    if n < 1:
+        raise DomainError("need at least one training row")
+    if n != labels.shape[0]:
+        raise DomainError(f"labels have {labels.shape[0]} entries, the blocks {n} rows")
+    return z / math.sqrt(n)
 
 
 def gen_class_sample(p: int, vartheta: float, r: float, theta: float,
@@ -365,6 +400,8 @@ def gen_class_sample(p: int, vartheta: float, r: float, theta: float,
     """Two-class sample with contrast sqrt(n) * mu_i iid from the rare/weak mixture.
 
     n = round(p^theta) (sample_size). Draw order: contrast support, labels, noise.
+    The rows are summed into Z block by block as class_rows draws them, so
+    memory is O(p) plus one block, not the (n, p) rows.
     """
     if omega.p != p:
         raise DomainError("omega dimension must equal p")
@@ -377,8 +414,8 @@ def gen_class_sample(p: int, vartheta: float, r: float, theta: float,
     tau = signal_strength(p, r)
     mu = np.where(rng.uniform(p) < eps, tau / math.sqrt(n), 0.0)
     labels = np.where(rng.uniform(n) < 0.5, 1, -1).astype(int)
-    features = class_rows(mu, labels, omega, rng)
-    return ClassSample(features=features, labels=labels, mu=mu)
+    z = z_vector(class_rows(mu, labels, omega, rng), labels)
+    return ClassSample(z=z, labels=labels, mu=mu)
 
 
 # ---------------------------------------------------------------------------

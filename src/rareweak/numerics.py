@@ -42,21 +42,22 @@ def row_blocks(n: int, p: int) -> list[tuple[int, int]]:
     """Half-open row ranges (lo, hi) that tile range(n) in cache-sized blocks
     of rows of p values: null tables, banded and PrecisionModel sampling
     (the bandwidth scan sums the banded sample's blocks as they come), class
-    rows, classify scoring (its held-out draws come through
-    PrecisionModel.noise_blocks) and ranking's replicates all draw and use
-    their rows block by block.
+    rows (summed into Z as they come), classify scoring (its held-out draws
+    come through PrecisionModel.noise_blocks) and ranking's replicates all
+    draw and use their rows block by block.
 
     Each block holds max(4, BLOCK_VALUES // p // 4 * 4) rows and the last one
     also takes the remainder, so n below one full height gives one block.
-    Classify's scores are the reason for the rule: OpenBLAS's dgemv_t sums
-    rows in groups of four and a short tail takes another path, so only
-    blocks of whole groups score each row as one (n, p) product does on one
-    BLAS thread. The bandwidth scan's S_n adds per-block sums, so its last
-    bits follow the heights too. Every other blocked loop gives the same
-    bytes at any height: the HC statistic works row by row, a CSR product
-    sums the same terms for each output entry, the banded factor and added
-    means work element by element, and ranking scores each replicate as if
-    alone.
+    Classify is the reason for the rule: OpenBLAS's dgemv_t sums rows in
+    groups of four and a short tail takes another path, so only blocks of
+    whole groups score each row as one (n, p) product does on one BLAS
+    thread, and Z, summed in dgemv_n's groups of four rows, equals one
+    (n, p) product's only if no block but the last ends in a partial group.
+    The bandwidth scan's S_n adds per-block sums, so its last bits follow
+    the heights too. Every other blocked loop gives the same bytes at any
+    height: the HC statistic works row by row, a CSR product sums the same
+    terms for each output entry, the banded factor and added means work
+    element by element, and ranking scores each replicate as if alone.
     """
     height = max(4, BLOCK_VALUES // p // 4 * 4)
     starts = list(range(0, n - height + 1, height)) or [0]
@@ -251,44 +252,44 @@ def component_factors(a, label, order):
     component, counting components by smallest member, and order lists the
     nodes component by component, each ascending. Entries of A between
     components must be zeros below ZERO_TOL and are dropped. The COO entries
-    of A are scattered into one (k, s, s) stack per component size s, each
-    stack takes one eigh call, and the roots come back as sparse maps holding
-    each component's full s x s block: for sparse A, memory is O(nnz(A))
-    plus the blocks. Raises NotPositiveDefiniteError naming the first
-    component (by smallest member) whose smallest eigenvalue is at most 1e-12.
+    of A are scattered into the roots' CSR layout, which holds each
+    component's full s x s block with its columns in member order; each
+    component size s gathers its blocks into one (k, s, s) stack for one
+    eigh call, and the roots are written back into that layout: for sparse
+    A, memory is O(nnz(A)) plus the blocks. Raises NotPositiveDefiniteError
+    naming the first component (by smallest member) whose smallest
+    eigenvalue is at most 1e-12.
     """
     p = a.shape[0]
     sizes = np.bincount(label)
     starts = np.cumsum(sizes) - sizes
-    # the factors hold each component's full s x s block, row-major, in
-    # component order; base is where each block starts in that layout
-    area = sizes * sizes
-    base = np.cumsum(area) - area
     pos = np.empty(p, dtype=int)
     pos[order] = np.arange(p) - np.repeat(starts, sizes)
+    # the CSR layout of the factors: row v lists its component's members in
+    # order, so entry (v, w) of a block is at indptr[v] + pos[w]
+    row_len = sizes[label]
+    indptr = np.concatenate([[0], np.cumsum(row_len)])
+    nnz = indptr[-1]
+    indices = order[np.repeat(starts[label] - indptr[:-1], row_len) + np.arange(nnz)]
     coo = sp.coo_matrix(a)
     inside = label[coo.row] == label[coo.col]
-    r, c = coo.row[inside], coo.col[inside]
-    a_vals = np.zeros(area.sum())
-    a_vals[base[label[r]] + pos[r] * sizes[label[r]] + pos[c]] = coo.data[inside]
-    rows = np.repeat(order, np.repeat(sizes, sizes))
-    offset = np.arange(area.sum()) - np.repeat(base, area)
-    cols = order[np.repeat(starts, area) + offset % np.repeat(sizes, area)]
-    sqrt_vals, isqrt_vals = np.empty(area.sum()), np.empty(area.sum())
+    a_vals = np.zeros(nnz)
+    a_vals[indptr[coo.row[inside]] + pos[coo.col[inside]]] = coo.data[inside]
+    sqrt_vals, isqrt_vals = np.empty(nnz), np.empty(nnz)
     inv_diag = np.empty(p)
     lowest = np.empty(sizes.size)
     for s in np.unique(sizes):
         cid = np.flatnonzero(sizes == s)
-        flat = base[cid][:, None] + np.arange(s * s)
-        w, v = np.linalg.eigh(a_vals[flat].reshape(-1, s, s))
+        members = order[starts[cid][:, None] + np.arange(s)]
+        flat = indptr[members][:, :, None] + np.arange(s)
+        w, v = np.linalg.eigh(a_vals[flat])
         lowest[cid] = w[:, 0]
         if w[:, 0].min() <= 1e-12:
             continue
         root = np.sqrt(w)[:, None, :]
         vt = v.transpose(0, 2, 1)
-        sqrt_vals[flat] = ((v * root) @ vt).reshape(cid.size, -1)
-        isqrt_vals[flat] = ((v / root) @ vt).reshape(cid.size, -1)
-        members = order[starts[cid][:, None] + np.arange(s)]
+        sqrt_vals[flat] = (v * root) @ vt
+        isqrt_vals[flat] = (v / root) @ vt
         inv_diag[members] = np.sum(v * v / w[:, None, :], axis=2)
     bad = np.flatnonzero(lowest <= 1e-12)
     if bad.size:
@@ -297,8 +298,8 @@ def component_factors(a, label, order):
             f"{order[starts[bad[0]]]} (min eigenvalue {lowest[bad[0]]:.3e})"
         )
     shape = (p, p)
-    return (sp.csr_matrix((sqrt_vals, (rows, cols)), shape=shape),
-            sp.csr_matrix((isqrt_vals, (rows, cols)), shape=shape), inv_diag)
+    return (sp.csr_matrix((sqrt_vals, indices, indptr), shape=shape),
+            sp.csr_matrix((isqrt_vals, indices, indptr), shape=shape), inv_diag)
 
 
 def symmetric_array(matrix) -> np.ndarray:

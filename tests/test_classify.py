@@ -20,7 +20,18 @@ def make_sample(features, labels, mu=None):
     labels = np.asarray(labels, dtype=int)
     if mu is None:
         mu = np.zeros(features.shape[1])
-    return mo.ClassSample(features=features, labels=labels, mu=mu)
+    return mo.ClassSample(z=mo.z_vector([features], labels), labels=labels, mu=mu)
+
+
+def sample_and_rows(p, vartheta, r, theta, om, seed):
+    """gen_class_sample on RngStream(seed, 0), and the (n, p) rows it summed
+    into Z, rebuilt from the same stream by class_rows."""
+    sample = mo.gen_class_sample(p, vartheta, r, theta, om, RngStream(seed, 0))
+    rng = RngStream(seed, 0)
+    rng.uniform(p)  # the contrast support and the labels come first
+    rng.uniform(sample.n)
+    rows = np.vstack(list(mo.class_rows(sample.mu, sample.labels, om, rng)))
+    return sample, rows
 
 
 def classify_rows(model, rows):
@@ -33,19 +44,18 @@ def classify_rows(model, rows):
 class TestZVector:
     def test_single_positive_row(self):
         row = np.array([[1.0, -2.0, 0.5]])
-        z = cl.z_vector(make_sample(row, [1]))
+        z = make_sample(row, [1]).z
         assert np.array_equal(z, row[0])
 
     def test_single_negative_row(self):
         row = np.array([[1.0, -2.0, 0.5]])
-        z = cl.z_vector(make_sample(row, [-1]))
+        z = make_sample(row, [-1]).z
         assert np.array_equal(z, -row[0])
 
     def test_null_norm_concentrates(self):
         p = 2000  # n = round(p^0.5) = 45
         om = mo.PrecisionModel.identity(p)
-        sample = mo.gen_class_sample(p, 0.99, 0.001, 0.5, om, RngStream(1, 0))
-        z = cl.z_vector(sample)
+        z = mo.gen_class_sample(p, 0.99, 0.001, 0.5, om, RngStream(1, 0)).z
         assert abs(z @ z / p - 1.0) <= 5.0 / math.sqrt(p)
 
 
@@ -112,12 +122,10 @@ class TestHctThreshold:
     def test_row_permutation_invariance(self):
         p = 60
         om = mo.PrecisionModel.identity(p)
-        sample = mo.gen_class_sample(p, 0.4, 1.5, 0.6, om, RngStream(4, 0))
-        t1, _ = cl.hct_threshold(cl.z_vector(sample), om)
+        sample, rows = sample_and_rows(p, 0.4, 1.5, 0.6, om, 4)
+        t1, _ = cl.hct_threshold(sample.z, om)
         perm = np.argsort(RngStream(4, 1).standard_normal(sample.n))
-        shuffled = mo.ClassSample(features=sample.features[perm],
-                                  labels=sample.labels[perm], mu=sample.mu)
-        t2, _ = cl.hct_threshold(cl.z_vector(shuffled), om)
+        t2, _ = cl.hct_threshold(make_sample(rows[perm], sample.labels[perm]).z, om)
         assert t1 == pytest.approx(t2)
 
     def test_too_small_p(self):
@@ -132,7 +140,7 @@ class TestTrainAndClassify:
         for k in range(5):
             sample = mo.gen_class_sample(p, 0.3, 1.5, 0.5, om, RngStream(5, k))
             model = cl.train_hct(sample, om)
-            z = cl.z_vector(sample)
+            z = sample.z
             if model.mu_hat.any():
                 assert model.mu_hat[np.argmax(np.abs(z))] != 0
 
@@ -161,11 +169,9 @@ class TestTrainAndClassify:
     def test_label_flip_equivariance(self):
         p = 80
         om = mo.PrecisionModel.identity(p)
-        sample = mo.gen_class_sample(p, 0.3, 2.0, 0.6, om, RngStream(8, 0))
+        sample, rows = sample_and_rows(p, 0.3, 2.0, 0.6, om, 8)
         model = cl.train_hct(sample, om)
-        flipped = mo.ClassSample(features=sample.features, labels=-sample.labels,
-                                 mu=sample.mu)
-        model_f = cl.train_hct(flipped, om)
+        model_f = cl.train_hct(make_sample(rows, -sample.labels, sample.mu), om)
         assert np.array_equal(model_f.mu_hat, -model.mu_hat)
         rows = RngStream(8, 1).standard_normal((40, p))
         s = rows @ om.matvec(model.mu_hat.astype(float))
@@ -304,9 +310,8 @@ class TestClassificationError:
 
     def test_peak_memory_is_one_block(self):
         # the test rows are drawn and scored in row blocks, and the training
-        # noise is drawn into its (40, p) sample in row blocks: the peak is
-        # the training sample plus blocks, under the 16 MB of one
-        # (test_size, p) draw
+        # rows are summed into Z block by block: the peak is O(p) plus
+        # blocks, under the 16 MB of one (test_size, p) draw
         p, test_size = 10**4, 200
         om = mo.PrecisionModel.block2(p, 0.5)
         om.sigma_diag()
@@ -361,7 +366,7 @@ def _reference_errors(vartheta, r, theta, p, omega, reps, test_size, rng):
         model = cl.train_hct(sample, omega)
         test_rng = rep.child(1)
         labels = np.where(test_rng.uniform(test_size) < 0.5, 1, -1)
-        rows = mo.class_rows(sample.mu, labels, omega, test_rng)
+        rows = np.vstack(list(mo.class_rows(sample.mu, labels, omega, test_rng)))
         scores = rows @ omega.matvec(model.mu_hat.astype(float))
         errors.append(np.mean(np.where(scores >= 0.0, 1, -1) != labels))
     return np.asarray(errors)

@@ -698,6 +698,37 @@ def test_ranking_bodies_match_recorded_digests_every_seed(tmp_path, threads):
                                   "ranking", config, seed) == recorded[seed]["ranking"], seed
 
 
+# Classify bodies with nonzero errors, at seeds 3 and 7. The bench's block2
+# point (0.3, 1.2) reads mean_error 0 and se 0 at those seeds, so its
+# recorded digests cannot see a change in classify's arithmetic; the null
+# point (0.5, 0.02) errs about half the time at paper block2 and desk identity.
+CLASSIFY_DIGESTS = {
+    "paper_block2": (
+        "paper", {"reps": 20, "grid": [[0.5, 0.02]], "omega": {"kind": "block2", "h0": 0.5}},
+        {3: "ff7202881d2622ded60f7c5387f0a8ad2b11fe13d46ce0821bcff179356d5ed1",
+         7: "a5e71228a7892a0440b6911753f78d384afc491412c02f80694c9dbdb0d85007"}),
+    "desk_identity": (
+        "desk", {"grid": [[0.3, 0.6], [0.5, 0.02]]},
+        {3: "010e077d0bae0f4454ef415a4c2d7d34418314175da6b3e2b8b62919b8266ce9",
+         7: "f156101578bc870a894c301fa9dceabeedee20d18f28825426ec8c2e00c675e9"}),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(CLASSIFY_DIGESTS))
+def test_classify_bodies_with_errors_match_recorded_digests(tmp_path, case, threads):
+    checks = _load_perfbench("checks")
+    scale, config, recorded = CLASSIFY_DIGESTS[case]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    for seed, digest in recorded.items():
+        assert cli.main(["classify", "--config", str(config_path), "--scale", scale,
+                         "--seed", str(seed), "--threads", str(threads),
+                         "--out", str(tmp_path)]) == 0
+        body = checks.read_csv(tmp_path / "classify.csv")[2]
+        assert checks.digest(body) == digest, seed
+
+
 # CSV body digests of the desk presets at seed 0 and one thread. Desk
 # detect, recover and classify run the identity model, which no bench
 # workload covers. Desk classify's default grid gives a body of zero errors

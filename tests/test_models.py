@@ -1,7 +1,12 @@
+import functools
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -80,7 +85,7 @@ class TestPrecisionModel:
         assert np.array_equal(factored[2], np.ones(5))
         v = RngStream(8, 0).standard_normal(5)
         assert np.array_equal(om.sigma_sqrt_rmatvec(v), v)
-        assert np.array_equal(om.sample_noise(RngStream(8, 1), size=3),
+        assert np.array_equal(np.vstack(list(om.noise_rows(RngStream(8, 1), 3))),
                               RngStream(8, 1).standard_normal((3, 5)))
 
     def test_block2_structure(self):
@@ -248,7 +253,7 @@ class TestPrecisionModel:
 
     def test_sample_noise_covariance(self):
         om = mo.PrecisionModel.block2(4, 0.5)
-        draws = om.sample_noise(RngStream(3, 0), size=10**4)
+        draws = np.vstack(list(om.noise_rows(RngStream(3, 0), 10**4)))
         emp = draws.T @ draws / draws.shape[0]
         sigma = np.linalg.inv(om.dense())
         assert np.max(np.abs(emp - sigma)) <= 0.05
@@ -263,7 +268,8 @@ class TestPrecisionModel:
     ])
     def test_noise_rows_equal_one_shot_draw(self, kind, p, n):
         # the row blocks draw and sum exactly what one (n, p) draw times
-        # Sigma^{1/2} gives, on the same stream; class_rows adds the means
+        # Sigma^{1/2} gives, on the same stream, in C-ordered row_blocks
+        # blocks; class_rows adds the means
         if kind == "identity":
             om = mo.PrecisionModel.identity(p)
         elif kind == "custom":
@@ -277,11 +283,17 @@ class TestPrecisionModel:
         ref = (om._factors()[1] @ g.T).T
         if kind == "identity":
             assert np.array_equal(ref, g)
-        assert np.array_equal(om.sample_noise(RngStream(5, 1), size=n), ref)
+        heights = [(hi - lo, p) for lo, hi in row_blocks(n, p)]
+        blocks = list(om.noise_rows(RngStream(5, 1), n))
+        assert [b.shape for b in blocks] == heights
+        assert all(b.flags.c_contiguous for b in blocks)
+        assert np.array_equal(np.vstack(blocks), ref)
         labels = np.where(RngStream(5, 2).uniform(n) < 0.5, 1.0, -1.0)
         mu = np.where(RngStream(5, 3).uniform(p) < 0.1, 0.7, 0.0)
-        assert np.array_equal(mo.class_rows(mu, labels, om, RngStream(5, 1)),
-                              labels[:, None] * mu[None, :] + ref)
+        blocks = list(mo.class_rows(mu, labels, om, RngStream(5, 1)))
+        assert [b.shape for b in blocks] == heights
+        assert all(b.flags.c_contiguous for b in blocks)
+        assert np.array_equal(np.vstack(blocks), labels[:, None] * mu[None, :] + ref)
 
     @pytest.mark.parametrize("p,n", [(10**4, 40), (1000, 70), (4 * BLOCK_VALUES + 2, 3)])
     def test_noise_rows_drawn_in_blocks(self, p, n):
@@ -293,7 +305,9 @@ class TestPrecisionModel:
                 return super().standard_normal(size)
 
         heights = [(hi - lo, p) for lo, hi in row_blocks(n, p)]
-        mo.PrecisionModel.block2(p, 0.5).sample_noise(Counting(6, 0), size=n)
+        rows = mo.PrecisionModel.block2(p, 0.5).noise_rows(Counting(6, 0), n)
+        assert sizes == []  # nothing is drawn before the rows are read
+        assert [b.shape for b in rows] == heights
         assert sizes == heights
         for om in (mo.PrecisionModel.identity(p), mo.PrecisionModel.block2(p, 0.5)):
             # noise_blocks yields the row_blocks blocks of one (n, p) draw
@@ -317,19 +331,25 @@ class TestPrecisionModel:
             om = mo.PrecisionModel.custom(a)
         one = om.sample_noise(RngStream(7, 0))
         assert one.shape == (40,)
-        assert np.array_equal(one, om.sample_noise(RngStream(7, 0), size=1)[0])
+        assert np.array_equal(one, next(om.noise_rows(RngStream(7, 0), 1))[0])
         assert np.array_equal(one, om._factors()[1] @ RngStream(7, 0).standard_normal(40))
 
     @pytest.mark.parametrize("size", [None, 1, 9, 70])
     def test_block2_h0_zero_noise_is_identity_noise(self, size):
         p = 1000
-        a = mo.PrecisionModel.block2(p, 0.0).sample_noise(RngStream(9, 0), size=size)
-        b = mo.PrecisionModel.identity(p).sample_noise(RngStream(9, 0), size=size)
+
+        def draw(om):
+            if size is None:
+                return om.sample_noise(RngStream(9, 0))
+            return np.vstack(list(om.noise_rows(RngStream(9, 0), size)))
+
+        a = draw(mo.PrecisionModel.block2(p, 0.0))
+        b = draw(mo.PrecisionModel.identity(p))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", ["identity", "block2", "custom"])
     def test_sigma_sqrt_rmatvec_scores_noise_rows(self, kind):
-        # the rows sample_noise builds from draws G score as G @ (Sigma^{1/2}' v)
+        # the rows noise_rows builds from draws G score as G @ (Sigma^{1/2}' v)
         if kind == "identity":
             om = mo.PrecisionModel.identity(6)
         elif kind == "block2":
@@ -342,7 +362,7 @@ class TestPrecisionModel:
         v = RngStream(4, 1).standard_normal(6)
         sigma_sqrt = np.linalg.inv(om.sqrt_matrix().toarray())
         assert np.allclose(om.sigma_sqrt_rmatvec(v), sigma_sqrt.T @ v)
-        rows = om.sample_noise(RngStream(4, 0), size=5)
+        rows = np.vstack(list(om.noise_rows(RngStream(4, 0), 5)))
         g = RngStream(4, 0).standard_normal((5, 6))
         assert np.allclose(rows @ v, g @ om.sigma_sqrt_rmatvec(v))
         if kind == "identity":
@@ -450,6 +470,44 @@ class TestRegressionForm:
             reg.quadform([0, 1])
 
 
+_Z_SCRIPT = """
+import hashlib, math
+import numpy as np
+from rareweak import models as mo
+from rareweak.numerics import RngStream
+p = 2050
+om = mo.PrecisionModel.block2(p, 0.5)
+theta = math.log(251) / math.log(p)
+sample = mo.gen_class_sample(p, 0.4, 1.0, theta, om, RngStream(39, 0))
+rng = RngStream(39, 0)
+rng.uniform(p)
+rng.uniform(sample.n)
+rows = np.vstack(list(mo.class_rows(sample.mu, sample.labels, om, rng)))
+ref = rows.T @ sample.labels.astype(float) / math.sqrt(sample.n)
+print(hashlib.sha256(sample.z.tobytes()).hexdigest(), hashlib.sha256(ref.tobytes()).hexdigest())
+"""
+
+
+def _blas_env(threads):
+    src = str(pathlib.Path(mo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                PYTHONPATH=path)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_omega(kind, p):
+    if kind == "identity":
+        return mo.PrecisionModel.identity(p)
+    if kind == "block2":
+        return mo.PrecisionModel.block2(p, -0.6)
+    a = np.eye(p)
+    for i, j, v in ((0, 1, 0.4), (1, 2, -0.3), (10, 11, 0.6), (20, 35, -0.5),
+                    (p - 3, p - 1, 0.45)):
+        a[i, j] = a[j, i] = v
+    return mo.PrecisionModel.custom(a)
+
+
 class TestClassSample:
     def test_sample_size_from_theta(self):
         sample = mo.gen_class_sample(10**4, 0.5, 1.0, 0.5,
@@ -458,8 +516,8 @@ class TestClassSample:
 
     def test_single_row_mean(self):
         mu = np.array([0.5, -1.0, 0.0, 2.0])
-        rows = mo.class_rows(mu, np.array([1]), mo.PrecisionModel.identity(4),
-                             RngStream(14, 0))
+        [rows] = mo.class_rows(mu, np.array([1]), mo.PrecisionModel.identity(4),
+                               RngStream(14, 0))
         assert rows.shape == (1, 4)
         # one draw: check it is centered near mu rather than -mu
         assert np.linalg.norm(rows[0] - mu) < np.linalg.norm(rows[0] + mu)
@@ -477,9 +535,71 @@ class TestClassSample:
         p = 400
         om = mo.PrecisionModel.identity(p)
         sample = mo.gen_class_sample(p, 0.3, 2.0, 0.6, om, RngStream(16, 0))
-        z = sample.features.T @ sample.labels / math.sqrt(sample.n)
         target = math.sqrt(sample.n) * sample.mu
-        assert np.max(np.abs(z - target)) <= 4.0
+        assert np.max(np.abs(sample.z - target)) <= 4.0
+
+    @pytest.mark.parametrize("kind,p,height", [
+        (kind, p, height)
+        for p, height in ((2050, 4), (1000, 8), (1001, 8), (503, 16))
+        for kind in ("identity", "block2", "custom") if kind != "block2" or p % 2 == 0])
+    @pytest.mark.parametrize("tail", [0, 1, 2, 3])
+    def test_z_is_one_product_bit_for_bit(self, kind, p, height, tail):
+        # Z summed block by block in groups of 4, 2 and 1 rows, and row by
+        # row in its last p % 4 entries, equals one product of the stacked
+        # C-ordered rows, X'l / sqrt(n), bit for bit, for every n and p mod 4
+        # and block heights of 4, 8 and 16 rows
+        om = _class_omega(kind, p)
+        n = 10 * height + tail
+        theta = math.log(n) / math.log(p)
+        assert mo.sample_size(p, theta) == n
+        assert row_blocks(n, p)[0] == (0, height)
+        sample = mo.gen_class_sample(p, 0.4, 1.0, theta, om, RngStream(37, n))
+        rng = RngStream(37, n)
+        rng.uniform(p)  # the contrast support and the labels come first
+        rng.uniform(n)
+        blocks = list(mo.class_rows(sample.mu, sample.labels, om, rng))
+        assert all(b.flags.c_contiguous for b in blocks)
+        rows = np.vstack(blocks)
+        assert np.array_equal(sample.z, rows.T @ sample.labels.astype(float) / math.sqrt(n))
+
+    def test_z_same_at_any_blas_thread_count(self):
+        # at p % 4 != 0 and n = 251 one (n, p) product X'l moves its last
+        # bits with the BLAS thread count; Z follows the one-thread sums
+        out = []
+        for threads in ("1", "2"):
+            result = subprocess.run([sys.executable, "-c", _Z_SCRIPT], capture_output=True,
+                                    text=True, timeout=120, env=_blas_env(threads))
+            assert result.returncode == 0, result.stderr
+            out.append(result.stdout.split())
+        assert out[0][0] == out[1][0] == out[0][1]
+
+    def test_z_vector_rejects_malformed_blocks(self):
+        x = np.ones((3, 4))
+        with pytest.raises(DomainError, match="2-d"):
+            mo.z_vector([np.ones(4)], [1])
+        with pytest.raises(DomainError, match="one width"):
+            mo.z_vector([x, np.ones((1, 5))], [1] * 4)
+        with pytest.raises(DomainError, match="labels have 2 entries"):
+            mo.z_vector([x], [1, -1])
+        with pytest.raises(DomainError, match="labels have 4 entries"):
+            mo.z_vector([x], [1] * 4)
+        with pytest.raises(DomainError, match="at least one"):
+            mo.z_vector([], [])
+
+    def test_peak_memory_is_one_block(self):
+        # the training rows are summed into Z as they are drawn: one draw at
+        # n = 251 holds O(p) and one 4-row block, not the 20 MB (n, p) rows
+        p = 10**4
+        om = mo.PrecisionModel.block2(p, 0.5)
+        om.sigma_diag()
+        tracemalloc.start()
+        try:
+            sample = mo.gen_class_sample(p, 0.3, 1.2, 0.6, om, RngStream(38, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.n == 251
+        assert peak < 3e6
 
     def test_labels_are_pm1(self):
         sample = mo.gen_class_sample(100, 0.5, 1.0, 0.5,
@@ -633,7 +753,7 @@ class TestGeneratorDeterminism:
         om = mo.PrecisionModel.identity(60)
         a = mo.gen_class_sample(60, 0.4, 1.0, 0.5, om, RngStream(36, 0))
         b = mo.gen_class_sample(60, 0.4, 1.0, 0.5, om, RngStream(36, 0))
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.mu, b.mu)
 

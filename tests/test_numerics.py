@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaincc
 
@@ -15,8 +16,8 @@ from rareweak.errors import (
     NotPositiveDefiniteError,
 )
 from rareweak import numerics as nu
-from rareweak.graph import connected_components, graph_from_matrix
-from rareweak.models import RegressionInstance
+from rareweak.graph import component_labels, connected_components, graph_from_matrix
+from rareweak.models import PrecisionModel, RegressionInstance, gram_blocks
 
 # High-precision oracle values, computed once with mpmath (40 digits) from
 # series/continued-fraction expansions and quadrature of the chi-square
@@ -408,6 +409,51 @@ class TestSymSqrt:
             w, v = np.linalg.eigh(a[np.ix_(comp, comp)])
             ref[np.ix_(comp, comp)] = (v * np.sqrt(w)) @ v.T
         assert np.array_equal(nu.sym_sqrt(a), ref)
+
+
+def _tocsr_roots(a, label, order):
+    """component_factors' two roots built from COO triplets through tocsr:
+    each component's full s x s block row-major, one eigh stack per size."""
+    sizes = np.bincount(label)
+    starts = np.cumsum(sizes) - sizes
+    rows, cols, roots, iroots = [], [], [], []
+    for s in np.unique(sizes):
+        members = order[starts[sizes == s][:, None] + np.arange(s)]
+        w, v = np.linalg.eigh(gram_blocks(a, members))
+        rows.append(np.repeat(members, s, axis=1).ravel())
+        cols.append(np.tile(members, (1, s)).ravel())
+        root, vt = np.sqrt(w)[:, None, :], v.transpose(0, 2, 1)
+        roots.append(((v * root) @ vt).ravel())
+        iroots.append(((v / root) @ vt).ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return [sp.csr_matrix((np.concatenate(vals), (rows, cols)), shape=a.shape)
+            for vals in (roots, iroots)]
+
+
+class TestComponentFactors:
+    @pytest.mark.parametrize("kind,p,h0", [("block2", 10**4, 0.5), ("block2", 1024, -0.3),
+                                           ("custom", 300, None)])
+    def test_csr_maps_match_tocsr_construction(self, kind, p, h0):
+        # the roots' CSR maps are laid out straight from the components; they
+        # equal, array for array and dtype for dtype, what tocsr makes of the
+        # same blocks given as COO triplets
+        if kind == "custom":
+            rng = np.random.Generator(np.random.Philox(12))
+            dense = np.eye(p)
+            for i, j in rng.integers(0, p, (150, 2)):
+                if i != j:
+                    dense[i, j] = dense[j, i] = rng.uniform(-0.15, 0.15)
+            a = sp.csr_matrix(dense)
+        else:
+            a = PrecisionModel.block2(p, h0).omega
+        label, order = component_labels(graph_from_matrix(a))
+        if kind == "custom":
+            assert len(np.unique(np.bincount(label))) >= 3
+        mine = nu.component_factors(a, label, order)
+        for got, ref in zip(mine[:2], _tocsr_roots(a, label, order)):
+            for attr in ("data", "indices", "indptr"):
+                x, y = getattr(got, attr), getattr(ref, attr)
+                assert x.dtype == y.dtype and np.array_equal(x, y), attr
 
 
 def _project_norm_sq(x, w, index_set):
