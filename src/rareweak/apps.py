@@ -205,9 +205,11 @@ def roc_curve(scores, truth) -> RocCurve | list[RocCurve]:
 
     An (r, p) block of score rows returns one RocCurve per row, sorted in one
     argsort. The counts at a tie group's end do not depend on the order
-    inside the group, so the sort need not be stable, and each row's area is
-    np.trapezoid of its own curve: every RocCurve equals the one-row result
-    bit for bit.
+    inside the group, so the sort need not be stable. The trapezoid terms
+    are taken once over all rows' points, and each row's area is the
+    pairwise sum of its own terms: the values and the summation that
+    np.trapezoid(tpr, fpr) uses, so every RocCurve equals the one-row result
+    and its area equals np.trapezoid of its curve bit for bit.
     """
     vals = np.asarray(scores, dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[0] == 0:
@@ -235,7 +237,11 @@ def roc_curve(scores, truth) -> RocCurve | list[RocCurve]:
     sizes = keep.sum(axis=1)
     tpr = tp[keep] / np.repeat(npos, sizes)
     fpr = (np.arange(p + 1) - tp)[keep] / np.repeat(p - npos, sizes)
-    cuts = np.cumsum(sizes)[:-1]
-    curves = [RocCurve(fpr=f, tpr=t, auc=float(np.trapezoid(t, f)))
-              for f, t in zip(np.split(fpr, cuts), np.split(tpr, cuts))]
+    # trapezoid terms over the flat curves; each row's AUC reduces its own
+    # slice, which drops the one term that straddles two rows
+    seg = np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0
+    ends = np.cumsum(sizes).tolist()
+    curves = [RocCurve(fpr=fpr[a:b], tpr=tpr[a:b],
+                       auc=float(np.add.reduce(seg[a:b - 1])))
+              for a, b in zip([0] + ends[:-1], ends)]
     return curves if vals.ndim == 2 else curves[0]

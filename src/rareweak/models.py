@@ -498,9 +498,7 @@ def draw_paired_beta(p: int, epsilon: float, tau: float, rng: RngStream) -> np.n
         raise DomainError(f"tau must be finite, got {tau!r}")
     u = rng.uniform(p // 2)
     beta = np.zeros(p)
-    both = u < epsilon / 2.0
-    single = (u >= epsilon / 2.0) & (u < epsilon)
-    beta[0::2] = np.where(both | single, float(tau), 0.0)
-    beta[1::2] = np.where(both, float(tau), 0.0)
+    beta[0::2] = np.where(u < epsilon, float(tau), 0.0)
+    beta[1::2] = np.where(u < epsilon / 2.0, float(tau), 0.0)
     return beta
 

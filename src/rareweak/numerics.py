@@ -33,8 +33,11 @@ GRAM_RCOND = 1e-10
 # Cap on the size of a single connected component in sym_sqrt.
 SYM_SQRT_COMPONENT_CAP = 2000
 
-# About this many values (64 KiB) per row block, so blocks stay in cache and
-# below the allocator's mmap threshold; row_blocks sets the heights.
+# About this many values (64 KiB) per row block, so blocks stay in cache;
+# row_blocks sets the heights. A full block stays below glibc's default 128
+# KiB mmap threshold only while p < 4,096, since the 4-row floor holds 32·p
+# bytes (160 KB at p = 5,000); the last block, which takes the remainder,
+# can pass it from p = 2,341.
 BLOCK_VALUES = 2**13
 
 

@@ -477,3 +477,27 @@ class TestBlocks:
                 assert np.array_equal(_bits(got.tpr), _bits(ref[1]))
                 assert _bits(got.auc) == _bits(ref[2])
         assert curves[-1].auc == 0.5 and curves[-1].fpr.size == 2
+
+    @pytest.mark.parametrize("p", [255, 1024, 2499])
+    def test_roc_auc_is_trapezoid_on_long_rows(self, p):
+        # curves of 129 to 2,500 points pass numpy's 8-way unrolled and
+        # 128-term pairwise blocks of the area sum, and rows start at many
+        # offsets of the flat arrays the block's areas are summed from. GS
+        # ties a node to the minimum of a pair or chain it sits in.
+        rng = RngStream(19, p)
+        v = rng.uniform((6, p))
+        partner = np.minimum(np.arange(p) ^ 1, p - 1)
+        scores = np.vstack([v[:3],
+                            np.minimum(v[3:5], np.roll(v[3:5], 1, axis=1)),
+                            np.minimum(v[5], v[5, partner])])
+        masks = rng.uniform(scores.shape) < 0.3
+        masks[:, 0], masks[:, 1] = True, False
+        curves = apps.roc_curve(scores, masks)
+        sizes = [c.fpr.size for c in curves]
+        assert 129 <= min(sizes) < max(sizes) == p + 1 <= 2500
+        for curve, row, mask in zip(curves, scores, masks):
+            one = apps.roc_curve(row, mask)
+            assert np.array_equal(_bits(one.fpr), _bits(curve.fpr))
+            assert np.array_equal(_bits(one.tpr), _bits(curve.tpr))
+            for got in (curve, one):
+                assert _bits(got.auc) == _bits(np.trapezoid(got.tpr, got.fpr))

@@ -742,6 +742,41 @@ class TestPairedDesign:
         with pytest.raises(DomainError):
             mo.draw_paired_beta(5, 0.1, 1.0, RngStream(29, 0))
 
+    @staticmethod
+    def _reference(u, epsilon, tau):
+        """The three-mask formula: both w.p. eps/2, single w.p. eps/2."""
+        beta = np.zeros(2 * u.size)
+        both = u < epsilon / 2.0
+        single = (u >= epsilon / 2.0) & (u < epsilon)
+        beta[0::2] = np.where(both | single, float(tau), 0.0)
+        beta[1::2] = np.where(both, float(tau), 0.0)
+        return beta
+
+    @pytest.mark.parametrize("epsilon", [0.0, 5e-324, 0.05, 1.0])
+    def test_masks_match_three_mask_formula(self, epsilon):
+        for seed in range(200):
+            beta = mo.draw_paired_beta(400, epsilon, -1.5, RngStream(36, seed))
+            u = RngStream(36, seed).uniform(200)
+            assert np.array_equal(beta.view(np.int64),
+                                  self._reference(u, epsilon, -1.5).view(np.int64))
+
+        class FixedUniform:
+            def __init__(self, u):
+                self.u = u
+
+            def uniform(self, size):
+                assert size == self.u.size
+                return self.u
+
+        # u exactly at eps/2 and eps and at their float neighbours
+        edges = [epsilon / 2.0, epsilon]
+        u = np.array([0.0] + edges + [np.nextafter(e, d) for e in edges
+                                      for d in (-np.inf, np.inf)])
+        u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+        beta = mo.draw_paired_beta(2 * u.size, epsilon, 2.0, FixedUniform(u))
+        assert np.array_equal(beta.view(np.int64),
+                              self._reference(u, epsilon, 2.0).view(np.int64))
+
     def test_deterministic(self):
         a = mo.draw_paired_beta(20, 0.1, 2.0, RngStream(35, 0))
         b = mo.draw_paired_beta(20, 0.1, 2.0, RngStream(35, 0))
