@@ -40,7 +40,7 @@ from .models import (
     gen_arw,
     gen_banded_sample,
 )
-from .numerics import RngStream, row_blocks, sym_sqrt
+from .numerics import BLOCK_VALUES, RngStream, row_blocks, sym_sqrt
 
 EXPERIMENTS = ("detect", "recover", "bandwidth", "ranking", "classify", "phase")
 
@@ -463,10 +463,17 @@ def run_ranking(cfg: dict) -> ResultTable:
     scored together in the consecutive replicates of numerics.row_blocks(reps,
     p): one pair of Sigma products and one US, GS and ROC pass per block,
     each row equal to scoring its replicate alone.
+
+    cfg["threads"] is the most threads used. The blocks go to a pool only
+    when they are at row_blocks' 4-row floor and each holds more than
+    BLOCK_VALUES values (4 p > BLOCK_VALUES, so p >= 2,049); smaller blocks
+    make short numpy calls that hand the interpreter lock back and forth,
+    and two threads lose to one, so they run in order on this thread.
     """
     root = cfg["seed"]
     p = cfg["p"]
     eps = float(cfg["epsilon"])
+    threads = cfg["threads"] if 4 * p > BLOCK_VALUES else 1
     work_rng = RngStream(root, _WORK_LANE)
     rows = []
     for ci, (h0, tau) in enumerate(cfg["cases"]):
@@ -498,7 +505,7 @@ def run_ranking(cfg: dict) -> ResultTable:
                 aucs[row] = (u.auc, g.auc)
             return aucs
 
-        blocks = _parallel_map(block, row_blocks(cfg["reps"], p), cfg["threads"])
+        blocks = _parallel_map(block, row_blocks(cfg["reps"], p), threads)
         results = [auc for aucs in blocks for auc in aucs]
         for k, (auc_us, auc_gs) in enumerate(results):
             rows.append((float(h0), float(tau), k, auc_us, auc_gs))

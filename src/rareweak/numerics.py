@@ -213,12 +213,18 @@ class BandedCholesky:
         self.bandwidth = self.bands.shape[0] - 1
 
     def right_apply(self, z: np.ndarray) -> np.ndarray:
-        """Z @ L.T for a 2-d array Z whose rows are independent draws."""
+        """Z @ L.T for a 2-d array Z whose rows are independent draws.
+
+        Each band's product goes into one scratch array that every band
+        reuses, then is added into the output.
+        """
         z = np.asarray(z, dtype=float)
         out = z * self.bands[0]
+        term = np.empty_like(out)
         p = self.p
         for d in range(1, self.bandwidth + 1):
-            out[:, d:] += z[:, : p - d] * self.bands[d, : p - d]
+            np.multiply(z[:, : p - d], self.bands[d, : p - d], out=term[:, : p - d])
+            out[:, d:] += term[:, : p - d]
         return out
 
 

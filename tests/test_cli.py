@@ -443,6 +443,35 @@ class TestRunners:
                   if row[2] != "-1" and row[3] != "nan"]
         assert len(calls) == 4 * len(scored)
 
+    def test_ranking_pools_only_blocks_past_the_floor(self, monkeypatch):
+        # blocks at row_blocks' 4-row floor holding more than BLOCK_VALUES
+        # values (p >= 2,049) go to a pool, one per case; smaller blocks run
+        # in order on the calling thread whatever --threads says
+        pools = []
+        real = cli.ThreadPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", counting)
+        cases = [[-0.8, 4.0], [0.8, 1.5]]
+        for p in (2050, 4000):
+            raw = dict(TINY["ranking"], p=p, reps=14, cases=cases)
+            assert len(row_blocks(raw["reps"], p)) == 3
+            bodies = []
+            for threads in (1, 2, 3):
+                pools.clear()
+                cfg = cli.resolve_config("ranking", raw, {"threads": threads})
+                bodies.append(cli.run_ranking(cfg).body_lines())
+                assert pools == ([threads] * len(cases) if threads > 1 else [])
+            assert all(body == bodies[0] for body in bodies)
+            assert "nan" not in "".join(bodies[0])
+        pools.clear()
+        raw = dict(TINY["ranking"], p=1000, reps=28, cases=cases)
+        cli.run_ranking(cli.resolve_config("ranking", raw, {"threads": 2}))
+        assert pools == []
+
     @pytest.mark.parametrize("h0", [-0.95, -0.8, 0.0, 1e-13, 0.5, 0.8, 0.95])
     def test_ranking_operators_are_block2_blocks(self, h0):
         p = 40

@@ -303,6 +303,20 @@ class TestCholBanded:
             expected[:, d:] += z[:, : p - d] * fac.bands[d, : p - d]
         assert np.array_equal(fac.right_apply(z), expected)
 
+    @pytest.mark.parametrize("bandwidth", [0, 1, 3])
+    @pytest.mark.parametrize("h", [1, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 17])
+    def test_right_apply_matches_per_band_products(self, bandwidth, h, p):
+        # one scratch array per call gives the bits of a fresh product per
+        # band, p <= bandwidth + 1 included
+        rng = nu.RngStream(20, bandwidth).child(h).child(p)
+        fac = nu.BandedCholesky(rng.standard_normal((bandwidth + 1, p)))
+        z = rng.standard_normal((h, p))
+        expected = z * fac.bands[0]
+        for d in range(1, bandwidth + 1):
+            expected[:, d:] += z[:, : p - d] * fac.bands[d, : p - d]
+        assert fac.right_apply(z).tobytes() == expected.tobytes()
+
     def test_non_pd_reports_pivot(self):
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(FactorizationError) as exc:

@@ -149,3 +149,27 @@ class TestGridExport:
     def test_block_boundary_column(self):
         rows = ph.boundary_grid([0.6], theta=0.2, h0=0.5)
         assert rows[0][2] == pytest.approx(ph.rho_exact_block(0.6, 0.5), abs=1e-9)
+
+
+class TestSimulatedDetectionBoundary:
+    def test_ohc_power_follows_rho_detect(self):
+        # Simulated HC power on either side of the closed-form boundary
+        # r = rho_detect(vartheta): at half of it power stays near the size,
+        # at three times it HC detects. At p = 1e4 power below the boundary
+        # still runs a little above the size: over seeds 11-42, power - size
+        # read -0.035 to 0.065 at m = 0.5 (mean 0.025), power 0.855-0.985 at
+        # m = 3 and the size 0.02-0.085. The margins allow for that.
+        reps, alpha = 200, 0.05
+        grid = [[v, m * ph.rho_detect(v)] for v in (0.65, 0.75, 0.85) for m in (0.5, 3)]
+        cfg = cli.resolve_config("detect", {
+            "p": 10**4, "omega": {"kind": "identity"}, "variants": ["ohc"],
+            "alpha": alpha, "reps": reps, "null_reps": 1000, "grid": grid})
+        rows = cli.run_detect_power(cfg).rows
+        assert [row[:2] for row in rows] == [tuple(point) for point in grid]
+        se = math.sqrt(alpha * (1 - alpha) / reps)   # of one proportion at alpha
+        for (v, r, _, size, power, _), m in zip(rows, [0.5, 3] * 3):
+            assert abs(size - alpha) <= 3 * se
+            if m == 0.5:
+                assert abs(power - size) <= 5 * math.sqrt(2) * se, (v, r)
+            else:
+                assert power >= 0.8, (v, r)
