@@ -266,7 +266,8 @@ _EVEN_BLOCK2 = _Check(
 _CROSS_CHECKS = {
     "detect": (_EVEN_BLOCK2,),
     "recover": (_EVEN_BLOCK2,),
-    "bandwidth": (_Check("b <= b0 < p", lambda c: c["b"] <= c["b0"] < c["p"]),),
+    # the scan's last diagonal, b0, needs two entries for its HC+ statistic
+    "bandwidth": (_Check("b <= b0 <= p - 2", lambda c: c["b"] <= c["b0"] <= c["p"] - 2),),
     "ranking": (_Check("an even p", lambda c: c["p"] % 2 == 0),),
     "classify": (_EVEN_BLOCK2, _Check("alpha0 * p >= 1",
                                       lambda c: math.floor(c["alpha0"] * c["p"]) >= 1)),

@@ -21,6 +21,9 @@ from .numerics import RngStream, normal_sf, row_blocks
 # P-values equal to 0 or 1 are clamped here to keep the HC denominator finite.
 PVALUE_CLAMP = 1e-15
 
+# _hc_bound's buckets: the bits of a double above the 46th, 64 per octave.
+_BUCKET_SHIFT = 46
+
 TRANSFORMS = ("none", "whitened", "innovated")
 SIDES = ("upper", "two")
 
@@ -120,6 +123,64 @@ def _hc(rows: np.ndarray, frac: float, floor: bool):
     return obj.max(axis=1), clamped
 
 
+def _hc_bound(p: int, frac: float, floor: bool):
+    """A function mapping an (m, p) block of P-values in [0, 1] to upper
+    bounds on the statistics _hc(rows, frac, floor) returns, without sorting;
+    None where head = floor(frac * p) is 0, or where a row has fewer than
+    twice as many values as the bound has buckets, so that it costs about
+    as much as the sort it can skip.
+
+    A value's bucket is the top bits of its IEEE pattern (bits >> 46, 64
+    per octave), so the bucket edges lo_k < hi_k are exact doubles and the
+    bucket is monotone in the value. A row counts its values per bucket from
+    1/p (4 octaves lower for the orthodox functional) up to 1, and smaller
+    values in one slot below them. Let C_k be the count in slots up to k. A
+    value u in bucket k then has rank i <= min(C_k, head) and u >= lo_k,
+    and g(u) = u (1 - u) >= min(g(lo_k), g(hi_k)) since g is concave, so
+    its objective is at most sqrt(p) (min(C_k, head)/p - lo_k) / sqrt(min g).
+    With floor, a feasible u exceeds 1/p, so lo_k rises to 1/p (the low
+    slot holds no feasible value); for the orthodox functional a value in
+    the low slot can score without bound, and its row gets +inf. A value
+    above the bucket holding head/p exceeds i/p for every i <= head, so its
+    objective is at most 0, and every row bound is at least 0. Clipping to
+    [PVALUE_CLAMP, 1 - PVALUE_CLAMP] keeps the ranks, lowers only values
+    above head/p and raises a value only where g grows, so the bounds hold
+    for the clipped values. The 1e-9 relative margins on both terms and the
+    absolute one cover the rounding of this arithmetic and of _hc's.
+    """
+    def bucket(x: float) -> int:
+        return int(np.float64(x).view(np.int64) >> _BUCKET_SHIFT)
+
+    head = int(math.floor(frac * p))
+    base = bucket(1.0 / p) - (0 if floor else 4 * 64)
+    slots = bucket(1.0) - base + 2
+    if head == 0 or 2 * slots > p:
+        return None
+    buckets = np.arange(base, bucket(head / p) + 1)
+    lo = (buckets << _BUCKET_SHIFT).view(np.float64)
+    hi = ((buckets + 1) << _BUCKET_SHIFT).view(np.float64)
+    if floor:
+        lo = np.maximum(lo, 1.0 / p)
+    den = np.sqrt(np.minimum(lo * (1.0 - lo), hi * (1.0 - hi)) * p)
+    slope = (1.0 + 1e-9) / den
+    offset = (1.0 - 1e-9) * p * lo / den
+
+    def bound(rows: np.ndarray) -> np.ndarray:
+        start = np.arange(rows.shape[0])[:, None] * slots
+        idx = rows.view(np.int64) >> _BUCKET_SHIFT
+        idx += start + (1 - base)
+        np.maximum(idx, start, out=idx)
+        counts = np.bincount(idx.ravel(), minlength=start.size * slots)
+        counts = counts.reshape(-1, slots)[:, : buckets.size + 1]
+        rank = np.minimum(np.cumsum(counts, axis=1)[:, 1:], head)
+        out = np.maximum((rank * slope - offset).max(axis=1), 0.0) + 1e-9
+        if not floor:
+            out[counts[:, 0] > 0] = math.inf
+        return out
+
+    return bound
+
+
 def _hc_result(pv, frac: float, floor: bool) -> DetectionResult:
     stat, clamped = _hc(_pvalue_array(pv)[None, :], frac, floor)
     return DetectionResult(statistic=float(stat[0]), clamped=bool(clamped[0]))
@@ -188,6 +249,15 @@ def critical_value(p: int, alphas, variant: str = "ohc",
 
     The null draws take Y ~ N(0, I_p), under which the P-values are exactly
     iid uniform, so the statistic is simulated on sorted uniforms directly.
+
+    np.quantile reads only the `need` largest statistics, so where
+    _hc_bound pays, a row is scored only if its bound reaches the need-th
+    largest statistic scored so far, and is recorded as -inf otherwise:
+    that threshold only rises, so such a row lies below the need-th largest
+    statistic of the whole table, and every quantile is the one of all rows
+    scored. A streamed threshold lets about need (1 + ln(n / need)) of the
+    n rows through, so tables whose quantiles reach deeper than a tenth of
+    the rows score every row.
     """
     if num_null_reps < 100:
         raise DomainError("num_null_reps must be at least 100")
@@ -202,10 +272,22 @@ def critical_value(p: int, alphas, variant: str = "ohc",
     if variant == "hcplus":
         _check_alpha0(alpha0)
     frac, floor = (0.5, False) if variant == "ohc" else (alpha0, True)
+    # the linear quantile at 1 - alpha reads sorted positions floor((n-1)(1-alpha))
+    # and the next; one more guards the rounding of that index
+    need = num_null_reps - math.floor((num_null_reps - 1) * (1.0 - max(alphas))) + 1
+    bound = _hc_bound(p, frac, floor) if 10 * need <= num_null_reps else None
+    top = np.full(need, -math.inf)
     # Row blocks hold the values of consecutive uniform(p) draws, in order.
-    stats = np.empty(num_null_reps)
+    stats = np.full(num_null_reps, -math.inf)
     for lo, hi in row_blocks(num_null_reps, p):
-        stats[lo:hi] = _hc(rng.uniform((hi - lo, p)), frac, floor)[0]
+        rows = rng.uniform((hi - lo, p))
+        if bound is None:
+            stats[lo:hi] = _hc(rows, frac, floor)[0]
+            continue
+        keep = np.flatnonzero(bound(rows) >= top[0])
+        if keep.size:
+            stats[lo + keep] = exact = _hc(rows[keep], frac, floor)[0]
+            top = np.partition(np.concatenate([top, exact]), keep.size)[keep.size:]
     quantiles = tuple(float(np.quantile(stats, 1.0 - a)) for a in alphas)
     return CriticalValueTable(p=int(p), variant=variant, alphas=tuple(alphas),
                               quantiles=quantiles, num_null_reps=num_null_reps,

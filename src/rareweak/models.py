@@ -225,7 +225,11 @@ class PrecisionModel:
             return
         sigma_sqrt = self._factors()[1]
         for g in self.noise_blocks(rng, n):
-            yield np.ascontiguousarray((sigma_sqrt @ g.T).T)
+            rows = np.ascontiguousarray((sigma_sqrt @ g.T).T)
+            # hold neither block while the next one is drawn
+            del g
+            yield rows
+            del rows
 
     def sample_noise(self, rng: RngStream) -> np.ndarray:
         """One draw from N(0, Sigma): row 0 of noise_rows(rng, 1)."""
@@ -353,6 +357,7 @@ def class_rows(mu: np.ndarray, labels: np.ndarray, omega: PrecisionModel,
         rows += labels[lo:lo + len(rows), None] * mu
         lo += len(rows)
         yield rows
+        del rows  # before the next block is drawn
 
 
 def z_vector(blocks, labels) -> np.ndarray:
@@ -385,9 +390,10 @@ def z_vector(blocks, labels) -> np.ndarray:
             z[:m] += x[a:b, :m].T @ l[a:b]
             a = b
         if m < z.shape[0]:
-            for row, sign in zip(x[:, m:], l):
-                z[m:] += row * sign
+            for a in range(h):
+                z[m:] += x[a, m:] * l[a]
         n += h
+        del block, x  # before the next block is drawn
     if n < 1:
         raise DomainError("need at least one training row")
     if n != labels.shape[0]:

@@ -142,12 +142,19 @@ class TestConfigResolution:
         ("recover", {"omega": {"kind": "block2", "h0": 0.5}, "p_grid": [64, 65],
                      "reps": 2}, "an even p under a block2 omega"),
         ("classify", {"p": 10, "alpha0": 0.05}, "alpha0 * p >= 1"),
+        # the last diagonal of the scan would hold one entry
+        ("bandwidth", {"p": 20, "b0": 19, "null_reps": 100, "reps": 1},
+         "b <= b0 <= p - 2"),
     ], ids=["odd_p_block2_detect", "odd_p_block2_classify", "odd_p_block2_recover",
-            "classify_alpha0_p_below_one"])
-    def test_config_the_runner_rejects_exit_code(self, tmp_path, capsys,
+            "classify_alpha0_p_below_one", "bandwidth_b0_p_minus_one"])
+    def test_config_the_runner_rejects_exit_code(self, tmp_path, capsys, monkeypatch,
                                                  experiment, raw, rule):
         # rules that relate fields fail when the config is resolved, before
-        # any simulation, not as a runner error after part of the run
+        # any simulation (no null table either), not as a runner error after
+        # part of the run
+        tables = []
+        monkeypatch.setattr(cli.detect, "critical_value",
+                            lambda *args, **kwargs: tables.append(args))
         config_path = tmp_path / "bad.json"
         config_path.write_text(json.dumps(raw))
         assert cli.main([experiment, "--config", str(config_path),
@@ -155,6 +162,15 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err == f"config error: {experiment} config needs {rule}\n"
         assert not (tmp_path / f"{experiment}.csv").exists()
+        assert tables == []
+
+    def test_bandwidth_b0_at_p_minus_two_runs(self, tmp_path):
+        # the last diagonal of the scan then holds the two entries it needs
+        config_path = tmp_path / "edge.json"
+        config_path.write_text(json.dumps({"p": 20, "b0": 18, "null_reps": 100, "reps": 1}))
+        assert cli.main(["bandwidth", "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "bandwidth.csv").exists()
 
     @pytest.mark.parametrize("experiment,raw", [
         ("detect", {"p": 301}), ("classify", {"p": 301}),

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rareweak.errors import DomainError
+from rareweak import cli
 from rareweak import detect as de
 from rareweak import models as mo
 from rareweak.numerics import BLOCK_VALUES, RngStream, normal_sf, row_blocks
@@ -198,6 +200,145 @@ class TestHcKernel:
 
         de.critical_value(p, [0.05], "hcplus", reps, rng=Counting(23, 0))
         assert calls == [(hi - lo, p) for lo, hi in row_blocks(reps, p)]
+
+
+def _counting_hc(monkeypatch):
+    """Route detect._hc through a wrapper; returns the list of row counts
+    each call scored."""
+    scored = []
+    kernel = de._hc
+
+    def counting(rows, frac, floor):
+        scored.append(rows.shape[0])
+        return kernel(rows, frac, floor)
+
+    monkeypatch.setattr(de, "_hc", counting)
+    return scored
+
+
+def _bucket_edges(lo, hi):
+    """Every double of bits j << 46 in [lo, hi]: the edges of _hc_bound's buckets."""
+    first = int(np.float64(lo).view(np.int64) >> de._BUCKET_SHIFT)
+    last = int(np.float64(hi).view(np.int64) >> de._BUCKET_SHIFT)
+    return (np.arange(first, last + 1) << de._BUCKET_SHIFT).view(np.float64)
+
+
+def _adversarial_rows(p, frac):
+    """P-value rows at the places _hc_bound's argument turns on: ties, 0.0,
+    exact bucket edges, 1/p, head/p and their neighbours, values just
+    below 1.0, and rows crowded near 0 where the statistic is large."""
+    head = int(math.floor(frac * p))
+    rng = RngStream(25, p)
+    below_one = np.nextafter(1.0, 0.0)
+    edges = _bucket_edges(2.0**-6 / p, 1.0)
+    special = np.array([0.0, 1.0 / p, np.nextafter(1.0 / p, 0.0), np.nextafter(1.0 / p, 1.0),
+                        head / p, np.nextafter(head / p, 0.0), np.nextafter(head / p, 1.0),
+                        below_one, 1.0])
+    rows = [np.resize(edges, p),                                   # every edge, repeated
+            np.resize(edges[edges <= 2.0 * head / p], p),          # the edges that score
+            np.sort(np.resize(edges[:64], p)),                     # many ties on low edges
+            np.round(rng.uniform(p), 2),                           # ties
+            np.round(rng.uniform(p) ** 4, 4),                      # ties near 0, some 0.0
+            np.arange(1, p + 1) / p,                               # i/p exactly
+            (np.arange(1, p + 1) - 0.5) / p,
+            np.full(p, below_one)]
+    rows += [np.full(p, v) for v in special]
+    with_special = rng.uniform(p)
+    with_special[: special.size] = special
+    rows.append(with_special)
+    crowded = rng.uniform(p)
+    crowded[:head] = rng.uniform(head) * (head / p) ** 2
+    rows.append(crowded)
+    for power in (2, 4, 8):
+        rows.append(rng.uniform(p) ** power)
+    return np.array(rows)
+
+
+# a bound exists from p = 1,346 for HC+ and from p = 1,916 for the orthodox
+# functional (twice the buckets fit in a row)
+_BOUND_CASES = [(1500, 0.5, True), (1500, 0.1, True), (2048, 0.5, False),
+                (2048, 0.5, True), (5000, 0.01, True), (5000, 0.5, False)]
+
+
+class TestHcBound:
+    @pytest.mark.parametrize("p,frac,floor", _BOUND_CASES)
+    def test_bound_covers_statistic_on_adversarial_rows(self, p, frac, floor):
+        rows = _adversarial_rows(p, frac)
+        bound = de._hc_bound(p, frac, floor)
+        stat = de._hc(rows.copy(), frac, floor)[0]
+        assert np.all(bound(rows) >= stat)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(_BOUND_CASES), seed=st.integers(0, 2**32 - 1),
+           power=st.sampled_from([1.0, 3.0, 8.0]),
+           picks=st.lists(st.integers(0, 10**6), max_size=200))
+    def test_bound_covers_statistic(self, case, seed, power, picks):
+        # rows crowded towards 0 by the power, with entries replaced by
+        # bucket edges and by values at 1/p and head/p
+        p, frac, floor = case
+        head = int(math.floor(frac * p))
+        pool = np.concatenate([_bucket_edges(2.0**-8 / p, 1.0),
+                               [0.0, 1.0 / p, head / p, np.nextafter(1.0, 0.0)]])
+        rows = RngStream(26, seed).uniform((2, p)) ** power
+        rows[0, : len(picks)] = pool[np.array(picks, dtype=int) % pool.size]
+        rows[1] = np.sort(rows[1])
+        rows[1, : len(picks)] = pool[np.array(picks, dtype=int) % pool.size]
+        stat = de._hc(rows.copy(), frac, floor)[0]
+        assert np.all(de._hc_bound(p, frac, floor)(rows) >= stat)
+
+    @pytest.mark.parametrize("p,frac,floor", [(2, 0.5, False), (7, 0.1, True),
+                                              (500, 0.5, True), (1024, 0.5, False)])
+    def test_no_bound_where_it_cannot_pay(self, p, frac, floor):
+        # head = 0, or fewer than two values per bucket
+        assert de._hc_bound(p, frac, floor) is None
+
+
+class TestPrunedTables:
+    """Tables score only the rows whose bound reaches the running threshold;
+    their quantiles must equal those of every row scored."""
+
+    # head = floor(frac * p) is 0 for HC+ at alpha0 0.1 with p = 2, 3 and 7,
+    # and 1 otherwise at p = 2 and 3; p = 2000 and 4 * BLOCK_VALUES + 3 have
+    # bounds for both functionals
+    @pytest.mark.parametrize("p,reps", [(2, 2000), (3, 2000), (7, 1000), (500, 600),
+                                        (2000, 401), (4 * BLOCK_VALUES + 3, 200)])
+    @pytest.mark.parametrize("variant,alpha0", [("ohc", 0.5), ("hcplus", 0.1),
+                                                ("hcplus", 0.5)])
+    def test_table_matches_full_reference(self, monkeypatch, p, reps, variant, alpha0):
+        frac, floor = (0.5, False) if variant == "ohc" else (alpha0, True)
+        rng = RngStream(24, p)
+        stats = np.array([_reference_hc(rng.uniform(p), frac, floor) for _ in range(reps)])
+        scored = _counting_hc(monkeypatch)
+        # the first two sets read at most a tenth of the rows, so they prune
+        for alphas in ([0.005], [0.01, 0.05], [0.05, 0.2], np.linspace(0.01, 0.99, 99)):
+            scored.clear()
+            # where both order statistics a quantile reads are -inf (an empty
+            # HC+ feasible set), numpy interpolates NaN
+            with np.errstate(invalid="ignore"):
+                table = de.critical_value(p, alphas, variant, reps, rng=RngStream(24, p),
+                                          alpha0=alpha0)
+                expected = [float(np.quantile(stats, 1.0 - a)) for a in table.alphas]
+            assert np.array_equal(table.quantiles, expected, equal_nan=True)
+            if p >= 2000 and max(alphas) <= 0.05:
+                assert sum(scored) < reps
+
+    def test_paper_bandwidth_table_equals_full_computation(self):
+        cfg = cli.resolve_config("bandwidth", None, {"scale": "paper"})
+        p, reps, alpha = cfg["p"], cfg["null_reps"], cfg["alpha"] / cfg["b0"]
+        table = de.critical_value(p, [alpha], "hcplus", reps,
+                                  rng=RngStream(cfg["seed"], cli._TABLE_LANE),
+                                  alpha0=cfg["alpha0"])
+        rng = RngStream(cfg["seed"], cli._TABLE_LANE)
+        stats = np.concatenate([de._hc(rng.uniform((hi - lo, p)), cfg["alpha0"], True)[0]
+                                for lo, hi in row_blocks(reps, p)])
+        assert (p, reps, alpha) == (5000, 20000, 0.005)
+        assert table.quantiles == (float(np.quantile(stats, 1.0 - alpha)),)
+
+    def test_few_rows_reach_the_kernel(self, monkeypatch):
+        # at the bandwidth scan's shape about 4% of rows are scored exactly
+        scored = _counting_hc(monkeypatch)
+        de.critical_value(5000, [0.005], "hcplus", 2000, rng=RngStream(27, 0))
+        assert sum(scored) < 0.15 * 2000
 
 
 class TestCriticalValues:
