@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
 from . import apps, classify, detect, phase, select
@@ -39,6 +38,7 @@ from .models import (
     draw_paired_beta,
     gen_arw,
     gen_banded_sample,
+    pair_blocks,
 )
 from .numerics import BLOCK_VALUES, RngStream, row_blocks, sym_sqrt
 
@@ -263,14 +263,19 @@ _EVEN_BLOCK2 = _Check(
     "an even p under a block2 omega",
     lambda c: c["omega"] == _IDENTITY
     or all(p % 2 == 0 for p in c.get("p_grid", [c.get("p")])))
+# HC+ and HCT maximize over the first floor(alpha0 * p) sorted P-values, so
+# a product below 1 leaves none
+_ALPHA0_P = _Check("alpha0 * p >= 1", lambda c: math.floor(c["alpha0"] * c["p"]) >= 1)
 _CROSS_CHECKS = {
-    "detect": (_EVEN_BLOCK2,),
+    "detect": (_EVEN_BLOCK2,
+               _Check("alpha0 * p >= 1 for the hcplus variant",
+                      lambda c: "hcplus" not in c["variants"] or _ALPHA0_P.ok(c))),
     "recover": (_EVEN_BLOCK2,),
     # the scan's last diagonal, b0, needs two entries for its HC+ statistic
-    "bandwidth": (_Check("b <= b0 <= p - 2", lambda c: c["b"] <= c["b0"] <= c["p"] - 2),),
+    "bandwidth": (_Check("b <= b0 <= p - 2", lambda c: c["b"] <= c["b0"] <= c["p"] - 2),
+                  _ALPHA0_P),
     "ranking": (_Check("an even p", lambda c: c["p"] % 2 == 0),),
-    "classify": (_EVEN_BLOCK2, _Check("alpha0 * p >= 1",
-                                      lambda c: math.floor(c["alpha0"] * c["p"]) >= 1)),
+    "classify": (_EVEN_BLOCK2, _ALPHA0_P),
 }
 
 
@@ -433,24 +438,6 @@ def run_bandwidth(cfg: dict) -> ResultTable:
                        rows, cfg)
 
 
-def _ranking_case_operators(p: int, h0: float):
-    """Sigma = I_{p/2} (x) B of one ranking case, B = [[1, h0], [h0, 1]], and
-    Sigma^{1/2} = I_{p/2} (x) B^{1/2}, as CSR matrices.
-
-    Both are laid out straight from the 2x2 tiles: row i holds its block's
-    row in columns 2 * (i // 2) and 2 * (i // 2) + 1, so a product with v
-    sums two terms per row, in column order, at O(p) cost.
-    """
-    block = np.array([[1.0, h0], [h0, 1.0]])
-    indices = ((np.arange(p) & ~1)[:, None] + np.arange(2)).ravel()
-    indptr = np.arange(0, 2 * p + 1, 2)
-
-    def tiled(b):
-        return sp.csr_matrix((np.tile(b, (p // 2, 1)).ravel(), indices, indptr),
-                             shape=(p, p))
-    return tiled(block), tiled(sym_sqrt(block))
-
-
 def run_ranking(cfg: dict) -> ResultTable:
     """Feature-ranking AUC contrast between marginal and graph-guided scores.
 
@@ -478,7 +465,8 @@ def run_ranking(cfg: dict) -> ResultTable:
     work_rng = RngStream(root, _WORK_LANE)
     rows = []
     for ci, (h0, tau) in enumerate(cfg["cases"]):
-        sigma, sigma_sqrt = _ranking_case_operators(p, float(h0))
+        tile = np.array([[1.0, h0], [h0, 1.0]])
+        sigma, sigma_sqrt = pair_blocks(p, tile), pair_blocks(p, sym_sqrt(tile))
         plan = select.gs_plan(sigma, graph_from_matrix(sigma, float(cfg["delta"])),
                               cfg["m0"])
         case_rng = work_rng.child(ci)
@@ -497,7 +485,7 @@ def run_ranking(cfg: dict) -> ResultTable:
             if not scored:
                 return aucs
             beta, noise = np.array(beta_rows), np.array(noise_rows)
-            xtw = np.ascontiguousarray((sigma @ beta.T + sigma_sqrt @ noise.T).T)
+            xtw = (sigma @ beta.T + sigma_sqrt @ noise.T).T
             instance = RegressionInstance(gram=sigma, xtw=xtw)
             truth = beta != 0.0
             us = apps.roc_curve(apps.rank_features_us(instance), truth)

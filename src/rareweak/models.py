@@ -95,6 +95,21 @@ class MixtureParams:
             raise DomainError(f"tau must be non-negative and finite, got {self.tau!r}")
 
 
+def pair_blocks(p: int, block) -> sp.csr_matrix:
+    """I_{p/2} (x) block for an even p and a 2 x 2 block, as CSR.
+
+    Row i holds its pair's row of the block in columns i & ~1 and
+    (i & ~1) + 1, zeros included, so a product with v sums two terms per
+    row, in column order, at O(p) cost. The index arrays are int32, the type
+    scipy picks itself while 2 p < 2^31, so it need not scan them to choose.
+    """
+    cols = np.arange(p, dtype=np.int32) & ~1
+    indices = (cols[:, None] + np.arange(2, dtype=np.int32)).ravel()
+    indptr = np.arange(0, 2 * p + 1, 2, dtype=np.int32)
+    data = np.tile(np.asarray(block, dtype=float), (p // 2, 1)).ravel()
+    return sp.csr_matrix((data, indices, indptr), shape=(p, p))
+
+
 class PrecisionModel:
     """A p x p symmetric positive-definite precision matrix with unit diagonal.
 
@@ -124,12 +139,7 @@ class PrecisionModel:
                 raise DomainError("block2 requires even p")
             if h0 is None or not -1.0 < h0 < 1.0:
                 raise DomainError("block2 requires |h0| < 1")
-            i = np.arange(self.p)
-            partner = i ^ 1
-            rows = np.concatenate([i, i])
-            cols = np.concatenate([i, partner])
-            vals = np.concatenate([np.ones(self.p), np.full(self.p, float(h0))])
-            self._omega = sp.csr_matrix((vals, (rows, cols)), shape=(self.p, self.p))
+            self._omega = pair_blocks(self.p, [[1.0, h0], [h0, 1.0]])
         elif kind == "custom":
             a = symmetric_array(matrix)
             if a.shape != (self.p, self.p):

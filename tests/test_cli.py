@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rareweak.errors import ConfigError
 from rareweak import apps, cli, detect, phase, select
-from rareweak.models import PrecisionModel
+from rareweak.models import PrecisionModel, pair_blocks
 from rareweak.numerics import RngStream, row_blocks, sym_sqrt
 
 
@@ -145,8 +145,14 @@ class TestConfigResolution:
         # the last diagonal of the scan would hold one entry
         ("bandwidth", {"p": 20, "b0": 19, "null_reps": 100, "reps": 1},
          "b <= b0 <= p - 2"),
+        # an HC+ null table with no feasible index has a NaN threshold
+        ("detect", {"p": 4, "variants": ["hcplus"], "alpha0": 0.1, "reps": 50,
+                    "null_reps": 100}, "alpha0 * p >= 1 for the hcplus variant"),
+        ("bandwidth", {"p": 12, "b0": 10, "alpha0": 0.05, "n": 20, "reps": 1,
+                       "null_reps": 100}, "alpha0 * p >= 1"),
     ], ids=["odd_p_block2_detect", "odd_p_block2_classify", "odd_p_block2_recover",
-            "classify_alpha0_p_below_one", "bandwidth_b0_p_minus_one"])
+            "classify_alpha0_p_below_one", "bandwidth_b0_p_minus_one",
+            "detect_hcplus_alpha0_p_below_one", "bandwidth_alpha0_p_below_one"])
     def test_config_the_runner_rejects_exit_code(self, tmp_path, capsys, monkeypatch,
                                                  experiment, raw, rule):
         # rules that relate fields fail when the config is resolved, before
@@ -175,10 +181,16 @@ class TestConfigResolution:
     @pytest.mark.parametrize("experiment,raw", [
         ("detect", {"p": 301}), ("classify", {"p": 301}),
         ("recover", {"p_grid": [64, 65]}), ("classify", {"p": 10, "alpha0": 0.1}),
+        ("detect", {"p": 10, "variants": ["hcplus"], "alpha0": 0.1}),
+        ("detect", {"p": 4, "variants": ["ohc"], "alpha0": 0.1}),
     ])
     def test_cross_checks_accept_their_boundary(self, experiment, raw):
         # an odd p is fine under the identity, and alpha0 * p = 1 is enough
         assert cli.resolve_config(experiment, raw)["omega"] == {"kind": "identity"}
+
+    def test_bandwidth_alpha0_p_of_one_accepted(self):
+        cfg = cli.resolve_config("bandwidth", {"p": 20, "b0": 18, "alpha0": 0.05})
+        assert (cfg["p"], cfg["alpha0"]) == (20, 0.05)
 
     @pytest.mark.parametrize("overrides", [
         {"threads": 0}, {"seed": -1}, {"seed": 2**64}, {"seed": 3.0},
@@ -488,10 +500,16 @@ class TestRunners:
         cli.run_ranking(cli.resolve_config("ranking", raw, {"threads": 2}))
         assert pools == []
 
+    @staticmethod
+    def _ranking_operators(p, h0):
+        # Sigma and Sigma^{1/2} as run_ranking builds them for one case
+        tile = np.array([[1.0, h0], [h0, 1.0]])
+        return pair_blocks(p, tile), pair_blocks(p, sym_sqrt(tile))
+
     @pytest.mark.parametrize("h0", [-0.95, -0.8, 0.0, 1e-13, 0.5, 0.8, 0.95])
     def test_ranking_operators_are_block2_blocks(self, h0):
         p = 40
-        sigma, sigma_sqrt = cli._ranking_case_operators(p, h0)
+        sigma, sigma_sqrt = self._ranking_operators(p, h0)
         model = PrecisionModel.block2(p, h0)
         assert sp.isspmatrix_csr(sigma) and sp.isspmatrix_csr(sigma_sqrt)
         assert np.array_equal(sigma.toarray(), model.dense())
@@ -502,7 +520,7 @@ class TestRunners:
         # the CSR products add each row's two tile terms in column order, the
         # sums the runner formed from (p, 2) block rows before
         p = 200
-        sigma, sigma_sqrt = cli._ranking_case_operators(p, h0)
+        sigma, sigma_sqrt = self._ranking_operators(p, h0)
         rows = np.arange(p)[:, None]
         cols = (rows & ~1) + np.arange(2)
         block = np.array([[1.0, h0], [h0, 1.0]])
@@ -660,6 +678,27 @@ def _load_perfbench(name):
 
 
 _BENCH_WORKLOADS = _load_perfbench("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_WORKLOADS))
+def test_perfbench_child_fires_expected_spans(tmp_path, name):
+    # a traced bench child at the self-test sizes exits 0 and fires every
+    # span its workload expects; span coverage is not checked here
+    root = pathlib.Path(cli.__file__).parents[2]
+    workload = _BENCH_WORKLOADS[name]
+    spec = {"out": str(tmp_path), "seed": 1, "threads": workload.threads, "trace": 1,
+            "experiments": [list(e) for e in _load_perfbench("workloads").TINY[name]]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"),
+                             str(spec_path)], cwd=root, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    child = json.loads((tmp_path / "result.json").read_text())
+    assert child["codes"] and all(code == 0 for code in child["codes"])
+    calls = {span: entry["calls"] for span, entry in child["trace"]["spans"].items()}
+    assert [span for span in workload.expected_spans if not calls.get(span)] == []
 
 
 def _bench_body_digest(checks, tmp_path, workload, experiment, config, seed):

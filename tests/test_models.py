@@ -96,6 +96,23 @@ class TestPrecisionModel:
         assert om.row_nonzero_max() == 2
         assert om.graph().num_edges() == 3
 
+    @pytest.mark.parametrize("h0", [-0.95, -0.8, 0.0, 1e-13, 0.5, 0.95])
+    @pytest.mark.parametrize("p", [2, 40, 1000, 10002])
+    def test_pair_blocks_equal_coo_assembly(self, p, h0):
+        # block2's Omega as it was assembled from COO triplets; h0 = 0 keeps
+        # its stored zeros, which component_factors drops
+        i = np.arange(p)
+        coo = sp.csr_matrix((np.concatenate([np.ones(p), np.full(p, h0)]),
+                             (np.concatenate([i, i]), np.concatenate([i, i ^ 1]))),
+                            shape=(p, p))
+        for csr in (mo.pair_blocks(p, [[1.0, h0], [h0, 1.0]]),
+                    mo.PrecisionModel.block2(p, h0).omega):
+            assert csr.shape == coo.shape
+            for field in ("indptr", "indices", "data"):
+                got, want = getattr(csr, field), getattr(coo, field)
+                assert got.dtype == want.dtype, field
+                assert got.tobytes() == want.tobytes(), field
+
     def test_block2_sigma_diag(self):
         h0 = 0.5
         om = mo.PrecisionModel.block2(4, h0)
