@@ -136,25 +136,25 @@ def rank_features_us(instance: RegressionInstance) -> np.ndarray:
     return chisq_sf(1, b ** 2 / instance.gram_diag())
 
 
-def rank_features_gs(instance: RegressionInstance, plan: GsPlan) -> np.ndarray:
+def rank_features_gs(instance: RegressionInstance, plan: GsPlan, us: np.ndarray) -> np.ndarray:
     """Graph-guided ranking via chi-square P-values of subgraph projections.
 
     Every subgraph I of the plan gets the P-value P(chi2_{|I|} > ||P^I W||^2),
-    and feature j scores the minimum over subgraphs containing j (its
-    singleton, scored as in rank_features_us, always participates).
-    Degenerate subgraphs are skipped. The plan must come from select.gs_plan
-    on the instance's Gram matrix.
+    and feature j scores the minimum over subgraphs containing j, starting
+    from a C-order copy of us = rank_features_us(instance), the singletons'
+    P-values (the caller's array is not written). Degenerate subgraphs are
+    skipped. The plan must come from select.gs_plan on the Gram matrix.
 
-    An (r, p) block of responses is scored in one pass: singletons and pairs
-    elementwise over the block, pair minima folded in with one np.minimum.at
-    on flat indices in each row's pair order, and subgraphs of three or more
-    nodes row by row through quadform. Each row equals the one-response
-    scores bit for bit.
+    A block of responses is scored in one pass: pairs elementwise, their
+    minima folded in with one np.minimum.at on flat indices in each row's
+    pair order, and subgraphs of three or more nodes row by row through
+    quadform. Each row equals the one-response scores bit for bit.
     """
-    if plan.p != instance.p:
-        raise DomainError(f"plan is for p={plan.p}, instance has p={instance.p}")
     b = np.ascontiguousarray(instance.xtw, dtype=float)
-    scores = chisq_sf(1, b ** 2 / plan.single_diag)
+    scores = np.array(us, dtype=float, order="C")
+    if plan.p != instance.p or scores.shape != b.shape:
+        raise DomainError(f"plan is for p={plan.p} and us has shape {scores.shape}, "
+                          f"but the responses have shape {b.shape}")
 
     ok = plan.pair_ok
     g = plan.pair_grams[ok]

@@ -449,8 +449,8 @@ def run_ranking(cfg: dict) -> ResultTable:
     Each replicate draws from its own stream, and a replicate whose support
     is empty or everything draws no noise and gets NaN AUCs. The others are
     scored together in the consecutive replicates of numerics.row_blocks(reps,
-    p): one pair of Sigma products and one US, GS and ROC pass per block,
-    each row equal to scoring its replicate alone.
+    p): per block, one pair of Sigma products, US scores that GS starts from,
+    and ROC curves, each row equal to scoring its replicate alone.
 
     cfg["threads"] is the most threads used. The blocks go to a pool only
     when they are at row_blocks' 4-row floor and each holds more than
@@ -488,9 +488,9 @@ def run_ranking(cfg: dict) -> ResultTable:
             xtw = (sigma @ beta.T + sigma_sqrt @ noise.T).T
             instance = RegressionInstance(gram=sigma, xtw=xtw)
             truth = beta != 0.0
-            us = apps.roc_curve(apps.rank_features_us(instance), truth)
-            gs = apps.roc_curve(apps.rank_features_gs(instance, plan), truth)
-            for row, u, g in zip(scored, us, gs):
+            us = apps.rank_features_us(instance)
+            gs = apps.roc_curve(apps.rank_features_gs(instance, plan, us), truth)
+            for row, u, g in zip(scored, apps.roc_curve(us, truth), gs):
                 aucs[row] = (u.auc, g.auc)
             return aucs
 

@@ -204,24 +204,25 @@ class TestRankingGs:
         w = RngStream(7, 0).standard_normal(12)
         inst = _instance_from_design(np.eye(12), w)
         us = apps.rank_features_us(inst)
-        gs = apps.rank_features_gs(inst, _plan(np.eye(12), 0.0, 1))
+        gs = apps.rank_features_gs(inst, _plan(np.eye(12), 0.0, 1), us)
         assert np.array_equal(np.argsort(us), np.argsort(gs))
 
     def test_m0_one_identity_equals_us(self):
-        # both score singletons with the one chi-square(1) tail, to the bit,
-        # from zero responses to the far tail
+        # with m0 = 1 every subgraph is a singleton, so GS is a copy of the
+        # US scores it starts from, from zero responses to the far tail
         scale = np.array([[0.0], [1e-8], [1.0], [5.0], [30.0]])
         xtw = RngStream(7, 1).standard_normal((5, 12)) * scale
         inst = mo.RegressionInstance(gram=np.eye(12), xtw=xtw)
-        gs = apps.rank_features_gs(inst, _plan(np.eye(12), 0.0, 1))
-        assert np.array_equal(gs, apps.rank_features_us(inst))
+        us = apps.rank_features_us(inst)
+        gs = apps.rank_features_gs(inst, _plan(np.eye(12), 0.0, 1), us)
+        assert np.array_equal(gs, us) and gs is not us
 
     def test_gs_score_never_above_singleton(self):
         sigma = mo.PrecisionModel.block2(10, -0.6).dense()
         x = sym_sqrt(sigma)
         w = x @ (np.array([3.0, 3.0] + [0.0] * 8)) + RngStream(8, 0).standard_normal(10)
         inst = _instance_from_design(x, w)
-        gs = apps.rank_features_gs(inst, _plan(sigma, 0.3, 2))
+        gs = apps.rank_features_gs(inst, _plan(sigma, 0.3, 2), apps.rank_features_us(inst))
         from rareweak.numerics import chisq_sf
 
         diag = inst.gram_diag()
@@ -235,7 +236,7 @@ class TestRankingGs:
         with pytest.raises(DegeneracyError):
             check_gram(gram)
         inst = mo.RegressionInstance(gram=gram, xtw=np.array([1.0, -1.0]))
-        gs = apps.rank_features_gs(inst, _plan(gram, 0.0, 2))
+        gs = apps.rank_features_gs(inst, _plan(gram, 0.0, 2), apps.rank_features_us(inst))
         assert np.array_equal(gs, chisq_sf(1, np.ones(2)))
 
     def test_cancellation_case_gs_beats_us(self):
@@ -252,8 +253,9 @@ class TestRankingGs:
             xtw = sigma @ beta + ssqrt @ rng.standard_normal(p)
             inst = mo.RegressionInstance(gram=sigma, xtw=xtw)
             truth = beta != 0
-            auc_us = apps.roc_curve(apps.rank_features_us(inst), truth).auc
-            auc_gs = apps.roc_curve(apps.rank_features_gs(inst, plan), truth).auc
+            us = apps.rank_features_us(inst)
+            auc_us = apps.roc_curve(us, truth).auc
+            auc_gs = apps.roc_curve(apps.rank_features_gs(inst, plan, us), truth).auc
             gaps.append(auc_gs - auc_us)
         assert np.mean(gaps) > 0.05
 
@@ -307,7 +309,7 @@ class TestGsPlan:
         gram = self._gram(sparse)
         xtw = RngStream(11, 0).standard_normal(11) + np.arange(11) % 3
         inst = mo.RegressionInstance(gram=gram, xtw=xtw)
-        got = apps.rank_features_gs(inst, _plan(gram, delta, m0))
+        got = apps.rank_features_gs(inst, _plan(gram, delta, m0), apps.rank_features_us(inst))
         assert np.array_equal(got, _gs_reference(inst, gram, delta, m0))
 
     def test_plan_sizes(self):
@@ -320,7 +322,39 @@ class TestGsPlan:
     def test_plan_for_other_p_rejected(self):
         inst = mo.RegressionInstance(gram=np.eye(8), xtw=np.ones(8))
         with pytest.raises(DomainError):
-            apps.rank_features_gs(inst, _plan(np.eye(6), 0.0, 2))
+            apps.rank_features_gs(inst, _plan(np.eye(6), 0.0, 2), apps.rank_features_us(inst))
+
+    @pytest.mark.parametrize("shape", [(11,), (4, 11)])
+    def test_from_us_matches_reference_off_unit_diagonal(self, shape):
+        # the singletons' P-values depend on g_jj != 1; GS started from the US
+        # scores equals the per-subgraph reference row by row, and never
+        # writes into the US array (read-only here)
+        gram = self._gram(True)
+        assert np.unique(gram.diagonal()).size > 1
+        inst = mo.RegressionInstance(gram=gram,
+                                     xtw=RngStream(11, 1).standard_normal(shape) * 2.0)
+        us = apps.rank_features_us(inst)
+        before = us.copy()
+        us.flags.writeable = False
+        got = apps.rank_features_gs(inst, _plan(gram, 0.2, 3), us)
+        assert got.shape == shape and got.flags.c_contiguous
+        assert np.array_equal(_bits(us), _bits(before))
+        for row, w in zip(np.atleast_2d(got), np.atleast_2d(inst.xtw)):
+            one = mo.RegressionInstance(gram=gram, xtw=w)
+            assert np.array_equal(row, _gs_reference(one, gram, 0.2, 3))
+
+    def test_us_of_other_shape_rejected(self):
+        gram = self._gram(False)
+        plan = _plan(gram, 0.0, 2)
+        block = mo.RegressionInstance(gram=gram, xtw=RngStream(11, 2).standard_normal((3, 11)))
+        us = apps.rank_features_us(block)
+        for bad in (us[0], us[:2], us[:, :10], us.T, us[..., None]):
+            with pytest.raises(DomainError):
+                apps.rank_features_gs(block, plan, bad)
+        one = mo.RegressionInstance(gram=gram, xtw=block.xtw[0])
+        for bad in (us[:1], us[0, :10]):
+            with pytest.raises(DomainError):
+                apps.rank_features_gs(one, plan, bad)
 
 
 class TestRoc:
@@ -447,19 +481,20 @@ class TestBlocks:
         if m0 == 3:
             assert (2, 3, 4) in plan.larger and (0, 1, 8) in plan.larger
         xtw = self._xtw()
-        block = apps.rank_features_gs(mo.RegressionInstance(gram=gram, xtw=xtw), plan)
+        inst = mo.RegressionInstance(gram=gram, xtw=xtw)
+        block = apps.rank_features_gs(inst, plan, apps.rank_features_us(inst))
         assert block.shape == xtw.shape
         for row, w in zip(block, xtw):
             inst = mo.RegressionInstance(gram=gram, xtw=w)
-            one = apps.rank_features_gs(inst, plan)
+            one = apps.rank_features_gs(inst, plan, apps.rank_features_us(inst))
             assert np.array_equal(_bits(row), _bits(one))
             assert np.array_equal(one, _gs_reference(inst, gram, 0.0, m0))
 
     def test_roc_rows_match_one_row_and_stable_reference(self):
         gram = self._gram(True)
         inst = mo.RegressionInstance(gram=gram, xtw=self._xtw())
-        gs = apps.rank_features_gs(inst, _plan(gram, 0.0, 3))
         us = apps.rank_features_us(inst)
+        gs = apps.rank_features_gs(inst, _plan(gram, 0.0, 3), us)
         signed_zeros = np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.25, 0.5, 1.0, -0.0, 0.25])
         scores = np.vstack([gs, us, signed_zeros, np.ones(10)])
         # a pair or triangle P-value that is the minimum for several of its
