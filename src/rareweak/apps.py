@@ -150,11 +150,12 @@ def rank_features_gs(instance: RegressionInstance, plan: GsPlan, us: np.ndarray)
     pair order, and subgraphs of three or more nodes row by row through
     quadform. Each row equals the one-response scores bit for bit.
     """
+    if plan.p != instance.p:
+        raise DomainError(f"plan is for p={plan.p}, instance has p={instance.p}")
     b = np.ascontiguousarray(instance.xtw, dtype=float)
     scores = np.array(us, dtype=float, order="C")
-    if plan.p != instance.p or scores.shape != b.shape:
-        raise DomainError(f"plan is for p={plan.p} and us has shape {scores.shape}, "
-                          f"but the responses have shape {b.shape}")
+    if scores.shape != b.shape:
+        raise DomainError(f"us has shape {scores.shape}, the responses have shape {b.shape}")
 
     ok = plan.pair_ok
     g = plan.pair_grams[ok]

@@ -8,6 +8,7 @@ evaluation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -131,31 +132,36 @@ def default_gs_tuning(p, vartheta: float, r: float, m0: int = 1,
 @dataclass(frozen=True)
 class GsPlan:
     """The part of graphlet screening and ranking that depends on the Gram
-    matrix and the graph alone.
-
-    Built once per design by gs_plan and shared by every response screened or
-    ranked under it: the singletons' Gram diagonal, the pairs with their 2x2
-    Gram blocks and degeneracy, and the subgraphs of three or more nodes, all
-    of size at most m0.
+    matrix and the graph alone, built once per design by gs_plan and shared
+    by every response screened or ranked under it: the singletons' Gram
+    diagonal, the pairs and the subgraphs of three or more nodes, all of size
+    at most m0. The pairs' 2x2 Gram blocks and degeneracy are read from gram
+    by the first call that uses them.
     """
 
     p: int
     m0: int
+    gram: sp.csr_matrix
     single_diag: np.ndarray  # gram[v, v] for every node v
     ii: np.ndarray           # pair (ii[k], jj[k]), ii[k] < jj[k], in lex order
     jj: np.ndarray
-    pair_grams: np.ndarray   # (k, 2, 2) Gram blocks, read as gram_sub reads them
-    pair_ok: np.ndarray      # False where check_gram finds the pair rank deficient
     larger: tuple            # subgraphs of three or more nodes, sorted tuples
+
+    @functools.cached_property
+    def pair_grams(self) -> np.ndarray:  # (k, 2, 2) pair blocks, read as gram_sub reads them
+        return gram_blocks(self.gram, np.column_stack([self.ii, self.jj]))
+
+    @functools.cached_property
+    def pair_ok(self) -> np.ndarray:  # False where check_gram finds the pair rank deficient
+        return ~gram_rank_deficient(np.linalg.eigvalsh(self.pair_grams))
 
 
 def gs_plan(gram, graph: DependencyGraph, m0: int) -> GsPlan:
-    """Enumerate the connected subgraphs of size <= m0 of graph and read
-    their Gram blocks from gram (dense or sparse).
+    """Enumerate the connected subgraphs of size <= m0 of graph, keeping gram
+    (dense or sparse) as CSR to read their Gram blocks from.
 
     Singletons are every node and pairs are the graph's edges; the larger
-    subgraphs keep enum_connected_subgraphs' size-then-lex order. Pairs are
-    degenerate under check_gram's eigenvalue rule.
+    subgraphs keep enum_connected_subgraphs' size-then-lex order.
     """
     gram = sp.csr_matrix(gram, dtype=float)
     p = gram.shape[0]
@@ -165,10 +171,7 @@ def gs_plan(gram, graph: DependencyGraph, m0: int) -> GsPlan:
     ii, jj = graph.upper_edges
     if m0 < 2:
         ii, jj = ii[:0], jj[:0]
-    pair_grams = gram_blocks(gram, np.column_stack([ii, jj]))
-    return GsPlan(p=p, m0=m0, single_diag=gram.diagonal(),
-                  ii=ii, jj=jj, pair_grams=pair_grams,
-                  pair_ok=~gram_rank_deficient(np.linalg.eigvalsh(pair_grams)),
+    return GsPlan(p=p, m0=m0, gram=gram, single_diag=gram.diagonal(), ii=ii, jj=jj,
                   larger=tuple(subsets[p + ii.size:]))
 
 

@@ -320,9 +320,25 @@ class TestGsPlan:
         assert all(len(sub) == 3 for sub in plan.larger) and len(plan.larger) == 6
 
     def test_plan_for_other_p_rejected(self):
+        # us fits the responses, so the message names only the plan
         inst = mo.RegressionInstance(gram=np.eye(8), xtw=np.ones(8))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^plan is for p=6, instance has p=8$"):
             apps.rank_features_gs(inst, _plan(np.eye(6), 0.0, 2), apps.rank_features_us(inst))
+
+    def test_pair_blocks_read_on_first_use(self):
+        # gs_plan keeps the CSR Gram matrix; the pair blocks and their
+        # degeneracy are read by the first scoring call and kept
+        gram = self._gram(False)
+        plan = _plan(gram, 0.0, 2)
+        assert sp.isspmatrix_csr(plan.gram) and np.array_equal(plan.gram.toarray(), gram)
+        assert "pair_grams" not in vars(plan) and "pair_ok" not in vars(plan)
+        inst = mo.RegressionInstance(gram=gram, xtw=np.arange(11.0))
+        apps.rank_features_gs(inst, plan, apps.rank_features_us(inst))
+        pairs = np.column_stack([plan.ii, plan.jj])
+        want = np.array([gram[np.ix_(pair, pair)] for pair in pairs])
+        assert np.array_equal(vars(plan)["pair_grams"], want)
+        assert np.array_equal(vars(plan)["pair_ok"], [False] + [True] * (len(pairs) - 1))
+        assert plan.pair_grams is vars(plan)["pair_grams"]
 
     @pytest.mark.parametrize("shape", [(11,), (4, 11)])
     def test_from_us_matches_reference_off_unit_diagonal(self, shape):
@@ -348,12 +364,13 @@ class TestGsPlan:
         plan = _plan(gram, 0.0, 2)
         block = mo.RegressionInstance(gram=gram, xtw=RngStream(11, 2).standard_normal((3, 11)))
         us = apps.rank_features_us(block)
+        message = r"^us has shape \(.*\), the responses have shape \({}\)$"
         for bad in (us[0], us[:2], us[:, :10], us.T, us[..., None]):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=message.format("3, 11")):
                 apps.rank_features_gs(block, plan, bad)
         one = mo.RegressionInstance(gram=gram, xtw=block.xtw[0])
         for bad in (us[:1], us[0, :10]):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=message.format("11,")):
                 apps.rank_features_gs(one, plan, bad)
 
 
