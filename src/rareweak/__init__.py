@@ -21,7 +21,7 @@ from .errors import (
     SolverError,
 )
 from .numerics import RngStream, chisq_sf, normal_sf, sym_sqrt
-from .models import ArwParams, MixtureParams, PrecisionModel, gen_arw, to_regression
+from .models import ArwParams, PrecisionModel, gen_arw, to_regression
 
 __all__ = [
     "__version__",
@@ -29,5 +29,5 @@ __all__ = [
     "NotPositiveDefiniteError", "CapacityError", "DegeneracyError",
     "GenerationError", "SolverError", "ConfigError",
     "RngStream", "normal_sf", "chisq_sf", "sym_sqrt",
-    "ArwParams", "MixtureParams", "PrecisionModel", "gen_arw", "to_regression",
+    "ArwParams", "PrecisionModel", "gen_arw", "to_regression",
 ]

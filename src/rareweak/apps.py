@@ -8,7 +8,7 @@ simulated threshold) and graph-guided feature ranking with ROC evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -143,7 +143,8 @@ def rank_features_gs(instance: RegressionInstance, plan: GsPlan, us: np.ndarray)
     and feature j scores the minimum over subgraphs containing j, starting
     from a C-order copy of us = rank_features_us(instance), the singletons'
     P-values (the caller's array is not written). Degenerate subgraphs are
-    skipped. The plan must come from select.gs_plan on the Gram matrix.
+    skipped. The plan must come from select.gs_plan on the instance's Gram
+    matrix; a plan of another raises DomainError.
 
     A block of responses is scored in one pass: pairs elementwise, their
     minima folded in with one np.minimum.at on flat indices in each row's
@@ -152,6 +153,7 @@ def rank_features_gs(instance: RegressionInstance, plan: GsPlan, us: np.ndarray)
     """
     if plan.p != instance.p:
         raise DomainError(f"plan is for p={plan.p}, instance has p={instance.p}")
+    plan.check_gram(instance.gram)
     b = np.ascontiguousarray(instance.xtw, dtype=float)
     scores = np.array(us, dtype=float, order="C")
     if scores.shape != b.shape:
@@ -188,29 +190,22 @@ def rank_features_gs(instance: RegressionInstance, plan: GsPlan, us: np.ndarray)
 # ROC evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RocCurve:
-    fpr: np.ndarray
-    tpr: np.ndarray
-    auc: float
-
-
-def roc_curve(scores, truth) -> RocCurve | list[RocCurve]:
-    """ROC of a significance ranking against a true support set.
+def roc_curve(scores, truth) -> np.ndarray:
+    """Area under the ROC of a significance ranking against a true support set.
 
     scores is an array, lower = more significant. truth is a boolean mask of
     the same shape and must mark a nonempty proper subset. Tied scores
     advance the sweep together: the curve has one point per tie group, at
-    the group's last element, and AUC is the trapezoidal area, so ties
-    contribute half credit.
+    the group's last element, and the AUC is its trapezoidal area, so ties
+    contribute half credit. A score vector gives a 0-d array; an (r, p)
+    block of score rows gives the (r,) areas of its rows.
 
-    An (r, p) block of score rows returns one RocCurve per row, sorted in one
-    argsort. The counts at a tie group's end do not depend on the order
-    inside the group, so the sort need not be stable. The trapezoid terms
-    are taken once over all rows' points, and each row's area is the
-    pairwise sum of its own terms: the values and the summation that
-    np.trapezoid(tpr, fpr) uses, so every RocCurve equals the one-row result
-    and its area equals np.trapezoid of its curve bit for bit.
+    A block is sorted in one argsort. The counts at a tie group's end do not
+    depend on the order inside the group, so the sort need not be stable.
+    The trapezoid terms are taken once over all rows' points, and each row's
+    area is the pairwise sum of its own terms: the values and the summation
+    that np.trapezoid(tpr, fpr) uses, so every area equals the one-row
+    result and np.trapezoid of the row's curve bit for bit.
     """
     vals = np.asarray(scores, dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[0] == 0:
@@ -242,7 +237,5 @@ def roc_curve(scores, truth) -> RocCurve | list[RocCurve]:
     # slice, which drops the one term that straddles two rows
     seg = np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0
     ends = np.cumsum(sizes).tolist()
-    curves = [RocCurve(fpr=fpr[a:b], tpr=tpr[a:b],
-                       auc=float(np.add.reduce(seg[a:b - 1])))
-              for a, b in zip([0] + ends[:-1], ends)]
-    return curves if vals.ndim == 2 else curves[0]
+    auc = np.array([np.add.reduce(seg[a:b - 1]) for a, b in zip([0] + ends[:-1], ends)])
+    return auc.reshape(vals.shape[:-1])

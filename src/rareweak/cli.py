@@ -450,7 +450,7 @@ def run_ranking(cfg: dict) -> ResultTable:
     is empty or everything draws no noise and gets NaN AUCs. The others are
     scored together in the consecutive replicates of numerics.row_blocks(reps,
     p): per block, one pair of Sigma products, US scores that GS starts from,
-    and ROC curves, each row equal to scoring its replicate alone.
+    and ROC areas, each row equal to scoring its replicate alone.
 
     cfg["threads"] is the most threads used. The blocks go to a pool only
     when they are at row_blocks' 4-row floor and each holds more than
@@ -473,7 +473,7 @@ def run_ranking(cfg: dict) -> ResultTable:
 
         def block(span):
             ks = range(*span)
-            aucs = [(math.nan, math.nan)] * len(ks)
+            aucs = np.full((len(ks), 2), math.nan)  # (auc_us, auc_gs) per replicate
             scored, beta_rows, noise_rows = [], [], []
             for row, k in enumerate(ks):
                 rng = case_rng.child(k)
@@ -489,18 +489,16 @@ def run_ranking(cfg: dict) -> ResultTable:
             instance = RegressionInstance(gram=sigma, xtw=xtw)
             truth = beta != 0.0
             us = apps.rank_features_us(instance)
-            gs = apps.roc_curve(apps.rank_features_gs(instance, plan, us), truth)
-            for row, u, g in zip(scored, apps.roc_curve(us, truth), gs):
-                aucs[row] = (u.auc, g.auc)
+            aucs[scored, 1] = apps.roc_curve(apps.rank_features_gs(instance, plan, us), truth)
+            aucs[scored, 0] = apps.roc_curve(us, truth)
             return aucs
 
-        blocks = _parallel_map(block, row_blocks(cfg["reps"], p), threads)
-        results = [auc for aucs in blocks for auc in aucs]
-        for k, (auc_us, auc_gs) in enumerate(results):
+        aucs = np.concatenate(_parallel_map(block, row_blocks(cfg["reps"], p), threads))
+        for k, (auc_us, auc_gs) in enumerate(aucs.tolist()):
             rows.append((float(h0), float(tau), k, auc_us, auc_gs))
-        valid = [(u, g) for u, g in results if not math.isnan(u)]
-        mean_us = float(np.mean([u for u, _ in valid])) if valid else math.nan
-        mean_gs = float(np.mean([g for _, g in valid])) if valid else math.nan
+        # contiguous columns, so that np.mean sums each one pairwise
+        valid = aucs[~np.isnan(aucs[:, 0])].T.copy()
+        mean_us, mean_gs = (float(np.mean(col)) if col.size else math.nan for col in valid)
         rows.append((float(h0), float(tau), -1, mean_us, mean_gs))
     return ResultTable("ranking", ["h0", "tau", "rep", "auc_us", "auc_gs"],
                        rows, cfg)

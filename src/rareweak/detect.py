@@ -24,9 +24,6 @@ PVALUE_CLAMP = 1e-15
 # _hc_bound's buckets: the bits of a double above the 46th, 64 per octave.
 _BUCKET_SHIFT = 46
 
-TRANSFORMS = ("none", "whitened", "innovated")
-SIDES = ("upper", "two")
-
 # Each HC variant is a P-value pipeline scored by an HC functional, whose
 # null table it needs: variant -> (transform, side, functional).
 _VARIANT_PVALUES = {
@@ -46,19 +43,18 @@ class DetectionResult:
     clamped: bool = False
 
 
-def pvalues(y: np.ndarray, omega: PrecisionModel, transform: str = "none",
-            side: str = "upper") -> np.ndarray:
-    """Per-coordinate P-values of the observation under a noise transform.
+def pvalues(y: np.ndarray, omega: PrecisionModel, variant: str) -> np.ndarray:
+    """Per-coordinate P-values of the observation under an HC variant's noise
+    transform and side (_VARIANT_PVALUES).
 
     transform "none" standardizes each Y_i by sqrt(Sigma(i,i)); "whitened"
     applies Omega^{1/2} (unit noise variance); "innovated" applies Omega,
     whose unit diagonal makes the transformed variance 1. Upper-side
     P-values are P(N(0,1) >= t), two-sided are P(|N(0,1)| >= |t|).
     """
-    if transform not in TRANSFORMS:
-        raise DomainError(f"unknown transform {transform!r}")
-    if side not in SIDES:
-        raise DomainError(f"unknown side {side!r}")
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}")
+    transform, side, _ = _VARIANT_PVALUES[variant]
     y = np.asarray(y, dtype=float)
     if y.shape != (omega.p,):
         raise DomainError("y length must match omega dimension")
@@ -71,13 +67,6 @@ def pvalues(y: np.ndarray, omega: PrecisionModel, transform: str = "none",
     if side == "upper":
         return normal_sf(t)
     return 2.0 * normal_sf(np.abs(t))
-
-
-def _pvalue_array(pv) -> np.ndarray:
-    vals = np.asarray(pv, dtype=float)
-    if vals.ndim != 1 or vals.size < 2:
-        raise DomainError("need a vector of at least two P-values")
-    return vals
 
 
 def _hc_objective(sorted_p: np.ndarray, p: int,
@@ -182,7 +171,10 @@ def _hc_bound(p: int, frac: float, floor: bool):
 
 
 def _hc_result(pv, frac: float, floor: bool) -> DetectionResult:
-    stat, clamped = _hc(_pvalue_array(pv)[None, :], frac, floor)
+    vals = np.asarray(pv, dtype=float)
+    if vals.ndim != 1 or vals.size < 2:
+        raise DomainError("need a vector of at least two P-values")
+    stat, clamped = _hc(vals[None, :], frac, floor)
     return DetectionResult(statistic=float(stat[0]), clamped=bool(clamped[0]))
 
 
@@ -257,7 +249,8 @@ def critical_value(p: int, alphas, variant: str = "ohc",
     statistic of the whole table, and every quantile is the one of all rows
     scored. A streamed threshold lets about need (1 + ln(n / need)) of the
     n rows through, so tables whose quantiles reach deeper than a tenth of
-    the rows score every row.
+    the rows score every row. A quantile that would be NaN raises
+    DomainError.
     """
     if num_null_reps < 100:
         raise DomainError("num_null_reps must be at least 100")
@@ -288,7 +281,14 @@ def critical_value(p: int, alphas, variant: str = "ohc",
         if keep.size:
             stats[lo + keep] = exact = _hc(rows[keep], frac, floor)[0]
             top = np.partition(np.concatenate([top, exact]), keep.size)[keep.size:]
-    quantiles = tuple(float(np.quantile(stats, 1.0 - a)) for a in alphas)
+    # a quantile that interpolates from a statistic of -inf (an empty HC+
+    # feasible set) can come out NaN, a threshold that rejects nothing
+    with np.errstate(invalid="ignore"):
+        quantiles = tuple(float(np.quantile(stats, 1.0 - a)) for a in alphas)
+    for a, q in zip(alphas, quantiles):
+        if math.isnan(q):
+            raise DomainError(f"no {variant} critical value at alpha {a} and p {p}: "
+                              "its null quantile interpolates from a statistic of -inf")
     return CriticalValueTable(p=int(p), variant=variant, alphas=tuple(alphas),
                               quantiles=quantiles, num_null_reps=num_null_reps,
                               alpha0=alpha0)
@@ -297,15 +297,6 @@ def critical_value(p: int, alphas, variant: str = "ohc",
 # ---------------------------------------------------------------------------
 # size and power
 # ---------------------------------------------------------------------------
-
-def _variant_statistic(y: np.ndarray, omega: PrecisionModel, variant: str,
-                       alpha0: float = 0.5) -> DetectionResult:
-    transform, side, functional = _VARIANT_PVALUES[variant]
-    pv = pvalues(y, omega, transform, side)
-    if functional == "hcplus":
-        return hc_plus_statistic(pv, alpha0=alpha0)
-    return hc_statistic(pv)
-
 
 def variant_threshold(omega: PrecisionModel, variant: str, alpha: float,
                       table: CriticalValueTable) -> float:
@@ -328,7 +319,8 @@ def power_estimate(params, omega: PrecisionModel, variant: str,
                    table: CriticalValueTable, alpha0: float = 0.5) -> PowerEstimate:
     """Monte Carlo size and power at a shared simulated critical value.
 
-    params is an ArwParams or MixtureParams; only (p, epsilon, tau) are used.
+    params is an ArwParams or any object with p, epsilon and tau; only those
+    are used.
     table must be simulated at p for the variant's TABLE_FUNCTIONAL ('hcplus'
     for HC+, at this alpha0, and 'ohc' for every other variant).
 
@@ -340,19 +332,22 @@ def power_estimate(params, omega: PrecisionModel, variant: str,
         raise DomainError("reps must be at least 50")
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
-    table.check(params.p, TABLE_FUNCTIONAL[variant], alpha0)
+    functional = TABLE_FUNCTIONAL[variant]
+    table.check(params.p, functional, alpha0)
     threshold = variant_threshold(omega, variant, alpha, table)
+
+    def rejects(y) -> bool:
+        pv = pvalues(y, omega, variant)
+        res = hc_statistic(pv) if functional == "ohc" else hc_plus_statistic(pv, alpha0=alpha0)
+        return res.statistic >= threshold
+
     null_rejects = 0
     alt_rejects = 0
     lane = rng.child(1)
     for k in range(reps):
         rep = lane.child(k)
-        y0 = omega.sample_noise(rep.child(0))
-        if _variant_statistic(y0, omega, variant, alpha0).statistic >= threshold:
-            null_rejects += 1
-        inst = gen_arw(params, omega, rep.child(1))
-        if _variant_statistic(inst.y, omega, variant, alpha0).statistic >= threshold:
-            alt_rejects += 1
+        null_rejects += rejects(omega.sample_noise(rep.child(0)))
+        alt_rejects += rejects(gen_arw(params, omega, rep.child(1)).y)
     size = null_rejects / reps
     power = alt_rejects / reps
     return PowerEstimate(

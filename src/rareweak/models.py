@@ -74,27 +74,6 @@ class ArwParams:
         return signal_strength(self.p, self.r)
 
 
-@dataclass(frozen=True)
-class MixtureParams:
-    """Raw two-point mixture calibration, untied from the (vartheta, r) scaling.
-
-    Useful for degenerate corners such as epsilon = 0, where the alternative
-    coincides with the null.
-    """
-
-    p: int
-    epsilon: float
-    tau: float
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise DomainError("p must be >= 2")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise DomainError("epsilon must lie in [0, 1)")
-        if not 0.0 <= self.tau < math.inf:
-            raise DomainError(f"tau must be non-negative and finite, got {self.tau!r}")
-
-
 def pair_blocks(p: int, block) -> sp.csr_matrix:
     """I_{p/2} (x) block for an even p and a 2 x 2 block, as CSR.
 
@@ -262,9 +241,8 @@ class ArwInstance:
 def gen_arw(params, omega: PrecisionModel, rng: RngStream) -> ArwInstance:
     """Generate signals iid Bernoulli(epsilon) * tau and add N(0, Sigma) noise.
 
-    params is an ArwParams (epsilon and tau derived from the exponents) or a
-    MixtureParams with raw values. Draw order is fixed (support first, then
-    noise) so streams replay exactly.
+    params is an ArwParams or any object with p, epsilon and tau. Draw order
+    is fixed (support first, then noise) so streams replay exactly.
     """
     if omega.p != params.p:
         raise DomainError(f"omega dimension {omega.p} != p {params.p}")
@@ -286,6 +264,14 @@ def gram_blocks(gram: sp.csr_matrix, sets) -> np.ndarray:
     return np.asarray(gram[rows, cols]).reshape(k, n, n)
 
 
+def as_csr(gram) -> sp.csr_matrix:
+    """gram (dense or sparse) as float64 CSR; one that already is comes back
+    as given, so that objects built from one Gram matrix share it."""
+    if sp.isspmatrix_csr(gram) and gram.dtype == float:
+        return gram
+    return sp.csr_matrix(gram, dtype=float)
+
+
 @dataclass
 class RegressionInstance:
     """Regression form W = X beta + z with Gram matrix G = X'X.
@@ -300,8 +286,7 @@ class RegressionInstance:
     xtw: np.ndarray
 
     def __post_init__(self):
-        if not (sp.isspmatrix_csr(self.gram) and self.gram.dtype == float):
-            self.gram = sp.csr_matrix(self.gram, dtype=float)
+        self.gram = as_csr(self.gram)
         if np.shape(self.xtw)[-1:] != self.gram.shape[:1]:
             raise DomainError(f"xtw has shape {np.shape(self.xtw)}, "
                               f"Gram matrix is {self.gram.shape[0]} x {self.gram.shape[1]}")

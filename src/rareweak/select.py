@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .errors import CapacityError, DegeneracyError, DomainError
 from .graph import DependencyGraph, connected_components, enum_connected_subgraphs
-from .models import PrecisionModel, RegressionInstance, gram_blocks, regression_from_y
+from .models import PrecisionModel, RegressionInstance, as_csr, gram_blocks, regression_from_y
 from .numerics import check_gram, gram_rank_deficient
 
 DEFAULT_SCREEN_Q = 0.9
@@ -155,15 +155,23 @@ class GsPlan:
     def pair_ok(self) -> np.ndarray:  # False where check_gram finds the pair rank deficient
         return ~gram_rank_deficient(np.linalg.eigvalsh(self.pair_grams))
 
+    def check_gram(self, gram: sp.csr_matrix) -> None:
+        """Raise DomainError unless gram is the plan's Gram matrix: the same
+        object, or one of its shape equal to it entry for entry."""
+        if gram is not self.gram and (gram.shape != self.gram.shape
+                                      or (gram != self.gram).nnz):
+            raise DomainError("plan was built from another Gram matrix")
+
 
 def gs_plan(gram, graph: DependencyGraph, m0: int) -> GsPlan:
     """Enumerate the connected subgraphs of size <= m0 of graph, keeping gram
-    (dense or sparse) as CSR to read their Gram blocks from.
+    (dense or sparse) as CSR to read their Gram blocks from; a float64 CSR
+    gram is kept as given, as RegressionInstance keeps it.
 
     Singletons are every node and pairs are the graph's edges; the larger
     subgraphs keep enum_connected_subgraphs' size-then-lex order.
     """
-    gram = sp.csr_matrix(gram, dtype=float)
+    gram = as_csr(gram)
     p = gram.shape[0]
     if graph.num_nodes != p:
         raise DomainError(f"graph has {graph.num_nodes} nodes, Gram matrix is {p} x {p}")
@@ -198,7 +206,8 @@ def gs_screen(instance: RegressionInstance, plan: GsPlan | DependencyGraph,
     skipped with a warning.
 
     plan is gs_plan's plan of the instance's Gram matrix at tuning.m0, built
-    once per design; a DependencyGraph is planned here, for this call only.
+    once per design; a plan of another Gram matrix raises DomainError. A
+    DependencyGraph is planned here, for this call only.
 
     Singletons and pairs are scored in stacked calls with the arithmetic of
     RegressionInstance.quadform (b*b/g for one column, solve and then dot for
@@ -212,6 +221,7 @@ def gs_screen(instance: RegressionInstance, plan: GsPlan | DependencyGraph,
     if (plan.p, plan.m0) != (p, tuning.m0):
         raise DomainError(f"plan is for p={plan.p}, m0={plan.m0}; the screen has "
                           f"p={p}, m0={tuning.m0}")
+    plan.check_gram(instance.gram)
     gate = 2.0 * tuning.q * math.log(p)
     b = np.asarray(instance.xtw, dtype=float)
 

@@ -222,7 +222,7 @@ class TestRankingGs:
         x = sym_sqrt(sigma)
         w = x @ (np.array([3.0, 3.0] + [0.0] * 8)) + RngStream(8, 0).standard_normal(10)
         inst = _instance_from_design(x, w)
-        gs = apps.rank_features_gs(inst, _plan(sigma, 0.3, 2), apps.rank_features_us(inst))
+        gs = apps.rank_features_gs(inst, _plan(inst.gram, 0.3, 2), apps.rank_features_us(inst))
         from rareweak.numerics import chisq_sf
 
         diag = inst.gram_diag()
@@ -254,8 +254,8 @@ class TestRankingGs:
             inst = mo.RegressionInstance(gram=sigma, xtw=xtw)
             truth = beta != 0
             us = apps.rank_features_us(inst)
-            auc_us = apps.roc_curve(us, truth).auc
-            auc_gs = apps.roc_curve(apps.rank_features_gs(inst, plan, us), truth).auc
+            auc_us = apps.roc_curve(us, truth)
+            auc_gs = apps.roc_curve(apps.rank_features_gs(inst, plan, us), truth)
             gaps.append(auc_gs - auc_us)
         assert np.mean(gaps) > 0.05
 
@@ -325,6 +325,28 @@ class TestGsPlan:
         with pytest.raises(DomainError, match=r"^plan is for p=6, instance has p=8$"):
             apps.rank_features_gs(inst, _plan(np.eye(6), 0.0, 2), apps.rank_features_us(inst))
 
+    def test_plan_for_other_gram_rejected(self):
+        # a plan of block2 at h0 = 0.5 would screen and rank an instance of
+        # h0 = -0.9 at the same p differently from that instance's own plan
+        p = 40
+        own = mo.PrecisionModel.block2(p, -0.9)
+        other = mo.PrecisionModel.block2(p, 0.5)
+        inst = mo.regression_from_y(3.0 * RngStream(11, 3).standard_normal(p), own)
+        tuning = select.default_gs_tuning(p, 0.4, 2.0, m0=2)
+        us = apps.rank_features_us(inst)
+        plan = select.gs_plan(other.omega, other.graph(), 2)
+        assert plan.gram is other.omega
+        with pytest.raises(DomainError, match="another Gram matrix"):
+            select.gs_screen(inst, plan, tuning)
+        with pytest.raises(DomainError, match="another Gram matrix"):
+            apps.rank_features_gs(inst, plan, us)
+        # a plan of an equal copy of the instance's Gram matrix is accepted
+        plan = select.gs_plan(own.omega.copy(), own.graph(), 2)
+        assert plan.gram is not inst.gram
+        assert np.array_equal(select.gs_screen(inst, plan, tuning),
+                              select.gs_screen(inst, own.graph(), tuning))
+        apps.rank_features_gs(inst, plan, us)
+
     def test_pair_blocks_read_on_first_use(self):
         # gs_plan keeps the CSR Gram matrix; the pair blocks and their
         # degeneracy are read by the first scoring call and kept
@@ -378,18 +400,18 @@ class TestRoc:
     def test_perfect_separation(self):
         scores = np.array([0.01, 0.02, 0.9, 0.95])
         truth = np.array([True, True, False, False])
-        assert apps.roc_curve(scores, truth).auc == pytest.approx(1.0)
+        assert apps.roc_curve(scores, truth) == pytest.approx(1.0)
 
     def test_reversed(self):
         scores = np.array([0.9, 0.95, 0.01, 0.02])
         truth = np.array([True, True, False, False])
-        assert apps.roc_curve(scores, truth).auc == pytest.approx(0.0)
+        assert apps.roc_curve(scores, truth) == pytest.approx(0.0)
 
     def test_all_tied_gives_half(self):
         scores = np.ones(10)
         truth = np.zeros(10, dtype=bool)
         truth[:3] = True
-        assert apps.roc_curve(scores, truth).auc == pytest.approx(0.5)
+        assert apps.roc_curve(scores, truth) == pytest.approx(0.5)
 
     def test_random_scores_near_half(self):
         p = 4000
@@ -397,7 +419,7 @@ class TestRoc:
         scores = rng.uniform(p)
         truth = np.zeros(p, dtype=bool)
         truth[: p // 4] = True
-        auc = apps.roc_curve(scores, truth).auc
+        auc = apps.roc_curve(scores, truth)
         assert abs(auc - 0.5) <= 3.0 / math.sqrt(p // 4)
 
     def test_index_set_truth(self):
@@ -405,15 +427,15 @@ class TestRoc:
         scores = np.array([0.1, 0.9, 0.2, 0.8])
         with pytest.raises(DomainError):
             apps.roc_curve(scores, np.array([0, 2]))
-        assert apps.roc_curve(scores, np.array([True, False, True, False])).auc == 1.0
+        assert apps.roc_curve(scores, np.array([True, False, True, False])) == 1.0
 
     @given(st.floats(0.1, 5.0), st.floats(-3.0, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_monotone_transform_invariance(self, scale, shift):
         scores = np.array([0.05, 0.3, 0.2, 0.9, 0.5, 0.7])
         truth = np.array([True, False, True, False, False, True])
-        base = apps.roc_curve(scores, truth).auc
-        transformed = apps.roc_curve(scale * scores + shift, truth).auc
+        base = apps.roc_curve(scores, truth)
+        transformed = apps.roc_curve(scale * scores + shift, truth)
         assert transformed == pytest.approx(base)
 
     def test_degenerate_truth_rejected(self):
@@ -431,7 +453,7 @@ class TestRoc:
     def test_block_takes_only_a_matching_mask(self):
         scores = np.array([[0.1, 0.9, 0.2, 0.8], [0.3, 0.2, 0.1, 0.4]])
         mask = np.array([[True, False, False, False], [False, True, True, False]])
-        assert len(apps.roc_curve(scores, mask)) == 2
+        assert apps.roc_curve(scores, mask).shape == (2,)
         for truth in ([0, 2], mask[0], mask[:, :3], np.array([mask]),
                       np.array([mask[0], [True] * 4])):
             with pytest.raises(DomainError):
@@ -447,14 +469,15 @@ def _bits(a):
 
 
 def _roc_reference(vals, mask):
-    """The ROC sweep of one row with a stable sort: (fpr, tpr, auc)."""
+    """The ROC sweep of one row with a stable sort, one point per tie group
+    behind a leading zero: (fpr, tpr)."""
     p, npos = vals.size, int(mask.sum())
     order = np.argsort(vals, kind="stable")
     sorted_vals, sorted_true = vals[order], mask[order]
     ends = np.append(np.flatnonzero(np.diff(sorted_vals) != 0), p - 1)
     tpr = np.concatenate([[0.0], np.cumsum(sorted_true)[ends] / npos])
     fpr = np.concatenate([[0.0], np.cumsum(~sorted_true)[ends] / (p - npos)])
-    return fpr, tpr, float(np.trapezoid(tpr, fpr))
+    return fpr, tpr
 
 
 class TestBlocks:
@@ -519,16 +542,15 @@ class TestBlocks:
         assert sum(np.unique(row).size < row.size for row in gs) >= 4
         masks = RngStream(18, 0).uniform(scores.shape) < 0.4
         masks[:, 0], masks[:, 1] = True, False
-        curves = apps.roc_curve(scores, masks)
-        assert len(curves) == len(scores)
-        for curve, row, mask in zip(curves, scores, masks):
+        aucs = apps.roc_curve(scores, masks)
+        assert aucs.shape == (len(scores),)
+        for auc, row, mask in zip(aucs, scores, masks):
             one = apps.roc_curve(row, mask)
-            ref = _roc_reference(row, mask)
-            for got in (curve, one):
-                assert np.array_equal(_bits(got.fpr), _bits(ref[0]))
-                assert np.array_equal(_bits(got.tpr), _bits(ref[1]))
-                assert _bits(got.auc) == _bits(ref[2])
-        assert curves[-1].auc == 0.5 and curves[-1].fpr.size == 2
+            assert one.shape == ()
+            fpr, tpr = _roc_reference(row, mask)
+            for got in (auc, one):
+                assert _bits(got) == _bits(np.trapezoid(tpr, fpr))
+        assert aucs[-1] == 0.5
 
     @pytest.mark.parametrize("p", [255, 1024, 2499])
     def test_roc_auc_is_trapezoid_on_long_rows(self, p):
@@ -544,12 +566,11 @@ class TestBlocks:
                             np.minimum(v[5], v[5, partner])])
         masks = rng.uniform(scores.shape) < 0.3
         masks[:, 0], masks[:, 1] = True, False
-        curves = apps.roc_curve(scores, masks)
-        sizes = [c.fpr.size for c in curves]
+        aucs = apps.roc_curve(scores, masks)
+        curves = [_roc_reference(row, mask) for row, mask in zip(scores, masks)]
+        sizes = [fpr.size for fpr, _ in curves]
         assert 129 <= min(sizes) < max(sizes) == p + 1 <= 2500
-        for curve, row, mask in zip(curves, scores, masks):
-            one = apps.roc_curve(row, mask)
-            assert np.array_equal(_bits(one.fpr), _bits(curve.fpr))
-            assert np.array_equal(_bits(one.tpr), _bits(curve.tpr))
-            for got in (curve, one):
-                assert _bits(got.auc) == _bits(np.trapezoid(got.tpr, got.fpr))
+        for auc, (fpr, tpr), row, mask in zip(aucs, curves, scores, masks):
+            want = _bits(np.trapezoid(tpr, fpr))
+            assert _bits(auc) == want
+            assert _bits(apps.roc_curve(row, mask)) == want

@@ -178,6 +178,19 @@ class TestConfigResolution:
                          "--out", str(tmp_path)]) == 0
         assert (tmp_path / "bandwidth.csv").exists()
 
+    def test_detect_nan_threshold_exit_code(self, tmp_path, capsys):
+        # every null statistic the 0.1 quantile reads is -inf (no sorted
+        # P-value above 1/p among the first two), so no threshold exists
+        config_path = tmp_path / "nan.json"
+        config_path.write_text(json.dumps({"p": 4, "variants": ["hcplus"], "alpha": 0.9,
+                                           "reps": 50, "null_reps": 100}))
+        assert cli.main(["detect", "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: no hcplus critical value at alpha 0.9 and p 4: "
+                       "its null quantile interpolates from a statistic of -inf\n")
+        assert not (tmp_path / "detect.csv").exists()
+
     @pytest.mark.parametrize("experiment,raw", [
         ("detect", {"p": 301}), ("classify", {"p": 301}),
         ("recover", {"p_grid": [64, 65]}), ("classify", {"p": 10, "alpha0": 0.1}),

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,18 +11,35 @@ from rareweak import detect as de
 from rareweak import models as mo
 from rareweak.numerics import BLOCK_VALUES, RngStream, normal_sf, row_blocks
 
+
+def _transform_pvalues(y, om, transform, side):
+    """P-values of Y under a noise transform and side, one step at a time."""
+    if transform == "none":
+        t = y / np.sqrt(om.sigma_diag())
+    elif transform == "whitened":
+        t = om.sqrt_matvec(y)
+    else:
+        t = om.matvec(y)
+    return normal_sf(t) if side == "upper" else 2.0 * normal_sf(np.abs(t))
+
+
+_VARIANT_PIPELINES = {"ohc": ("none", "upper"), "hcplus": ("none", "upper"),
+                      "bhc": ("none", "two"), "whc": ("whitened", "two"),
+                      "ihc": ("innovated", "two")}
+
+
 class TestPValues:
     def test_zero_data_upper(self):
         om = mo.PrecisionModel.identity(6)
-        pv = de.pvalues(np.zeros(6), om, "none", "upper")
+        pv = de.pvalues(np.zeros(6), om, "ohc")
         assert np.allclose(pv, 0.5)
 
     def test_transforms_coincide_under_identity(self):
         om = mo.PrecisionModel.identity(10)
         y = RngStream(1, 0).standard_normal(10)
-        a = de.pvalues(y, om, "none", "two")
-        b = de.pvalues(y, om, "whitened", "two")
-        c = de.pvalues(y, om, "innovated", "two")
+        a = de.pvalues(y, om, "bhc")
+        b = de.pvalues(y, om, "whc")
+        c = de.pvalues(y, om, "ihc")
         assert np.allclose(a, b) and np.allclose(a, c)
 
     def test_block_model_snr_ordering(self):
@@ -31,22 +49,31 @@ class TestPValues:
         om = mo.PrecisionModel.block2(4, h0)
         y = np.zeros(4)
         y[0] = tau
-        brute = de.pvalues(y, om, "none", "two")[0]
-        whit = de.pvalues(y, om, "whitened", "two")[0]
-        innov = de.pvalues(y, om, "innovated", "two")[0]
+        brute = de.pvalues(y, om, "bhc")[0]
+        whit = de.pvalues(y, om, "whc")[0]
+        innov = de.pvalues(y, om, "ihc")[0]
         assert abs(brute - 2 * normal_sf(math.sqrt(1 - h0**2) * tau)) <= 1e-12
         assert abs(whit - 2 * normal_sf(0.965926 * tau)) <= 1e-6
         assert abs(innov - 2 * normal_sf(tau)) <= 1e-12
         assert innov < whit < brute
 
+    @pytest.mark.parametrize("omega", [{"kind": "identity"}, {"kind": "block2", "h0": 0.5}],
+                             ids=["identity", "block2"])
+    @pytest.mark.parametrize("variant", de.VARIANTS)
+    def test_variant_equals_its_transform_and_side(self, omega, variant):
+        om = cli._build_omega(omega, 50)
+        y = 2.0 * RngStream(1, 1).standard_normal(50)
+        y[:5] += 3.0
+        want = _transform_pvalues(y, om, *_VARIANT_PIPELINES[variant])
+        assert np.array_equal(de.pvalues(y, om, variant), want)
+
     def test_invalid_args(self):
         om = mo.PrecisionModel.identity(4)
+        for variant in ("nope", "none", "whitened"):
+            with pytest.raises(DomainError, match="unknown variant"):
+                de.pvalues(np.zeros(4), om, variant)
         with pytest.raises(DomainError):
-            de.pvalues(np.zeros(4), om, "nope", "upper")
-        with pytest.raises(DomainError):
-            de.pvalues(np.zeros(4), om, "none", "lower")
-        with pytest.raises(DomainError):
-            de.pvalues(np.zeros(3), om)
+            de.pvalues(np.zeros(3), om, "ohc")
 
 
 class TestHcStatistic:
@@ -310,17 +337,26 @@ class TestPrunedTables:
         stats = np.array([_reference_hc(rng.uniform(p), frac, floor) for _ in range(reps)])
         scored = _counting_hc(monkeypatch)
         # the first two sets read at most a tenth of the rows, so they prune
+        undefined = 0
         for alphas in ([0.005], [0.01, 0.05], [0.05, 0.2], np.linspace(0.01, 0.99, 99)):
             scored.clear()
-            # where both order statistics a quantile reads are -inf (an empty
-            # HC+ feasible set), numpy interpolates NaN
+            # a quantile that interpolates from a statistic of -inf (an empty
+            # HC+ feasible set) can come out NaN, and the table then raises
             with np.errstate(invalid="ignore"):
-                table = de.critical_value(p, alphas, variant, reps, rng=RngStream(24, p),
-                                          alpha0=alpha0)
-                expected = [float(np.quantile(stats, 1.0 - a)) for a in table.alphas]
-            assert np.array_equal(table.quantiles, expected, equal_nan=True)
+                expected = [float(np.quantile(stats, 1.0 - a)) for a in alphas]
+            if np.isnan(expected).any():
+                undefined += 1
+                with pytest.raises(DomainError, match=f"no hcplus critical value at "
+                                                      f"alpha .* and p {p}:"):
+                    de.critical_value(p, alphas, variant, reps, rng=RngStream(24, p),
+                                      alpha0=alpha0)
+                continue
+            table = de.critical_value(p, alphas, variant, reps, rng=RngStream(24, p),
+                                      alpha0=alpha0)
+            assert table.quantiles == tuple(expected)
             if p >= 2000 and max(alphas) <= 0.05:
                 assert sum(scored) < reps
+        assert (undefined > 0) == (variant == "hcplus" and p in (2, 3, 7))
 
     def test_paper_bandwidth_table_equals_full_computation(self):
         cfg = cli.resolve_config("bandwidth", None, {"scale": "paper"})
@@ -409,7 +445,7 @@ class TestPowerEstimate:
                                        rng=RngStream(12, 0))
 
     def test_null_alternative_matches_size(self):
-        mix = mo.MixtureParams(p=self.p, epsilon=0.0, tau=3.0)
+        mix = SimpleNamespace(p=self.p, epsilon=0.0, tau=3.0)
         est = de.power_estimate(mix, self.om, "ohc", 0.05, 200,
                                 RngStream(12, 1), table=self.table)
         joint_se = math.sqrt(est.size_se**2 + est.power_se**2)
@@ -432,7 +468,7 @@ class TestPowerEstimate:
             assert hi >= lo - 2 * math.hypot(lo_se, hi_se)
 
     def test_ohc_size_within_binomial_error(self):
-        mix = mo.MixtureParams(p=self.p, epsilon=0.0, tau=0.0)
+        mix = SimpleNamespace(p=self.p, epsilon=0.0, tau=0.0)
         table = de.critical_value(self.p, [0.05, 0.2, 0.4], num_null_reps=10**4,
                                   rng=RngStream(13, 0))
         for alpha in (0.05, 0.2, 0.4):
@@ -442,9 +478,8 @@ class TestPowerEstimate:
 
     def test_variants_coincide_under_identity(self):
         y = RngStream(14, 0).standard_normal(self.p)
-        b = de._variant_statistic(y, self.om, "bhc").statistic
-        w = de._variant_statistic(y, self.om, "whc").statistic
-        i = de._variant_statistic(y, self.om, "ihc").statistic
+        b, w, i = (de.hc_statistic(de.pvalues(y, self.om, v)).statistic
+                   for v in ("bhc", "whc", "ihc"))
         assert b == w == i
 
     def test_mismatched_table_rejected(self):

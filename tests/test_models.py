@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,12 +41,9 @@ class TestParams:
             mo.ArwParams(p=100, vartheta=1.0, r=1.0)
         with pytest.raises(DomainError):
             mo.ArwParams(p=100, vartheta=0.5, r=0.0)
-        with pytest.raises(DomainError):
-            mo.MixtureParams(p=100, epsilon=1.0, tau=1.0)
 
     @pytest.mark.parametrize("field,build", [
         ("r", lambda x: mo.ArwParams(p=100, vartheta=0.5, r=x)),
-        ("tau", lambda x: mo.MixtureParams(p=100, epsilon=0.1, tau=x)),
         ("threshold", lambda x: select.hard_threshold(np.ones(4), x)),
         ("threshold", lambda x: classify.clip_threshold(np.ones(4), x)),
         ("r", lambda x: select.ideal_q(0.5, x)),
@@ -54,7 +52,7 @@ class TestParams:
         ("r", lambda x: select.default_gs_tuning(100, 0.5, x)),
         ("tau", lambda x: mo.draw_paired_beta(10, 0.5, x, RngStream(1, 0))),
         ("r", lambda x: phase.block_exponent(0.5, x, 0.5)),
-    ], ids=["ArwParams", "MixtureParams", "hard_threshold", "clip_threshold",
+    ], ids=["ArwParams", "hard_threshold", "clip_threshold",
             "ideal_q", "GsTuning.q", "GsTuning.v", "default_gs_tuning",
             "draw_paired_beta", "block_exponent"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -422,7 +420,7 @@ class TestGenArw:
         assert np.array_equal(a.y, b.y) and np.array_equal(a.beta, b.beta)
 
     def test_epsilon_zero_mixture(self):
-        mix = mo.MixtureParams(p=40, epsilon=0.0, tau=3.0)
+        mix = SimpleNamespace(p=40, epsilon=0.0, tau=3.0)
         inst = mo.gen_arw(mix, mo.PrecisionModel.identity(40), RngStream(8, 0))
         assert not inst.beta.any()
 

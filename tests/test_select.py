@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ class TestGsClean:
 class TestGsEstimate:
     def test_pure_noise_keeps_almost_nothing(self):
         om = mo.PrecisionModel.identity(2000)
-        mix = mo.MixtureParams(p=2000, epsilon=0.0, tau=0.0)
+        mix = SimpleNamespace(p=2000, epsilon=0.0, tau=0.0)
         plan = se.gs_plan(om.omega, om.graph(), 1)
         sizes = []
         for k in range(20):
