@@ -249,7 +249,7 @@ def critical_value(p: int, alphas, variant: str = "ohc",
     statistic of the whole table, and every quantile is the one of all rows
     scored. A streamed threshold lets about need (1 + ln(n / need)) of the
     n rows through, so tables whose quantiles reach deeper than a tenth of
-    the rows score every row. A quantile that would be NaN raises
+    the rows score every row. A quantile that would not be finite raises
     DomainError.
     """
     if num_null_reps < 100:
@@ -282,11 +282,11 @@ def critical_value(p: int, alphas, variant: str = "ohc",
             stats[lo + keep] = exact = _hc(rows[keep], frac, floor)[0]
             top = np.partition(np.concatenate([top, exact]), keep.size)[keep.size:]
     # a quantile that interpolates from a statistic of -inf (an empty HC+
-    # feasible set) can come out NaN, a threshold that rejects nothing
+    # feasible set) can come out NaN or -inf: it rejects nothing or everything
     with np.errstate(invalid="ignore"):
         quantiles = tuple(float(np.quantile(stats, 1.0 - a)) for a in alphas)
     for a, q in zip(alphas, quantiles):
-        if math.isnan(q):
+        if not math.isfinite(q):
             raise DomainError(f"no {variant} critical value at alpha {a} and p {p}: "
                               "its null quantile interpolates from a statistic of -inf")
     return CriticalValueTable(p=int(p), variant=variant, alphas=tuple(alphas),

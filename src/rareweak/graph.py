@@ -216,16 +216,12 @@ def _component_roots(g: DependencyGraph, restrict_to):
     return nodes, root[nodes]
 
 
-def component_labels(g: DependencyGraph):
-    """Array form of connected_components over all nodes: (label, order).
-
-    label[v] numbers the component of node v from 0, components counted in
-    order of their smallest node, and order lists the nodes component by
-    component, each component ascending.
-    """
+def component_labels(g: DependencyGraph) -> np.ndarray:
+    """Array form of connected_components over all nodes: label[v] numbers
+    the component of node v from 0, components counted in order of their
+    smallest node."""
     nodes, root = _component_roots(g, None)
-    label = np.cumsum(root == nodes)[root] - 1
-    return label, np.argsort(label, kind="stable")
+    return np.cumsum(root == nodes)[root] - 1
 
 
 def connected_components(g: DependencyGraph, restrict_to=None):

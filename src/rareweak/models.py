@@ -173,7 +173,7 @@ class PrecisionModel:
             with self._factor_lock:
                 if self._factor_cache is None:
                     self._factor_cache = component_factors(
-                        self._omega, *graphmod.component_labels(self.graph()))
+                        self._omega, graphmod.component_labels(self.graph()))
         return self._factor_cache
 
     # -- linear maps --------------------------------------------------------

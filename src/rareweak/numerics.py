@@ -252,14 +252,13 @@ def chol_banded(sigma: BandedSymmetric) -> BandedCholesky:
 # blockwise factorization over the sparsity graph
 # ---------------------------------------------------------------------------
 
-def component_factors(a, label, order):
+def component_factors(a, label):
     """A^{1/2}, A^{-1/2} and the diagonal of A^{-1} for a symmetric A (sparse
     or dense).
 
-    label and order describe the connected components of A's sparsity graph
-    as graph.component_labels gives them: label[v] numbers node v's
-    component, counting components by smallest member, and order lists the
-    nodes component by component, each ascending. Entries of A between
+    label numbers the connected components of A's sparsity graph as
+    graph.component_labels gives them: label[v] is node v's component,
+    counting components by smallest member. Entries of A between
     components must be zeros below ZERO_TOL and are dropped. The COO entries
     of A are scattered into the roots' CSR layout, which holds each
     component's full s x s block with its columns in member order; each
@@ -270,6 +269,7 @@ def component_factors(a, label, order):
     eigenvalue is at most 1e-12.
     """
     p = a.shape[0]
+    order = np.argsort(label, kind="stable")  # component by component, each ascending
     sizes = np.bincount(label)
     starts = np.cumsum(sizes) - sizes
     pos = np.empty(p, dtype=int)
@@ -339,14 +339,14 @@ def sym_sqrt(omega: np.ndarray) -> np.ndarray:
     eigenvalue is at most 1e-12 raises NotPositiveDefiniteError.
     """
     a = symmetric_array(omega)
-    label, order = component_labels(graph_from_matrix(a))
+    label = component_labels(graph_from_matrix(a))
     big = np.bincount(label)
     big = big[big > SYM_SQRT_COMPONENT_CAP]
     if big.size:
         raise CapacityError(
             f"sparsity component of size {big[0]} exceeds cap {SYM_SQRT_COMPONENT_CAP}"
         )
-    return component_factors(a, label, order)[0].toarray()
+    return component_factors(a, label)[0].toarray()
 
 
 # ---------------------------------------------------------------------------

@@ -237,11 +237,11 @@ def gs_screen(instance: RegressionInstance, plan: GsPlan | DependencyGraph,
     bb = np.column_stack([b[plan.ii[ok]], b[plan.jj[ok]]])
     x = np.linalg.solve(plan.pair_grams[ok], bb[..., None])
     pair[ok] = np.matmul(bb[:, None, :], x)[:, 0, 0]
-    single, single_bad = single.tolist(), single_bad.tolist()
+    single = single.tolist()
     for i, j, t1, good in zip(plan.ii.tolist(), plan.jj.tolist(), pair.tolist(),
                               ok.tolist()):
         ri, rj = retained[i], retained[j]
-        if not good or (ri != rj and single_bad[i if ri else j]):
+        if not good:  # a good pair's diagonals pass check_gram: single holds t2
             _screen_step(instance, (i, j), retained, gate)  # warns
         elif not (ri and rj):  # both retained: t2 = t1, no gain
             t2 = single[i] if ri else single[j] if rj else 0.0

@@ -191,6 +191,19 @@ class TestConfigResolution:
                        "its null quantile interpolates from a statistic of -inf\n")
         assert not (tmp_path / "detect.csv").exists()
 
+    def test_detect_minus_inf_threshold_exit_code(self, tmp_path, capsys):
+        # the 0.29 quantile lies over half way from a null statistic of -inf
+        # to a finite one, so it comes out -inf, a threshold that rejects all
+        config_path = tmp_path / "inf.json"
+        config_path.write_text(json.dumps({"p": 4, "variants": ["hcplus"], "alpha": 0.71,
+                                           "reps": 50, "null_reps": 100}))
+        assert cli.main(["detect", "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: no hcplus critical value at alpha 0.71 and p 4: "
+                       "its null quantile interpolates from a statistic of -inf\n")
+        assert not (tmp_path / "detect.csv").exists()
+
     @pytest.mark.parametrize("experiment,raw", [
         ("detect", {"p": 301}), ("classify", {"p": 301}),
         ("recover", {"p_grid": [64, 65]}), ("classify", {"p": 10, "alpha0": 0.1}),

@@ -337,15 +337,22 @@ class TestPrunedTables:
         stats = np.array([_reference_hc(rng.uniform(p), frac, floor) for _ in range(reps)])
         scored = _counting_hc(monkeypatch)
         # the first two sets read at most a tenth of the rows, so they prune
-        undefined = 0
-        for alphas in ([0.005], [0.01, 0.05], [0.05, 0.2], np.linspace(0.01, 0.99, 99)):
+        alpha_sets = [[0.005], [0.01, 0.05], [0.05, 0.2], np.linspace(0.01, 0.99, 99)]
+        # k statistics of -inf: a quantile 3/4 of the way from the last of
+        # them to the first finite one comes out -inf
+        k = int(np.isneginf(stats).sum())
+        if 0 < k < reps:
+            alpha_sets.append([1.0 - (k - 0.25) / (reps - 1)])
+        undefined, minus_inf = 0, 0
+        for alphas in alpha_sets:
             scored.clear()
             # a quantile that interpolates from a statistic of -inf (an empty
-            # HC+ feasible set) can come out NaN, and the table then raises
+            # HC+ feasible set) can come out NaN or -inf, and the table then raises
             with np.errstate(invalid="ignore"):
                 expected = [float(np.quantile(stats, 1.0 - a)) for a in alphas]
-            if np.isnan(expected).any():
+            if not np.isfinite(expected).all():
                 undefined += 1
+                minus_inf += bool(np.isneginf(expected).any())
                 with pytest.raises(DomainError, match=f"no hcplus critical value at "
                                                       f"alpha .* and p {p}:"):
                     de.critical_value(p, alphas, variant, reps, rng=RngStream(24, p),
@@ -357,6 +364,7 @@ class TestPrunedTables:
             if p >= 2000 and max(alphas) <= 0.05:
                 assert sum(scored) < reps
         assert (undefined > 0) == (variant == "hcplus" and p in (2, 3, 7))
+        assert (minus_inf > 0) == (variant == "hcplus" and alpha0 == 0.5 and p in (2, 3, 7))
 
     def test_paper_bandwidth_table_equals_full_computation(self):
         cfg = cli.resolve_config("bandwidth", None, {"scale": "paper"})

@@ -212,6 +212,11 @@ class TestComponents:
         with pytest.raises(DomainError):
             gr.connected_components(path_graph(3), restrict_to=[5])
 
+    def test_labels_count_components_by_smallest_node(self):
+        # isolated nodes 0, 2 and 5 are components of their own
+        g = gr.DependencyGraph(6, [(4, 1), (3, 1)])
+        assert gr.component_labels(g).tolist() == [0, 1, 2, 1, 1, 3]
+
 
 def reference_adjacency(p, edges):
     """Oracle: one Python set per node, filled edge by edge."""
@@ -269,9 +274,10 @@ class TestMatchesSetReference:
             comps = gr.connected_components(g)
             assert comps == reference_components(want)
             assert all(type(v) is int for c in comps for v in c)
-            label, order = gr.component_labels(g)
-            assert np.all(np.diff(label[order]) >= 0)
-            assert [order[label[order] == c].tolist() for c in range(len(comps))] == comps
+            label = gr.component_labels(g)
+            assert label.shape == (p,)
+            assert [np.flatnonzero(label == c).tolist() for c in range(label.max(initial=-1) + 1)] \
+                == reference_components(want)
             subsets = [[], None]
             if p:
                 picks = rng.integers(0, p, size=int(rng.integers(1, 2 * p + 1)))
@@ -295,6 +301,7 @@ class TestMatchesSetReference:
         g = gr.DependencyGraph(0)
         assert g.adjacency == [] and g.num_edges() == 0
         assert gr.connected_components(g) == []
+        assert gr.component_labels(g).shape == (0,)
         assert gr.max_degree(g) == 0
 
     def test_dense_and_sparse_input_agree(self):

@@ -77,7 +77,7 @@ class TestPrecisionModel:
         assert np.array_equal(root.toarray(), np.eye(5))
         assert root.nnz == 5 and np.all(root.data == 1.0)
         assert np.array_equal(om.sigma_diag(), np.ones(5))
-        factored = component_factors(om.omega, *component_labels(om.graph()))
+        factored = component_factors(om.omega, component_labels(om.graph()))
         for mine, theirs in zip(om._factors()[:2], factored[:2]):
             assert np.array_equal(mine.toarray(), theirs.toarray())
         assert np.array_equal(factored[2], np.ones(5))
