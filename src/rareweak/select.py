@@ -77,7 +77,10 @@ def ideal_q(vartheta: float, r: float) -> float:
     if not 0.0 < r < math.inf:
         raise DomainError(f"r must be positive and finite, got {r!r}")
     if r > vartheta:
-        return (vartheta + r) ** 2 / (4.0 * r)
+        try:
+            return (vartheta + r) ** 2 / (4.0 * r)
+        except OverflowError:
+            raise DomainError(f"r is too large: (vartheta + r)^2 overflows at r={r!r}") from None
     return vartheta
 
 

@@ -204,6 +204,17 @@ class TestConfigResolution:
                        "its null quantile interpolates from a statistic of -inf\n")
         assert not (tmp_path / "detect.csv").exists()
 
+    def test_recover_overflowing_r_exit_code(self, tmp_path, capsys):
+        # the schema takes any finite r, but (vartheta + r)^2 overflows here
+        config_path = tmp_path / "r.json"
+        config_path.write_text(json.dumps({"p_grid": [8], "reps": 1, "methods": ["gs"],
+                                           "r": 1e308}))
+        assert cli.main(["recover", "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "r=1e+308" in err and err.count("\n") == 1
+        assert not (tmp_path / "recover.csv").exists()
+
     @pytest.mark.parametrize("experiment,raw", [
         ("detect", {"p": 301}), ("classify", {"p": 301}),
         ("recover", {"p_grid": [64, 65]}), ("classify", {"p": 10, "alpha0": 0.1}),
@@ -679,6 +690,36 @@ def test_python_m_entry_point():
                             env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0, result.stderr
     assert "--threads" in result.stdout
+
+
+def test_only_bandwidth_imports_scipy_linalg(tmp_path):
+    # a fresh process, since this one may hold scipy.linalg already: only the
+    # bandwidth scan factors a banded matrix, and chol_banded imports
+    # scipy.linalg on its first call
+    block2 = {"kind": "block2", "h0": 0.5}
+    script = '''
+import json, sys
+from rareweak import cli
+def run(experiment, raw):
+    config = f"{sys.argv[1]}/{experiment}.json"
+    with open(config, "w") as f:
+        json.dump(raw, f)
+    assert cli.main([experiment, "--config", config, "--out", sys.argv[1]]) == 0
+    return "scipy.linalg" in sys.modules
+print(json.dumps(["scipy.linalg" in sys.modules]
+                 + [run(e, r) for e, r in json.loads(sys.argv[2])]))
+'''
+    runs = [("ranking", {}), ("detect", {"omega": block2}),
+            ("recover", {"omega": block2, "methods": ["ht_ideal", "gs"]}),
+            ("classify", {"omega": block2}), ("phase", {"h0": 0.5}),
+            ("bandwidth", TINY["bandwidth"])]
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path), json.dumps(runs)],
+                            capture_output=True, text=True, timeout=300,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [False] * 6 + [True]
 
 
 def test_perfbench_spans_install():

@@ -420,6 +420,21 @@ class TestCriticalValues:
         with pytest.raises(DomainError):
             table.value(0.2)
 
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    def test_hcplus_minus_inf_atom(self, seed):
+        # at p = 4 and alpha0 = 0.5, HC+ is -inf exactly when two or more of
+        # the four uniforms fall below 1/4: P(Bin(4, 1/4) >= 2) = 67/256.
+        # With 20,000 replicates the 0.28 quantile lies 6 SE above that atom
+        # and the 0.24 quantile 7 SE below it.
+        atom = sum(math.comb(4, k) * 3 ** (4 - k) for k in range(2, 5)) / 4**4
+        assert atom == 67 / 256
+        reps = 20000
+        table = de.critical_value(4, [0.72], "hcplus", reps, rng=RngStream(seed, 0))
+        assert math.isfinite(table.value(0.72))
+        with pytest.raises(DomainError, match="no hcplus critical value at alpha 0.76 "
+                                              "and p 4"):
+            de.critical_value(4, [0.76], "hcplus", reps, rng=RngStream(seed, 0))
+
 
 class TestIhcTest:
     """The innovated test's threshold: the orthodox table value times the

@@ -69,6 +69,12 @@ class TestBlockExponent:
         with pytest.raises(DomainError):
             ph.block_exponent(0.5, 0.0, 0.5)
 
+    def test_overflowing_r_rejected(self):
+        # the double miss, 2 vartheta + (3r/4 - vartheta)^2 / (3r), is the least
+        assert ph.block_exponent(0.5, 1e150, 0.5) == pytest.approx(0.1875e150)
+        with pytest.raises(DomainError, match=r"overflows at r=1e\+300"):
+            ph.block_exponent(0.5, 1e300, 0.5)
+
 
 class TestRhoExactBlock:
     def test_h0_zero_matches_identity(self):

@@ -60,6 +60,12 @@ class TestIdealQ:
         assert se.ideal_threshold(1000, 0.5, 2.0) == pytest.approx(
             math.sqrt(2 * 0.78125 * math.log(1000)))
 
+    def test_overflowing_r_rejected(self):
+        # (vartheta + r)^2 passes the largest float from r of about 1.34e154
+        assert se.ideal_q(0.5, 1e150) == (0.5 + 1e150) ** 2 / 4e150
+        with pytest.raises(DomainError, match=r"overflows at r=1e\+300"):
+            se.ideal_q(0.5, 1e300)
+
 
 class TestHamming:
     def test_identical(self):
